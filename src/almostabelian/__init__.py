@@ -66,14 +66,6 @@ from .lattices import (
     subgroup_from_data,
     validate_subgroup,
 )
-from .oracle import (
-    OracleReport,
-    ToleranceConfig,
-    antihermitian_probe,
-    dense_expm,
-    exp_crosscheck,
-    injectivity_probe,
-)
 from .reps import (
     algebra_rep,
     decompose,
@@ -99,4 +91,24 @@ from .subgroups import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle loads numpy and scipy; it is imported on first use of one of
+# its names, so that exact work never pays for the float stack.
+_ORACLE_NAMES = (
+    "OracleReport",
+    "ToleranceConfig",
+    "antihermitian_probe",
+    "dense_expm",
+    "exp_crosscheck",
+    "injectivity_probe",
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)

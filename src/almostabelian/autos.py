@@ -13,17 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidAutomorphism
 from .integers import is_unimodular
 from .expmap import (
     apply_exp_integral,
     apply_exp_tj,
     block_exp,
-    block_exp_numeric,
     dilation_contains,
-    phi_numeric,
 )
 from .jordan import (
     GroupElement,
@@ -82,6 +78,8 @@ class GenericAut:
         object.__setattr__(self, "alpha", _rational(alpha, "alpha"))
         if self.alpha == 0:
             raise InvalidAutomorphism("alpha must be nonzero")
+        if any(len(row) != len(self.delta) for row in self.delta):
+            raise InvalidAutomorphism("delta must be a square matrix")
         if len(self.gamma) != len(self.delta):
             raise InvalidAutomorphism("gamma length must match delta size")
 
@@ -257,7 +255,9 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
     Heisenberg action is always exact.
     """
     if mode == "numeric":
-        v, t = _as_float(g)
+        from .numeric import apply_aut_numeric, element_numeric
+
+        v, t = element_numeric(g)
         return apply_aut_numeric(aleph, phi, v, t)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -318,51 +318,6 @@ def _apply_heis(aleph, phi: HeisAut, g: GroupElement) -> GroupElement:
     )
     new_t = phi.beta2 * y + phi.alpha * t
     return group_element(aleph, (new_x, new_y) + new_w, new_t)
-
-
-def _as_float(g: GroupElement):
-    return np.array([float(c) for c in g.v]), float(g.t)
-
-
-def apply_aut_numeric(aleph: MultiplicityFunction, phi, v: np.ndarray, t: float):
-    """Floating-point action on coordinate data (v, t)."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(phi, InnerAut):
-        u, s = np.array([float(c) for c in phi.u]), float(phi.s)
-        moved = u + block_exp_numeric(aleph, s) @ v - block_exp_numeric(aleph, t) @ u
-        return moved, t
-    if isinstance(phi, HeisAut):
-        alpha = float(phi.alpha)
-        beta2 = float(phi.beta2)
-        gamma1, gamma2 = float(phi.gamma1), float(phi.gamma2)
-        delta12, delta22 = float(phi.delta12), float(phi.delta22)
-        x, y, w = v[0], v[1], v[2:]
-        phi01 = np.array([float(c) for c in phi.phi01])
-        eta = np.array([float(c) for c in phi.eta])
-        rho = np.array([float(c) for c in phi.rho])
-        phi11 = np.array([[float(c) for c in row] for row in phi.phi11])
-        if phi11.size == 0:
-            phi11 = phi11.reshape(len(w), len(w))
-        new_x = (
-            (alpha * delta22 - beta2 * gamma2) * x
-            + delta12 * y
-            + gamma1 * t
-            + beta2 * gamma2 * t * y
-            + 0.5 * alpha * gamma2 * t * t
-            + 0.5 * delta22 * beta2 * y * y
-            + phi01 @ w
-        )
-        new_y = delta22 * y + gamma2 * t
-        new_w = eta * y + rho * t + phi11 @ w
-        return np.concatenate([[new_x, new_y], new_w]), beta2 * y + alpha * t
-    if isinstance(phi, GenericAut):
-        alpha = float(phi.alpha)
-        s = alpha * t
-        gamma = np.array([float(c) for c in phi.gamma])
-        delta = np.array([[float(c) for c in row] for row in phi.delta])
-        moved = (s / alpha) * (phi_numeric(aleph, s) @ gamma) + delta @ v
-        return moved, s
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ExactnessUnavailable, NotCentral, NoWitness
 from .jordan import (
     AlgebraElement,
@@ -279,6 +277,8 @@ def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):
     [['1', '1'], ['0', '1']]
     """
     if mode == "numeric":
+        from .numeric import block_exp_numeric
+
         return block_exp_numeric(aleph, float(t))
     return _assemble(aleph, as_tau(t), _exp_block_exact, "e^(tJ)")
 
@@ -291,6 +291,8 @@ def phi_matrix(t, aleph: MultiplicityFunction, mode: str = "exact"):
     rotation blocks, identity on the kernel coordinates).
     """
     if mode == "numeric":
+        from .numeric import phi_numeric
+
         return phi_numeric(aleph, float(t))
     return _assemble(aleph, as_tau(t), _phi_block_exact, "phi(tJ)")
 
@@ -305,8 +307,9 @@ def exp_map(aleph: MultiplicityFunction, x: AlgebraElement, mode: str = "exact")
     '[4, 2 | 3]'
     """
     if mode == "numeric":
-        v = np.array([float(c) for c in x.v], dtype=float)
-        t = float(x.t)
+        from .numeric import element_numeric, phi_numeric
+
+        v, t = element_numeric(x)
         return phi_numeric(aleph, t) @ v, t
     return GroupElement(apply_phi_tj(aleph, x.t, x.v), x.t)
 
@@ -495,73 +498,3 @@ def _flip_matrix(aleph: MultiplicityFunction) -> Matrix:
                 place(b_neg, b_pos)
                 place(b_pos, b_neg)
     return mat(rows)
-
-
-# ---------------------------------------------------------------------------
-# numeric closed forms (independent of any generic matrix-exponential routine)
-
-
-def block_exp_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
-    """e^{tJ} in floats, assembled from the per-block closed form
-    e^{ta} * t^j/j! * (rotation by tb on realified cells)."""
-    d = aleph.dim
-    out = np.zeros((d, d))
-    for block in build_jordan(aleph).blocks:
-        o, n = block.offset, block.size
-        a, b = float(block.eigenvalue.re), float(block.eigenvalue.im)
-        ea = math.exp(t * a)
-        if not block.realified:
-            for k in range(n):
-                for j in range(n - k):
-                    out[o + k, o + k + j] = ea * t ** j / math.factorial(j)
-        else:
-            rot = np.array(
-                [
-                    [math.cos(t * b), -math.sin(t * b)],
-                    [math.sin(t * b), math.cos(t * b)],
-                ]
-            )
-            for k in range(n):
-                for j in range(n - k):
-                    cell = ea * t ** j / math.factorial(j) * rot
-                    out[o + 2 * k : o + 2 * k + 2, o + 2 * (k + j) : o + 2 * (k + j) + 2] = cell
-    return out
-
-
-def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
-    w = block.width
-    a, b = float(block.eigenvalue.re), float(block.eigenvalue.im)
-    if block.eigenvalue.is_zero:
-        out = np.zeros((w, w))
-        for k in range(block.size):
-            for j in range(block.size - k):
-                out[k, k + j] = t ** j / math.factorial(j + 1)
-        return out
-    jb = np.array([[float(x) for x in row] for row in _block_matrix(block)])
-    scale = abs(t) * math.hypot(a, b)
-    if scale < 0.5:
-        # series sum (tJ)^k/(k+1)!, geometric-dominated tail
-        acc = np.eye(w)
-        term = np.eye(w)
-        k = 1
-        while True:
-            term = term @ (t * jb) / (k + 1)
-            acc = acc + term
-            if np.max(np.abs(term)) < 1e-18:
-                return acc
-            k += 1
-    # block invertible away from zero eigenvalue: phi = (e^{tJ} - I) (tJ)^{-1}
-    amb = MultiplicityFunction({(block.eigenvalue, block.size): 1})
-    eb = block_exp_numeric(amb, t)
-    return np.linalg.solve((t * jb).T, (eb - np.eye(w)).T).T
-
-
-def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
-    """phi(tJ) in floats, per block: exact polynomial on nilpotent blocks,
-    series for small arguments, otherwise (e^{tJ_b} - id)(tJ_b)^{-1}."""
-    d = aleph.dim
-    out = np.zeros((d, d))
-    for block in build_jordan(aleph).blocks:
-        o, w = block.offset, block.width
-        out[o : o + w, o : o + w] = _phi_block_numeric(block, t)
-    return out

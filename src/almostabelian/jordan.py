@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DegenerateDatum
 from .linalg import (
     Matrix,
@@ -216,12 +214,6 @@ def build_jordan(aleph: MultiplicityFunction) -> JordanMatrix:
     return JordanMatrix(aleph, mat(rows), aleph.blocks)
 
 
-@lru_cache(maxsize=None)
-def jordan_numeric(aleph: MultiplicityFunction) -> np.ndarray:
-    j = build_jordan(aleph).matrix
-    return np.array([[float(x) for x in row] for row in j], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -334,9 +326,11 @@ def group_mul(
     from . import expmap
 
     if mode == "numeric":
+        from .numeric import block_exp_numeric, element_numeric
+
         vg, tg = element_numeric(g)
         vh, th = element_numeric(h)
-        return vg + expmap.block_exp_numeric(aleph, tg) @ vh, tg + th
+        return vg + block_exp_numeric(aleph, tg) @ vh, tg + th
     moved = expmap.apply_exp_tj(aleph, g.t, h.v)
     return GroupElement(
         tuple(a + b for a, b in zip(g.v, moved)), g.t + h.t
@@ -355,12 +349,10 @@ def group_inverse(
     from . import expmap
 
     if mode == "numeric":
+        from .numeric import block_exp_numeric, element_numeric
+
         v, t = element_numeric(g)
-        return -(expmap.block_exp_numeric(aleph, -t) @ v), -t
+        return -(block_exp_numeric(aleph, -t) @ v), -t
     moved = expmap.apply_exp_tj(aleph, -g.t, g.v)
     return GroupElement(tuple(-x for x in moved), -g.t)
 
-
-def element_numeric(x) -> tuple:
-    """Float coordinates (numpy vector, float time) of an exact element."""
-    return np.array([float(c) for c in x.v], dtype=float), float(x.t)

@@ -76,16 +76,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in a)
 
 
 def from_columns(cols) -> Matrix:

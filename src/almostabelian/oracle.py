@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
-from scipy.spatial.distance import cdist
 
-from .expmap import e2_witness, is_exponential, phi_numeric
+from .expmap import e2_witness, is_exponential
 from .jordan import MultiplicityFunction, algebra_element
-from .reps import algebra_rep, group_rep_numeric
+from .numeric import group_rep_numeric, phi_numeric
+from .reps import algebra_rep
 
 DEFAULT_SEED = 0x5EED
 
@@ -151,6 +151,18 @@ def antihermitian_probe(
     )
 
 
+def _chebyshev_gaps(points: np.ndarray) -> np.ndarray:
+    """Pairwise max-norm distances between the rows of points.
+
+    One coordinate at a time, so the work arrays stay n x n rather than
+    n x n x columns.
+    """
+    gaps = np.zeros((len(points), len(points)))
+    for column in points.T:
+        np.maximum(gaps, np.abs(column[:, None] - column[None]), out=gaps)
+    return gaps
+
+
 def injectivity_probe(
     aleph: MultiplicityFunction,
     samples: int,
@@ -178,8 +190,8 @@ def injectivity_probe(
             t = args[i, d]
             images[i, :d] = phi_numeric(aleph, t) @ args[i, :d]
             images[i, d] = t
-        img_gap = cdist(images, images, "chebyshev")
-        arg_gap = cdist(args, args, "chebyshev")
+        img_gap = _chebyshev_gaps(images)
+        arg_gap = _chebyshev_gaps(args)
         close = img_gap < tolerances.collision_image
         np.fill_diagonal(close, False)
         collided = close & (arg_gap > tolerances.collision_domain)

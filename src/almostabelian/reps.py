@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ExactnessUnavailable, UnsupportedLattice
-from .expmap import block_exp_numeric, torsion
+from .expmap import torsion
 from .jordan import GroupElement, MultiplicityFunction, group_element
-from .linalg import Matrix, inverse, mat_vec, rank, vec
+from .linalg import Matrix, inverse, mat_vec, rank, unit_vec, vec
 from .scalars import TAU, TauScalar, as_tau, tau_floor
 
 ZERO = TauScalar(0)
@@ -114,12 +112,6 @@ def entry_neg(entry):
     return -entry
 
 
-def entry_numeric(entry) -> float:
-    if isinstance(entry, ExpAtom):
-        return entry.numeric()
-    return float(entry)
-
-
 # ---------------------------------------------------------------------------
 # represented matrices
 
@@ -164,11 +156,11 @@ class RepMatrix:
                     )
         return self.entries
 
-    def numeric(self) -> np.ndarray:
-        return np.array(
-            [[entry_numeric(e) for e in row] for row in self.entries],
-            dtype=float,
-        )
+    def numeric(self):
+        """The entries in floats, as a numpy array."""
+        from .numeric import rep_matrix_numeric
+
+        return rep_matrix_numeric(self)
 
     def mul(self, other: "RepMatrix") -> "RepMatrix":
         """Exact matrix product; defined only when both factors are exact."""
@@ -313,27 +305,6 @@ def is_simply_connected_G(aleph: MultiplicityFunction) -> bool:
     return torsion(aleph).is_trivial
 
 
-_REP_KINDS = ("G", "GI", "GII")
-
-
-def group_rep_numeric(aleph, v: np.ndarray, t: float, kind: str = "G") -> np.ndarray:
-    """Float version of the group representations, for numeric probes."""
-    if kind not in _REP_KINDS:
-        raise ValueError(f"unknown representation kind {kind!r}")
-    d = aleph.dim
-    n = d + 1 if kind == "G" else d + 2
-    out = np.zeros((n, n))
-    out[0, 0] = 1.0
-    out[1 : d + 1, 0] = v
-    out[1 : d + 1, 1 : d + 1] = block_exp_numeric(aleph, t)
-    if kind == "GI":
-        out[d + 1, d + 1] = math.exp(t)
-    elif kind == "GII":
-        out[d + 1, 0] = t
-        out[d + 1, d + 1] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # splitting off the maximal Euclidean factor
 
@@ -447,7 +418,7 @@ def build_P(aleph: MultiplicityFunction, subgroup, completion=None):
     if completion is None:
         completion = []
         for i in range(m):
-            candidate = cols + completion + [vec(unit for unit in _unit(m, i))]
+            candidate = cols + completion + [unit_vec(m, i)]
             if rank(tuple(candidate)) == len(candidate):
                 completion.append(candidate[-1])
             if k + len(completion) == m:
@@ -460,10 +431,6 @@ def build_P(aleph: MultiplicityFunction, subgroup, completion=None):
     matrix = tuple(tuple(full[j][i] for j in range(m)) for i in range(m))
     p = inverse(matrix)
     return p, p[:k], p[k:]
-
-
-def _unit(n: int, i: int):
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -515,30 +482,11 @@ class QuotientRep:
             o += 1
         return _freeze(rows)
 
-    def numeric(self, v: np.ndarray, t: float) -> np.ndarray:
-        dec = self.decomposition
-        d0 = dec.d0
-        par = np.array([[float(e) for e in row] for row in self.p_par]) if self.p_par else np.zeros((0, len(v) - d0 + 1))
-        perp = np.array([[float(e) for e in row] for row in self.p_perp]) if self.p_perp else np.zeros((0, len(v) - d0 + 1))
-        wt = np.concatenate([np.asarray(v, dtype=float)[d0:], [t]])
-        x_par = par @ wt
-        y_perp = perp @ wt
-        out = np.zeros((self.dimension, self.dimension))
-        out[: d0 + 1, : d0 + 1] = group_rep_numeric(
-            dec.core_aleph, np.asarray(v, dtype=float)[:d0], t)
-        o = d0 + 1
-        tau = 2 * math.pi
-        for x in x_par:
-            c, s = math.cos(tau * x), math.sin(tau * x)
-            out[o, o] = c
-            out[o, o + 1] = -s
-            out[o + 1, o] = s
-            out[o + 1, o + 1] = c
-            o += 2
-        for y in y_perp:
-            out[o, o] = math.exp(y)
-            o += 1
-        return out
+    def numeric(self, v, t: float):
+        """The matrix at float coordinate data (v, t), as a numpy array."""
+        from .numeric import quotient_rep_numeric
+
+        return quotient_rep_numeric(self, v, t)
 
 
 def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup, completion=None) -> QuotientRep:

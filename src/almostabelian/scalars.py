@@ -23,8 +23,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 Rational = Fraction
 
@@ -100,10 +102,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if _pis_zero(a) or _pis_zero(b):
         return _PZERO
@@ -142,18 +140,16 @@ def _pgcd(a, b):
     return tuple(c / lead for c in a)
 
 
-def _peval(c, x):
+def _peval(c, x, real):
+    """Horner evaluation at the real number x, each rational coefficient
+    converted by ``real``."""
     acc = 0 * x
     for coef in reversed(c):
-        acc = acc * x + (
-            coef if not isinstance(x, (float, mpmath.mpf)) else _num(coef, x)
-        )
+        acc = acc * x + real(coef)
     return acc
 
 
-def _num(frac, like):
-    if isinstance(like, mpmath.mpf):
-        return mpmath.mpf(frac.numerator) / frac.denominator
+def _float(frac: Fraction) -> float:
     return frac.numerator / frac.denominator
 
 
@@ -233,7 +229,7 @@ class TauScalar:
 
     def __float__(self) -> float:
         two_pi = 6.283185307179586
-        return _peval(self.num, two_pi) / _peval(self.den, two_pi)
+        return _peval(self.num, two_pi, _float) / _peval(self.den, two_pi, _float)
 
     # -- arithmetic
 
@@ -375,11 +371,17 @@ def tau_eval(x: TauScalar, digits: int = 15) -> mpmath.mpf:
     >>> round(float(tau_eval(TAU, 15)), 6)
     6.283185
     """
+    import mpmath
+
     if digits < 1:
         raise ValueError("digits must be positive")
+
+    def real(frac):
+        return mpmath.mpf(frac.numerator) / frac.denominator
+
     with mpmath.workdps(digits + 15):
         two_pi = 2 * mpmath.pi
-        value = _peval(x.num, two_pi) / _peval(x.den, two_pi)
+        value = _peval(x.num, two_pi, real) / _peval(x.den, two_pi, real)
         return +value
 
 
@@ -398,6 +400,8 @@ def tau_floor(x: TauScalar) -> int:
     """
     if x.is_rational:
         return math.floor(x.as_rational())
+    import mpmath
+
     digits = 30
     while digits <= 100_000:
         value = tau_eval(x, digits)
@@ -512,7 +516,10 @@ def parse_tau(text: str) -> TauScalar:
     if not tokens:
         raise ValueError("empty TauScalar literal")
     parser = _TauParser(tokens, text)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in TauScalar literal {text!r}") from None
     if parser.pos != len(tokens):
         parser.fail()
     return value

@@ -23,7 +23,7 @@ from .autos import GenericAut, HeisAut
 from .errors import DegenerateDatum, InvalidAutomorphism
 from .expmap import torsion
 from .jordan import MultiplicityFunction, multiplicity_function
-from .lattices import DiscreteCentralSubgroup, subgroup_from_data
+from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
 from .scalars import TauScalar, parse_gauss, parse_rational, parse_tau
 from .subgroups import ConnectedSubgroupSpec
 
@@ -163,6 +163,10 @@ def _assemble_lattice(aleph, lines, fail):
         if m and tor.is_trivial:
             fail(lineno, "nonzero time multiple needs nontrivial torsion")
         gens.append((v, m * tor.t0 if m else TauScalar(0)))
+        # validating each prefix names the first line that breaks the lattice
+        violations = validate_subgroup(aleph, subgroup_from_data(aleph, gens))
+        if violations:
+            fail(lineno, violations[0])
     return subgroup_from_data(aleph, gens)
 
 
@@ -193,6 +197,8 @@ def _assemble_aut(aleph, line, fail):
             gamma = _vector(kv.get("gamma", ""))
             if not delta:
                 fail(lineno, "aut generic needs delta=<rows>")
+            if len(delta) != aleph.dim:
+                fail(lineno, f"delta has {len(delta)} rows, expected {aleph.dim}")
             if not gamma:
                 gamma = (TauScalar(0),) * aleph.dim
             return GenericAut(delta, gamma, parse_rational(kv["alpha"]))

@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .expmap import apply_exp_integral, central_log, phi_numeric, torsion
+from .expmap import apply_exp_integral, central_log, torsion
 from .integers import kernel_complement_split
 from .jordan import (
     GroupElement,
@@ -113,28 +111,13 @@ def membership(
     numeric mode compares the defect against the subspace in floats.
     """
     if mode == "numeric":
-        return _membership_numeric(aleph, spec, g, tol)
+        from .numeric import membership_numeric
+
+        return membership_numeric(aleph, spec, g, tol)
     if spec.case == 1:
         return g.t.is_zero and in_span(spec.basis, g.v)
     correction = apply_exp_integral(aleph, g.t, spec.v0)
     return in_span(spec.basis, vec_sub(g.v, correction))
-
-
-def _membership_numeric(aleph, spec, g, tol: float) -> bool:
-    v = np.array([float(x) for x in g.v])
-    t = float(g.t)
-    if spec.case == 1:
-        if abs(t) > tol:
-            return False
-        defect = v
-    else:
-        v0 = np.array([float(x) for x in spec.v0])
-        defect = v - t * (phi_numeric(aleph, t) @ v0)
-    if not spec.basis:
-        return bool(np.linalg.norm(defect) <= tol)
-    w = np.array([[float(x) for x in row] for row in spec.basis]).T
-    coeffs, *_ = np.linalg.lstsq(w, defect, rcond=None)
-    return bool(np.linalg.norm(w @ coeffs - defect) <= tol)
 
 
 def lift_subgroup(

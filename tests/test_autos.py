@@ -12,7 +12,6 @@ from almostabelian.autos import (
     HeisAut,
     InnerAut,
     apply_aut,
-    apply_aut_numeric,
     compose,
     differential,
     embed_generic,
@@ -34,6 +33,7 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.linalg import identity, mat_mul, mat_vec, vec
+from almostabelian.numeric import apply_aut_numeric
 from almostabelian.scalars import TAU, GaussRational, TauScalar
 
 SEED = 0x5EED
@@ -104,6 +104,15 @@ class TestValidation:
     def test_zero_alpha_rejected(self):
         with pytest.raises(InvalidAutomorphism):
             GenericAut(((1, 0), (0, 1)), (0, 0), 0)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [((1, 0, 0, 5), (0, 1, 0), (0, 0, 1)), ((1, 0), (0, 1), (0, 0))],
+        ids=["ragged", "3x2"],
+    )
+    def test_non_square_delta_rejected(self, delta):
+        with pytest.raises(InvalidAutomorphism, match="square"):
+            GenericAut(delta, (0, 0, 0), 1)
 
     def test_inner_always_valid(self, heis):
         phi = inner_aut(heis, group_element(heis, (1, 2), 3))

@@ -1,7 +1,13 @@
 """Command line behavior: reports, exit codes, round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import almostabelian
 from almostabelian.cli import main
 from almostabelian.integers import det_int
 from almostabelian.scalars import TAU, parse_tau
@@ -31,6 +37,9 @@ def specs(tmp_path):
             "block i 1 1\nlattice gen 0,0 1\n"
             "aut generic alpha=-1 delta=1,0;0,-1 gamma=0,0\n"
         ),
+        "ragged": "block 0 2 1\nblock 0 1 1\naut generic alpha=1 delta=1,0,0,5;0,1,0;0,0,1\n",
+        "shape": "block 0 2 1\nblock 0 1 1\naut generic alpha=1 delta=1,0;0,1;0,0\n",
+        "noncentral": "block i 1 1\nlattice gen 1,0 0\n",
     }
     paths = {}
     for name, text in files.items():
@@ -246,3 +255,84 @@ class TestErrors:
     def test_missing_section(self, specs, capsys):
         assert main(["--spec", specs["aff"], "reduce"]) == 2
         assert "lattice" in capsys.readouterr().err
+
+
+class TestInvalidInput:
+    """Invalid input exits 2 with one error line, never with a traceback."""
+
+    def test_division_by_zero_literal(self, specs, capsys):
+        assert main(["--spec", specs["e2"], "exp", "1,0", "1/0"]) == 2
+        assert capsys.readouterr().err.startswith("error: division by zero")
+
+    @pytest.mark.parametrize("name", ["ragged", "shape"])
+    @pytest.mark.parametrize("action", [["validate"], ["apply", "1,1,1", "0"]])
+    def test_non_square_delta(self, specs, capsys, name, action):
+        assert main(["--spec", specs[name], "aut", *action]) == 2
+        err = capsys.readouterr().err
+        assert f"{specs[name]}:3: delta must be a square matrix" in err
+
+    def test_noncentral_lattice(self, specs, capsys):
+        assert main(["--spec", specs["noncentral"], "reduce"]) == 2
+        assert f"{specs['noncentral']}:2: generator" in capsys.readouterr().err
+
+    def test_heis_probe_dimension(self, specs, capsys):
+        assert main(["--spec", specs["heis"], "oracle", "heis", "--dim", "1"]) == 2
+        assert capsys.readouterr().err == "error: --dim must be at least 2\n"
+
+
+# Runs the given code in a fresh interpreter, then prints which of the
+# float libraries it loaded.
+_FOOTPRINT = """
+import runpy, sys
+{code}
+print("loaded=" + ",".join(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules))
+"""
+
+# The body of `python -m almostabelian.cli <argv>`, kept in process.
+_CLI = """
+sys.argv = ["almostabelian"] + sys.argv[1:]
+try:
+    runpy.run_module("almostabelian.cli", run_name="__main__")
+except SystemExit as e:
+    assert e.code == 0, e.code
+"""
+
+
+def _loaded_after(code, *argv):
+    src = str(Path(almostabelian.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT.format(code=code), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("loaded="), proc.stdout
+    return proc.stdout, set(filter(None, last[len("loaded="):].split(",")))
+
+
+class TestImportFootprint:
+    """The exact engine runs without numpy, scipy or mpmath."""
+
+    def test_package_import(self):
+        assert _loaded_after("import almostabelian")[1] == set()
+
+    @pytest.mark.parametrize("command", ["analyze", "reduce"])
+    def test_exact_commands(self, specs, command):
+        assert _loaded_after(_CLI, "--spec", specs["e2r2_mixed"], command)[1] == set()
+
+    def test_numeric_mode_still_loads_numpy(self, specs):
+        out, loaded = _loaded_after(
+            _CLI, "--spec", specs["e2"], "--mode", "numeric", "exp", "1,0", "1"
+        )
+        assert out.startswith("[0.841")
+        assert "numpy" in loaded
+
+    def test_oracle_names_resolve_on_use(self):
+        out, loaded = _loaded_after(
+            "from almostabelian import dense_expm\nprint(dense_expm([[0.0]])[0][0])"
+        )
+        assert out.startswith("1.0")
+        assert {"numpy", "scipy"} <= loaded
+        assert {"dense_expm", "exp_crosscheck"} <= set(almostabelian.__all__)

@@ -14,7 +14,6 @@ from almostabelian.errors import ExactnessUnavailable, NotCentral, NoWitness
 from almostabelian.expmap import (
     DilationGroup,
     block_exp,
-    block_exp_numeric,
     center,
     central_log,
     dilation_conjugator,
@@ -25,7 +24,6 @@ from almostabelian.expmap import (
     is_central,
     is_exponential,
     phi_matrix,
-    phi_numeric,
     torsion,
 )
 from almostabelian.jordan import (
@@ -35,6 +33,7 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.linalg import identity, is_invertible, mat, mat_mul, vec
+from almostabelian.numeric import block_exp_numeric, phi_numeric
 from almostabelian.scalars import TAU, GaussRational, as_tau
 
 SEED = 0x5EED

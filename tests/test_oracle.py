@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from almostabelian.jordan import algebra_element
+from almostabelian.numeric import group_rep_numeric, phi_numeric
 from almostabelian.oracle import (
     DEFAULT_TOLERANCES,
     OracleReport,
@@ -14,9 +16,8 @@ from almostabelian.oracle import (
     exp_crosscheck,
     injectivity_probe,
 )
-from almostabelian.oracle import _hypotheses_hold
-from almostabelian.reps import algebra_rep, group_rep_numeric
-from almostabelian.expmap import phi_numeric
+from almostabelian.oracle import _chebyshev_gaps, _hypotheses_hold
+from almostabelian.reps import algebra_rep
 
 SEED = 0x5EED
 
@@ -100,3 +101,7 @@ class TestInjectivity:
 
     def test_report_type(self, heis):
         assert isinstance(injectivity_probe(heis, 10, seed=SEED), OracleReport)
+
+    def test_gaps_equal_scipy_chebyshev(self):
+        points = np.random.default_rng(SEED).uniform(-3.0, 3.0, size=(40, 5))
+        assert np.array_equal(_chebyshev_gaps(points), cdist(points, points, "chebyshev"))

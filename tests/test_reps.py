@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from almostabelian.errors import ExactnessUnavailable, UnsupportedLattice
-from almostabelian.expmap import block_exp_numeric, exp_map
+from almostabelian.expmap import exp_map
 from almostabelian.jordan import (
     algebra_element,
     commutator,
@@ -17,6 +17,7 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.linalg import mat_mul, mat_vec, vec
+from almostabelian.numeric import block_exp_numeric, group_rep_numeric
 from almostabelian.reps import (
     ExpAtom,
     RepMatrix,
@@ -28,7 +29,6 @@ from almostabelian.reps import (
     group_rep_G,
     group_rep_GI,
     group_rep_GII,
-    group_rep_numeric,
     is_simply_connected_G,
     make_entry,
     quotient_chart,

@@ -99,6 +99,11 @@ class TestTauField:
             expected = expected * a
         assert a ** k == expected
 
+    @pytest.mark.parametrize("bad", ["1/0", "tau/(tau-tau)", "0^-1"])
+    def test_division_by_zero_is_a_literal_error(self, bad):
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_tau(bad)
+
     def test_float_is_evaluation_at_two_pi(self):
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12

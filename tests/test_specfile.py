@@ -98,6 +98,25 @@ class TestErrors:
         with pytest.raises(SpecError, match="coordinates"):
             parse_spec_text("block i 1 1\nsubgroup case1 basis=1,0,0\n")
 
+    def test_delta_rows_match_dimension(self):
+        with pytest.raises(SpecError, match=r"<spec>:2: delta has 3 rows, expected 2"):
+            parse_spec_text("block i 1 1\naut generic alpha=1 delta=1,0,0;0,1,0;0,0,1\n")
+
+    @pytest.mark.parametrize("delta", ["1,0,0,5;0,1,0;0,0,1", "1,0;0,1;0,0"])
+    def test_delta_must_be_square(self, delta):
+        with pytest.raises(SpecError, match=r"<spec>:3: delta must be a square matrix"):
+            parse_spec_text(f"block 0 2 1\nblock 0 1 1\naut generic alpha=1 delta={delta}\n")
+
+    def test_noncentral_generator_line(self):
+        with pytest.raises(SpecError, match=r"<spec>:3: generator .* outside ker J"):
+            parse_spec_text("block i 1 1\nlattice gen 0,0 1\nlattice gen 1,0 0\n")
+
+    def test_dependent_generator_line(self):
+        with pytest.raises(SpecError, match=r"<spec>:4: generators are linearly dependent"):
+            parse_spec_text(
+                "block i 1 1\nblock 0 1 1\nlattice gen 0,0,1 0\nlattice gen 0,0,2 0\n"
+            )
+
     def test_aut_needs_alpha(self):
         with pytest.raises(SpecError, match="alpha"):
             parse_spec_text("block i 1 1\naut generic delta=1,0;0,1\n")
