@@ -190,6 +190,15 @@ def is_heisenberg_extension(aleph: MultiplicityFunction) -> bool:
     return seen_core
 
 
+def _heis_misfit(aleph: MultiplicityFunction, phi: HeisAut):
+    """Why a ten-parameter datum cannot act on the group at all, or None."""
+    if not is_heisenberg_extension(aleph):
+        return "ten-parameter automorphisms require a Heisenberg central extension datum"
+    if phi.dim != aleph.dim:
+        return "dimension mismatch"
+    return None
+
+
 def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
     """Exact validity check; returns a tuple of violation descriptions.
 
@@ -201,16 +210,10 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
             return ("inner automorphism belongs to a different group",)
         return ()
     if isinstance(phi, HeisAut):
+        misfit = _heis_misfit(aleph, phi)
+        if misfit:
+            return (misfit,)
         violations = []
-        if not is_heisenberg_extension(aleph):
-            violations.append(
-                "ten-parameter automorphisms require a Heisenberg "
-                "central extension datum"
-            )
-            return tuple(violations)
-        if phi.dim != aleph.dim:
-            violations.append("dimension mismatch")
-            return tuple(violations)
         if phi.invariant.is_zero:
             violations.append("alpha*delta22 - beta2*gamma2 must be nonzero")
         if phi.phi11 and not is_invertible(phi.phi11):
@@ -252,8 +255,12 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
 
     Exact mode raises ExactnessUnavailable when the integrated exponential
     in the generic action has no closed form at alpha*t; the polynomial
-    Heisenberg action is always exact.
+    Heisenberg action is always exact.  Both modes raise
+    InvalidAutomorphism for a ten-parameter datum on a group that is not a
+    Heisenberg extension, or of another dimension.
     """
+    if isinstance(phi, HeisAut) and (misfit := _heis_misfit(aleph, phi)):
+        raise InvalidAutomorphism(misfit)
     if mode == "numeric":
         from .numeric import apply_aut_numeric, element_numeric
 
@@ -493,9 +500,7 @@ def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
     gens = list(subgroup.generators)
     if not gens:
         return ()
-    span = from_columns(
-        [vec(tuple(g.v) + (g.t,)) for g in gens]
-    )
+    span = from_columns(subgroup.columns())
     coords = []
     for g in gens:
         image = apply_aut(aleph, phi, g)

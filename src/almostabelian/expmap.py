@@ -6,9 +6,13 @@ logarithm on the central cylinder, the torsion subgroup T of times t with
 e^{tJ} = id, exponentiality of the group, the dilation group of the datum,
 and the center.
 
-Exact arithmetic is per block: a block contributes exactly when it is
-nilpotent (finite series), or the time satisfies t*b in tau*Z for a purely
-imaginary eigenvalue ib (the rotation factor collapses to the identity), or
+Every e^{tJ} here, exact, symbolic or in floats, comes from one per-block
+kernel: block_factors decides the block's factors c = e^{ta} cos(tb) and
+s = e^{ta} sin(tb) once, and write_exp_block lays out the cells
+t^j/j! * c, with [[c, -s], [s, c]] on realified blocks.  By Niven's theorem
+the factors are exact only for a = 0 at a quarter turn tb in (tau/4)Z
+(t = 0 included), so exact arithmetic is per block: a block contributes
+exactly when it is nilpotent (finite series), or at such a time, or when
 the vector being moved vanishes on the block.  Anything else raises
 ExactnessUnavailable naming the block; it never falls back to floats.
 """
@@ -27,6 +31,7 @@ from .jordan import (
     Block,
     GroupElement,
     MultiplicityFunction,
+    block_matrix,
     build_jordan,
     in_kernel,
     kernel_basis,
@@ -38,7 +43,6 @@ from .linalg import (
     inverse,
     mat,
     mat_mul,
-    mat_sub,
     vec,
 )
 from .scalars import TAU, GaussRational, TauScalar, as_tau, rat_gcd
@@ -125,120 +129,209 @@ def is_central(aleph: MultiplicityFunction, g: GroupElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact per-block exponential and phi
+# entries: exact scalars or transcendental atoms
+
+_COS_QUARTER = (ONE, ZERO, -ONE, ZERO)
+_SIN_QUARTER = (ZERO, ONE, ZERO, -ONE)
+_QUARTER_TURN = TAU / 4
 
 
-def _integer_turns(t: TauScalar, b: Fraction) -> bool:
-    """Whether t*b is an integer multiple of tau (rotation collapses to id)."""
-    return ((t * as_tau(b)) / TAU).is_integer
+@dataclass(frozen=True)
+class ExpAtom:
+    """A single transcendental entry coeff * e^exp_arg * trig(trig_arg).
+
+    trig is one of "one", "cos", "sin".  Instances are only created through
+    make_entry and exp_rotation, which guarantee coeff != 0 and that no
+    exact collapse applies, so structural equality of atoms is meaningful.
+    """
+
+    coeff: TauScalar
+    exp_arg: TauScalar
+    trig: str = "one"
+    trig_arg: TauScalar = ZERO
+
+    def numeric(self) -> float:
+        value = float(self.coeff) * math.exp(float(self.exp_arg))
+        if self.trig == "cos":
+            value *= math.cos(float(self.trig_arg))
+        elif self.trig == "sin":
+            value *= math.sin(float(self.trig_arg))
+        return value
+
+    def __mul__(self, scalar):
+        """The atom scaled by an exact scalar; ZERO when the scalar is 0."""
+        coeff = self.coeff * scalar
+        if coeff.is_zero:
+            return ZERO
+        return ExpAtom(coeff, self.exp_arg, self.trig, self.trig_arg)
+
+    def __neg__(self):
+        return ExpAtom(-self.coeff, self.exp_arg, self.trig, self.trig_arg)
+
+    def __str__(self) -> str:
+        coeff_str = str(self.coeff)
+        if coeff_str == "1":
+            parts = []
+        elif coeff_str == "-1":
+            parts = ["-1"]
+        elif "+" in coeff_str or "-" in coeff_str[1:] or "*" in coeff_str:
+            parts = [f"({coeff_str})"]
+        else:
+            parts = [coeff_str]
+        if not self.exp_arg.is_zero:
+            parts.append(f"exp({self.exp_arg})")
+        if self.trig != "one":
+            parts.append(f"{self.trig}({self.trig_arg})")
+        return "*".join(parts)
 
 
-def _exp_block_exact(block: Block, t: TauScalar):
-    """Rows of e^{t J_block}, or None when no exact closed form applies."""
+def _leading_negative(x: TauScalar) -> bool:
+    for c in x.num:
+        if c:
+            return c < 0
+    return False
+
+
+def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
+    """The pair (e^x cos(theta), e^x sin(theta)) for x = exp_arg, theta = angle.
+
+    The quarter-turn rule is decided once for the pair: at theta in
+    (tau/4)Z the trigonometric factors are 0 and +-1, so the pair is exact
+    when x = 0.  By Niven's theorem quarter turns are the only rational
+    multiples of tau where cos and sin are both rational; elsewhere both
+    stay atoms, with the angle's sign normalized (cos is even, sin odd).
+    """
+    quarters = angle / _QUARTER_TURN
+    if quarters.is_integer:
+        q = quarters.as_integer() % 4
+        return make_entry(_COS_QUARTER[q], exp_arg), make_entry(_SIN_QUARTER[q], exp_arg)
+    if _leading_negative(angle):
+        angle = -angle
+        return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(-ONE, exp_arg, "sin", angle)
+    return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(ONE, exp_arg, "sin", angle)
+
+
+def make_entry(coeff, exp_arg=ZERO, trig: str = "one", trig_arg=ZERO):
+    """Build an entry, collapsing to an exact scalar whenever possible."""
+    coeff = as_tau(coeff)
+    exp_arg = as_tau(exp_arg)
+    if trig not in ("one", "cos", "sin"):
+        raise ValueError(f"unknown trig tag {trig!r}")
+    if coeff.is_zero:
+        return ZERO
+    if trig != "one":
+        cos_e, sin_e = exp_rotation(exp_arg, as_tau(trig_arg))
+        return (cos_e if trig == "cos" else sin_e) * coeff
+    if exp_arg.is_zero:
+        return coeff
+    return ExpAtom(coeff, exp_arg)
+
+
+# ---------------------------------------------------------------------------
+# the block exponential kernel
+
+
+def block_factors(block: Block, t: TauScalar):
+    """The factors c = e^{ta} cos(tb) and s = e^{ta} sin(tb) of the block's
+    eigenvalue a + ib at time t, as entries (s = 0 on a real block).
+
+    Both are exact scalars exactly when t*a = 0 and t*b is a quarter turn
+    (t = 0 included); otherwise at least one is an ExpAtom.
+    """
+    a, b = block.eigenvalue.re, block.eigenvalue.im
+    exp_arg = t * a if a else ZERO
+    if not b:
+        return make_entry(ONE, exp_arg), ZERO
+    return exp_rotation(exp_arg, t * b)
+
+
+def write_exp_block(rows, o: int, block: Block, t, c, s) -> None:
+    """Write e^{t J_block} into rows at (o, o) from the block's factors.
+
+    Cell (k, k + j) is t^j/j! times c on a real block and times
+    [[c, -s], [s, c]] on a realified one.  t, c and s are exact scalars
+    and atoms, or floats in numeric mode: this is the one place the
+    layout is written.
+    """
     n = block.size
-    if t.is_zero:
-        return [list(r) for r in identity(block.width)]
-    if block.eigenvalue.is_zero:
-        rows = [[ZERO] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(n - k):
-                rows[k][k + j] = t ** j / math.factorial(j)
-        return rows
-    if block.eigenvalue.re == 0 and _integer_turns(t, block.eigenvalue.im):
-        w = block.width
-        rows = [[ZERO] * w for _ in range(w)]
-        for k in range(n):
-            for j in range(n - k):
-                c = t ** j / math.factorial(j)
-                rows[2 * k][2 * (k + j)] = c
-                rows[2 * k + 1][2 * (k + j) + 1] = c
-        return rows
-    return None
-
-
-def _phi_block_exact(block: Block, t: TauScalar):
-    """Rows of phi(t J_block), or None when no exact closed form applies."""
-    n = block.size
-    if t.is_zero:
-        return [list(r) for r in identity(block.width)]
-    if block.eigenvalue.is_zero:
-        rows = [[ZERO] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(n - k):
-                rows[k][k + j] = t ** j / math.factorial(j + 1)
-        return rows
-    if block.eigenvalue.re == 0 and _integer_turns(t, block.eigenvalue.im):
-        w = block.width
-        if n == 1:
-            return [[ZERO, ZERO], [ZERO, ZERO]]
-        exp_rows = mat(_exp_block_exact(block, t))
-        j_rows = _block_matrix(block)
-        tj = mat([[t * x for x in row] for row in j_rows])
-        return [list(r) for r in mat_mul(mat_sub(exp_rows, identity(w)), inverse(tj))]
-    return None
-
-
-@lru_cache(maxsize=None)
-def _block_matrix(block: Block) -> Matrix:
-    """The block's own Jordan matrix (offset-independent)."""
-    n, a, b = block.size, block.eigenvalue.re, block.eigenvalue.im
-    if not block.realified:
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for k in range(n):
-            rows[k][k] = a
-            if k + 1 < n:
-                rows[k][k + 1] = Fraction(1)
-    else:
-        w = block.width
-        rows = [[Fraction(0)] * w for _ in range(w)]
-        for k in range(n):
-            i = 2 * k
-            rows[i][i] = a
-            rows[i][i + 1] = -b
-            rows[i + 1][i] = b
-            rows[i + 1][i + 1] = a
-            if k + 1 < n:
-                rows[i][i + 2] = Fraction(1)
-                rows[i + 1][i + 3] = Fraction(1)
-    return mat(rows)
+    base = ((c, -s), (s, c)) if block.realified else ((c,),)
+    m = len(base)
+    cell = base
+    for j in range(n):
+        if j:
+            w = t if j == 1 else w * t / j
+            cell = tuple(tuple(x * w for x in row) for row in base)
+        for k in range(n - j):
+            col = o + m * (k + j)
+            for i in range(m):
+                rows[o + m * k + i][col : col + m] = cell[i]
 
 
 def _unavailable(block: Block, t: TauScalar, what: str) -> ExactnessUnavailable:
     return ExactnessUnavailable(
         f"no exact closed form for {what} at t = {t} on block "
         f"({block.eigenvalue}, {block.size}) at coordinate {block.offset}; "
-        "exact evaluation needs a nilpotent block, a whole number of turns, "
+        "exact evaluation needs a nilpotent block, a quarter turn, "
         "or a vector vanishing there"
     )
 
 
-def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn, what: str) -> Matrix:
+def _exact_factors(block: Block, t: TauScalar, what: str):
+    """The block's factors, or ExactnessUnavailable naming the block when
+    an atom survives."""
+    c, s = block_factors(block, t)
+    if isinstance(c, ExpAtom) or isinstance(s, ExpAtom):
+        raise _unavailable(block, t, what)
+    return c, s
+
+
+def _exp_block(block: Block, t: TauScalar):
+    """Rows of e^{t J_block}."""
+    rows = [[ZERO] * block.width for _ in range(block.width)]
+    write_exp_block(rows, 0, block, t, *_exact_factors(block, t, "e^(tJ)"))
+    return rows
+
+
+def _phi_block(block: Block, t: TauScalar):
+    """Rows of phi(t J_block): the polynomial sum of (tN)^j/(j+1)! on a
+    nilpotent block, (e^{tJ} - id)(tJ)^{-1} on every other block."""
+    n, w = block.size, block.width
+    if t.is_zero:
+        return identity(w)
+    rows = [[ZERO] * w for _ in range(w)]
+    if block.eigenvalue.is_zero:
+        for k in range(n):
+            for j in range(n - k):
+                rows[k][k + j] = t ** j / math.factorial(j + 1)
+        return rows
+    c, s = _exact_factors(block, t, "phi(tJ)")
+    if n == 1 and c == ONE and s.is_zero:
+        return rows  # e^{tJ} = id on the block
+    write_exp_block(rows, 0, block, t, c, s)
+    for i in range(w):
+        rows[i][i] = rows[i][i] - ONE
+    tj = [[t * x for x in row] for row in block_matrix(block)]
+    return mat_mul(rows, inverse(tj))
+
+
+def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn) -> Matrix:
     d = aleph.dim
     rows = [[ZERO] * d for _ in range(d)]
     for block in build_jordan(aleph).blocks:
-        sub = block_fn(block, t)
-        if sub is None:
-            raise _unavailable(block, t, what)
         o = block.offset
-        for i, row in enumerate(sub):
-            for j, x in enumerate(row):
-                rows[o + i][o + j] = x
+        for i, row in enumerate(block_fn(block, t)):
+            rows[o + i][o : o + block.width] = row
     return mat(rows)
 
 
-def _apply_blockwise(
-    aleph: MultiplicityFunction, t: TauScalar, v: Vector, block_fn, what: str
-) -> Vector:
+def _apply_blockwise(aleph: MultiplicityFunction, t: TauScalar, v: Vector, block_fn) -> Vector:
     """Apply the blockwise matrix to v, skipping blocks where v vanishes."""
     out = [ZERO] * len(v)
     for block in build_jordan(aleph).blocks:
         chunk = [as_tau(v[i]) for i in block.coords]
         if all(x.is_zero for x in chunk):
             continue
-        sub = block_fn(block, t)
-        if sub is None:
-            raise _unavailable(block, t, what)
-        for i, row in enumerate(sub):
+        for i, row in enumerate(block_fn(block, t)):
             acc = ZERO
             for c, x in zip(row, chunk):
                 if not c.is_zero:
@@ -249,12 +342,12 @@ def _apply_blockwise(
 
 def apply_exp_tj(aleph: MultiplicityFunction, t, v) -> Vector:
     """Exact e^{tJ} v, defined blockwise wherever v meets an exact block."""
-    return _apply_blockwise(aleph, as_tau(t), vec(v), _exp_block_exact, "e^(tJ)")
+    return _apply_blockwise(aleph, as_tau(t), vec(v), _exp_block)
 
 
 def apply_phi_tj(aleph: MultiplicityFunction, t, v) -> Vector:
     """Exact phi(tJ) v, defined blockwise wherever v meets an exact block."""
-    return _apply_blockwise(aleph, as_tau(t), vec(v), _phi_block_exact, "phi(tJ)")
+    return _apply_blockwise(aleph, as_tau(t), vec(v), _phi_block)
 
 
 def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
@@ -266,21 +359,25 @@ def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
 def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):
     """The full matrix e^{tJ}.
 
-    Exact mode covers nilpotent data at any time and whole numbers of turns
-    on every rotation block (in particular all t in T).  Numeric mode
-    evaluates the closed form per block in floats.
+    Exact mode covers nilpotent blocks at any time and rotation blocks
+    (purely imaginary eigenvalue) at quarter turns, in particular all t
+    in T; other blocks only at t = 0.  Numeric mode feeds float factors
+    into the same layout.
 
     >>> from .jordan import multiplicity_function
     >>> from .scalars import GaussRational as G
     >>> heis = multiplicity_function({(G(0), 2): 1})
     >>> [[str(x) for x in row] for row in block_exp(1, heis)]
     [['1', '1'], ['0', '1']]
+    >>> e2 = multiplicity_function({(G(0, 1), 1): 1})
+    >>> [[str(x) for x in row] for row in block_exp(TAU / 4, e2)]
+    [['0', '-1'], ['1', '0']]
     """
     if mode == "numeric":
         from .numeric import block_exp_numeric
 
         return block_exp_numeric(aleph, float(t))
-    return _assemble(aleph, as_tau(t), _exp_block_exact, "e^(tJ)")
+    return _assemble(aleph, as_tau(t), _exp_block)
 
 
 def phi_matrix(t, aleph: MultiplicityFunction, mode: str = "exact"):
@@ -294,7 +391,7 @@ def phi_matrix(t, aleph: MultiplicityFunction, mode: str = "exact"):
         from .numeric import phi_numeric
 
         return phi_numeric(aleph, float(t))
-    return _assemble(aleph, as_tau(t), _phi_block_exact, "phi(tJ)")
+    return _assemble(aleph, as_tau(t), _phi_block)
 
 
 def exp_map(aleph: MultiplicityFunction, x: AlgebraElement, mode: str = "exact"):
@@ -383,7 +480,7 @@ def e2_witness(aleph: MultiplicityFunction) -> E2Witness:
                 block_index=index,
                 block=block,
                 coordinates=(block.offset, block.offset + 1),
-                restriction=mat([[Fraction(0), -b], [b, Fraction(0)]]),
+                restriction=tuple(row[:2] for row in block_matrix(block)[:2]),
                 collision_time=TAU / as_tau(b),
                 collision_vector=vec(collision),
             )

@@ -184,33 +184,36 @@ class JordanMatrix:
 
 
 @lru_cache(maxsize=None)
-def build_jordan(aleph: MultiplicityFunction) -> JordanMatrix:
-    """Assemble the block-diagonal real Jordan matrix of the datum.
+def block_matrix(block: Block) -> Matrix:
+    """The block's own real Jordan matrix, width x width.
 
     A real block is x*id + N (ones on the superdiagonal); a complex block
     a+bi realifies to 2x2 cells [[a, -b], [b, a]] on the diagonal and 2x2
     identity cells on the superdiagonal.
     """
+    n, w = block.size, block.width
+    a, b = block.eigenvalue.re, block.eigenvalue.im
+    cell = ((a, -b), (b, a)) if block.realified else ((a,),)
+    m = len(cell)
+    rows = [[Fraction(0)] * w for _ in range(w)]
+    for k in range(n):
+        for i in range(m):
+            rows[m * k + i][m * k : m * k + m] = cell[i]
+            if k + 1 < n:
+                rows[m * k + i][m * (k + 1) + i] = Fraction(1)
+    return mat(rows)
+
+
+@lru_cache(maxsize=None)
+def build_jordan(aleph: MultiplicityFunction) -> JordanMatrix:
+    """Assemble the block-diagonal real Jordan matrix of the datum from
+    the blocks' own matrices."""
     d = aleph.dim
-    rows = [[Fraction(0)] * d for _ in range(d)]
+    rows = [[TauScalar(0)] * d for _ in range(d)]
     for block in aleph.blocks:
         o = block.offset
-        a, b = block.eigenvalue.re, block.eigenvalue.im
-        if not block.realified:
-            for k in range(block.size):
-                rows[o + k][o + k] = a
-                if k + 1 < block.size:
-                    rows[o + k][o + k + 1] = Fraction(1)
-        else:
-            for k in range(block.size):
-                i = o + 2 * k
-                rows[i][i] = a
-                rows[i][i + 1] = -b
-                rows[i + 1][i] = b
-                rows[i + 1][i + 1] = a
-                if k + 1 < block.size:
-                    rows[i][i + 2] = Fraction(1)
-                    rows[i + 1][i + 3] = Fraction(1)
+        for i, row in enumerate(block_matrix(block)):
+            rows[o + i][o : o + block.width] = row
     return JordanMatrix(aleph, mat(rows), aleph.blocks)
 
 
@@ -318,10 +321,10 @@ def group_mul(
 ):
     """Product [v_g, t_g][v_h, t_h] = [v_g + e^{t_g J} v_h, t_g + t_h].
 
-    Exact mode requires e^{t_g J} v_h to have a closed rational form: per
-    block, the block is nilpotent, or the block exponential at t_g is the
-    identity, or v_h vanishes on the block.  Otherwise ExactnessUnavailable
-    is raised naming the first offending block.
+    Exact mode requires e^{t_g J} v_h to have a closed form in Q(tau): per
+    block, the block is nilpotent, or t_g is a quarter turn of a rotation
+    block (or 0), or v_h vanishes on the block.  Otherwise
+    ExactnessUnavailable is raised naming the first offending block.
     """
     from . import expmap
 

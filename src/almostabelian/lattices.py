@@ -92,7 +92,7 @@ def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
             violations.append(f"generator {g} has vector part outside ker J")
         if not tor.contains(g.t):
             violations.append(f"generator {g} has time outside the torsion subgroup")
-    cols = [vec(tuple(g.v) + (g.t,)) for g in subgroup.generators]
+    cols = subgroup.columns()
     k = len(cols)
     if cols and rank(tuple(cols)) < k:
         violations.append("generators are linearly dependent")
@@ -429,7 +429,7 @@ def has_faithful_quotient_rep(
     from .jordan import derived_algebra_basis
     from .reps import quotient_faithful_rep
 
-    gen_cols = [vec(tuple(g.v) + (g.t,)) for g in subgroup.generators]
+    gen_cols = subgroup.columns()
     derived = [vec(tuple(b) + (ZERO,)) for b in derived_algebra_basis(aleph)]
     if gen_cols:
         separate = rank(tuple(gen_cols)) + len(derived) == rank(

@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from .autos import GenericAut, HeisAut, InnerAut
-from .expmap import _block_matrix
-from .jordan import Block, MultiplicityFunction, build_jordan
-from .reps import ExpAtom
+from .expmap import ExpAtom, write_exp_block
+from .jordan import Block, MultiplicityFunction, block_matrix, build_jordan
 
 _REP_KINDS = ("G", "GI", "GII")
 
@@ -30,30 +29,19 @@ def element_numeric(x) -> tuple:
 # block exponential and phi
 
 
+def _float_factors(block: Block, t: float) -> tuple:
+    """The kernel's block factors e^{ta} cos(tb) and e^{ta} sin(tb) in floats."""
+    a, b = float(block.eigenvalue.re), float(block.eigenvalue.im)
+    ea = math.exp(t * a)
+    return ea * math.cos(t * b), ea * math.sin(t * b)
+
+
 def block_exp_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
-    """e^{tJ} in floats, assembled from the per-block closed form
-    e^{ta} * t^j/j! * (rotation by tb on realified cells)."""
+    """e^{tJ} in floats: the exact layer's block layout fed float factors."""
     d = aleph.dim
     out = np.zeros((d, d))
     for block in build_jordan(aleph).blocks:
-        o, n = block.offset, block.size
-        a, b = float(block.eigenvalue.re), float(block.eigenvalue.im)
-        ea = math.exp(t * a)
-        if not block.realified:
-            for k in range(n):
-                for j in range(n - k):
-                    out[o + k, o + k + j] = ea * t ** j / math.factorial(j)
-        else:
-            rot = np.array(
-                [
-                    [math.cos(t * b), -math.sin(t * b)],
-                    [math.sin(t * b), math.cos(t * b)],
-                ]
-            )
-            for k in range(n):
-                for j in range(n - k):
-                    cell = ea * t ** j / math.factorial(j) * rot
-                    out[o + 2 * k : o + 2 * k + 2, o + 2 * (k + j) : o + 2 * (k + j) + 2] = cell
+        write_exp_block(out, block.offset, block, t, *_float_factors(block, t))
     return out
 
 
@@ -66,7 +54,7 @@ def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
             for j in range(block.size - k):
                 out[k, k + j] = t ** j / math.factorial(j + 1)
         return out
-    jb = np.array([[float(x) for x in row] for row in _block_matrix(block)])
+    jb = np.array([[float(x) for x in row] for row in block_matrix(block)])
     scale = abs(t) * math.hypot(a, b)
     if scale < 0.5:
         # series sum (tJ)^k/(k+1)!, geometric-dominated tail
@@ -80,8 +68,8 @@ def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
                 return acc
             k += 1
     # block invertible away from zero eigenvalue: phi = (e^{tJ} - I) (tJ)^{-1}
-    amb = MultiplicityFunction({(block.eigenvalue, block.size): 1})
-    eb = block_exp_numeric(amb, t)
+    eb = np.zeros((w, w))
+    write_exp_block(eb, 0, block, t, *_float_factors(block, t))
     return np.linalg.solve((t * jb).T, (eb - np.eye(w)).T).T
 
 

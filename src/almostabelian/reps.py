@@ -10,106 +10,23 @@ exact matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ExactnessUnavailable, UnsupportedLattice
-from .expmap import torsion
+from .expmap import (
+    ExpAtom,
+    block_factors,
+    exp_rotation,
+    make_entry,
+    torsion,
+    write_exp_block,
+)
 from .jordan import GroupElement, MultiplicityFunction, group_element
 from .linalg import Matrix, inverse, mat_vec, rank, unit_vec, vec
 from .scalars import TAU, TauScalar, as_tau, tau_floor
 
 ZERO = TauScalar(0)
 ONE = TauScalar(1)
-
-_COS_QUARTER = (ONE, ZERO, -ONE, ZERO)
-_SIN_QUARTER = (ZERO, ONE, ZERO, -ONE)
-
-
-# ---------------------------------------------------------------------------
-# matrix entries
-
-
-@dataclass(frozen=True)
-class ExpAtom:
-    """A single transcendental entry coeff * e^exp_arg * trig(trig_arg).
-
-    trig is one of "one", "cos", "sin".  Instances are only created through
-    make_entry, which guarantees coeff != 0 and that no exact collapse
-    applies, so structural equality of atoms is meaningful.
-    """
-
-    coeff: TauScalar
-    exp_arg: TauScalar
-    trig: str = "one"
-    trig_arg: TauScalar = ZERO
-
-    def numeric(self) -> float:
-        value = float(self.coeff) * math.exp(float(self.exp_arg))
-        if self.trig == "cos":
-            value *= math.cos(float(self.trig_arg))
-        elif self.trig == "sin":
-            value *= math.sin(float(self.trig_arg))
-        return value
-
-    def __str__(self) -> str:
-        coeff_str = str(self.coeff)
-        if coeff_str == "1":
-            parts = []
-        elif coeff_str == "-1":
-            parts = ["-1"]
-        elif "+" in coeff_str or "-" in coeff_str[1:] or "*" in coeff_str:
-            parts = [f"({coeff_str})"]
-        else:
-            parts = [coeff_str]
-        if not self.exp_arg.is_zero:
-            parts.append(f"exp({self.exp_arg})")
-        if self.trig != "one":
-            parts.append(f"{self.trig}({self.trig_arg})")
-        return "*".join(parts)
-
-
-Entry = "TauScalar | ExpAtom"
-
-
-def _leading_negative(x: TauScalar) -> bool:
-    for c in x.num:
-        if c:
-            return c < 0
-    return False
-
-
-def make_entry(coeff, exp_arg=ZERO, trig: str = "one", trig_arg=ZERO):
-    """Build an entry, collapsing to an exact scalar whenever possible."""
-    coeff = as_tau(coeff)
-    exp_arg = as_tau(exp_arg)
-    trig_arg = as_tau(trig_arg)
-    if trig not in ("one", "cos", "sin"):
-        raise ValueError(f"unknown trig tag {trig!r}")
-    if coeff.is_zero:
-        return ZERO
-    if trig != "one":
-        turns = trig_arg / TAU
-        quarters = turns * 4
-        if quarters.is_rational and quarters.is_integer:
-            table = _COS_QUARTER if trig == "cos" else _SIN_QUARTER
-            coeff = coeff * table[quarters.as_integer() % 4]
-            trig, trig_arg = "one", ZERO
-            if coeff.is_zero:
-                return ZERO
-        elif _leading_negative(trig_arg):
-            trig_arg = -trig_arg
-            if trig == "sin":
-                coeff = -coeff
-    if exp_arg.is_zero and trig == "one":
-        return coeff
-    return ExpAtom(coeff, exp_arg, trig, trig_arg)
-
-
-def entry_neg(entry):
-    if isinstance(entry, ExpAtom):
-        return ExpAtom(-entry.coeff, entry.exp_arg, entry.trig, entry.trig_arg)
-    return -entry
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +117,15 @@ def _freeze(rows) -> RepMatrix:
 def rep_exp_tj(aleph: MultiplicityFunction, t) -> RepMatrix:
     """e^{tJ} as a d x d RepMatrix; always defined, exact when possible.
 
-    Entry (k, k+j) of a single Jordan block carries t^j/j! times the
-    exponential-and-rotation factor of the eigenvalue; realified blocks get
-    the corresponding 2x2 rotation cells.
+    The block exponential kernel of expmap with its atoms kept: each
+    block's factors are decided once, and entry (k, k+j) of a block
+    carries t^j/j! times them.
     """
     t = as_tau(t)
     rows = _grid(aleph.dim)
     for block in aleph.blocks:
-        a = TauScalar(block.eigenvalue.re)
-        b = block.eigenvalue.im
-        o = block.offset
-        exp_arg = t * a
-        for k in range(block.size):
-            for j in range(block.size - k):
-                coeff = t ** j / math.factorial(j)
-                if not block.realified:
-                    rows[o + k][o + k + j] = make_entry(coeff, exp_arg)
-                else:
-                    cos_e = make_entry(coeff, exp_arg, "cos", t * b)
-                    sin_e = make_entry(coeff, exp_arg, "sin", t * b)
-                    r = o + 2 * k
-                    c = o + 2 * (k + j)
-                    rows[r][c] = cos_e
-                    rows[r][c + 1] = entry_neg(sin_e)
-                    rows[r + 1][c] = sin_e
-                    rows[r + 1][c + 1] = cos_e
+        c, s = block_factors(block, t)
+        write_exp_block(rows, block.offset, block, t, c, s)
     return _freeze(rows)
 
 
@@ -351,12 +252,6 @@ def decompose(aleph: MultiplicityFunction) -> Decomposition:
 # quotient charts and faithful representations of G/N
 
 
-def _lattice_columns(subgroup) -> list:
-    return [
-        vec(tuple(g.v) + (g.t,)) for g in subgroup.generators
-    ]
-
-
 def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> GroupElement:
     """Canonical representative of g modulo the discrete central subgroup.
 
@@ -365,7 +260,7 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     lattice coordinate.  Coordinates outside the lattice span pass through
     unchanged, and the chart is idempotent.
     """
-    cols = _lattice_columns(subgroup)
+    cols = subgroup.columns()
     if not cols:
         return g
     k = len(cols)
@@ -469,11 +364,9 @@ class QuotientRep:
                 rows[i][j] = core.entries[i][j]
         o = d0 + 1
         for x in x_par:
-            angle = TAU * x
-            c = make_entry(ONE, ZERO, "cos", angle)
-            s = make_entry(ONE, ZERO, "sin", angle)
+            c, s = exp_rotation(ZERO, TAU * x)
             rows[o][o] = c
-            rows[o][o + 1] = entry_neg(s)
+            rows[o][o + 1] = -s
             rows[o + 1][o] = s
             rows[o + 1][o + 1] = c
             o += 2

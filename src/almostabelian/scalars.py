@@ -607,7 +607,7 @@ def parse_gauss(text: str) -> GaussRational:
     if "i" not in s:
         return GaussRational(parse_rational(s))
     m = re.match(
-        r"^(?P<re>[+-]?\d+(?:/\d+)?(?=[+-]))?(?P<sign>[+-]?)(?P<mag>\d+(?:/\d+)?)?\s?i$",
+        r"^(?P<re>[+-]?\d+(?:/[1-9]\d*)?(?=[+-]))?(?P<sign>[+-]?)(?P<mag>\d+(?:/[1-9]\d*)?)?\s?i$",
         s,
     )
     if not m:

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from almostabelian.jordan import (
     group_mul,
     multiplicity_function,
 )
+from almostabelian.lattices import subgroup_from_data
 from almostabelian.linalg import identity, mat_mul, mat_vec, vec
 from almostabelian.numeric import apply_aut_numeric
 from almostabelian.scalars import TAU, GaussRational, TauScalar
@@ -120,6 +120,15 @@ class TestValidation:
 
 
 class TestApply:
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_heis_on_wrong_datum_rejected(self, e2, heis_r, mode):
+        g = group_element(e2, (1, 1), 1)
+        with pytest.raises(InvalidAutomorphism, match="Heisenberg"):
+            apply_aut(e2, HeisAut(alpha=1), g, mode=mode)
+        g = group_element(heis_r, (1, 1, 1), 1)
+        with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
+            apply_aut(heis_r, HeisAut(alpha=1), g, mode=mode)
+
     def test_flip_reverses_time(self, e2):
         g = group_element(e2, (0, 0), TAU)
         assert apply_aut(e2, FLIP, g) == group_element(e2, (0, 0), -TAU)
@@ -450,10 +459,7 @@ class TestDifferential:
 
 class TestPreservesLattice:
     def subgroup(self, aleph, *gens):
-        return SimpleNamespace(
-            aleph=aleph,
-            generators=tuple(group_element(aleph, v, t) for v, t in gens),
-        )
+        return subgroup_from_data(aleph, gens)
 
     def test_inner_acts_trivially(self, e2):
         n = self.subgroup(e2, ((0, 0), TAU))

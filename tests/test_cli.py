@@ -40,6 +40,8 @@ def specs(tmp_path):
         "ragged": "block 0 2 1\nblock 0 1 1\naut generic alpha=1 delta=1,0,0,5;0,1,0;0,0,1\n",
         "shape": "block 0 2 1\nblock 0 1 1\naut generic alpha=1 delta=1,0;0,1;0,0\n",
         "noncentral": "block i 1 1\nlattice gen 1,0 0\n",
+        "heis_aut_e2": "block i 1 1\naut heis alpha=1\n",
+        "heis_aut_dim": "block 0 2 1\nblock 0 1 1\naut heis alpha=1\n",
     }
     paths = {}
     for name, text in files.items():
@@ -109,6 +111,14 @@ class TestElementOps:
         assert code == 2
         err = capsys.readouterr().err
         assert "block (i, 1)" in err
+
+    def test_quarter_turn_exact(self, specs, capsys):
+        code, out = run(capsys, "--spec", specs["e2"], "exp", "1,0", "tau/4")
+        assert code == 0
+        assert out.strip() == "[(4)/(tau),(4)/(tau) | 1/4*tau]"
+        code, out = run(capsys, "--spec", specs["e2"], "mul", "0,0", "tau/4", "1,0", "0")
+        assert code == 0
+        assert out.strip() == "[0,1 | 1/4*tau]"
 
     def test_exp_numeric(self, specs, capsys):
         code, out = run(
@@ -274,6 +284,21 @@ class TestInvalidInput:
     def test_noncentral_lattice(self, specs, capsys):
         assert main(["--spec", specs["noncentral"], "reduce"]) == 2
         assert f"{specs['noncentral']}:2: generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    @pytest.mark.parametrize(
+        "name, v, error",
+        [
+            ("heis_aut_e2", "1,1", "ten-parameter automorphisms require"),
+            ("heis_aut_dim", "1,1,1", "dimension mismatch"),
+        ],
+    )
+    def test_heis_aut_on_wrong_datum(self, specs, capsys, mode, name, v, error):
+        path = specs[name]
+        assert main(["--spec", path, "--mode", mode, "aut", "apply", v, "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert main(["--spec", path, "aut", "validate"]) == 1
+        assert error in capsys.readouterr().out
 
     def test_heis_probe_dimension(self, specs, capsys):
         assert main(["--spec", specs["heis"], "oracle", "heis", "--dim", "1"]) == 2

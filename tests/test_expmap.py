@@ -30,11 +30,13 @@ from almostabelian.jordan import (
     algebra_element,
     build_jordan,
     group_element,
+    group_mul,
     multiplicity_function,
 )
 from almostabelian.linalg import identity, is_invertible, mat, mat_mul, vec
 from almostabelian.numeric import block_exp_numeric, phi_numeric
-from almostabelian.scalars import TAU, GaussRational, as_tau
+from almostabelian.oracle import DEFAULT_TOLERANCES
+from almostabelian.scalars import TAU, GaussRational, TauScalar, as_tau
 
 SEED = 0x5EED
 
@@ -137,6 +139,33 @@ class TestBlockExp:
         assert got == mat(expected_rows)
         with pytest.raises(ExactnessUnavailable):
             block_exp(1, aleph)
+
+
+class TestQuarterTurn:
+    """At a quarter turn cos and sin are 0 and +-1, so rotation blocks are exact."""
+
+    def test_group_mul(self, e2):
+        g = group_element(e2, (0, 0), TAU / 4)
+        h = group_element(e2, (1, 0), 0)
+        assert str(group_mul(e2, g, h)) == "[0, 1 | 1/4*tau]"
+
+    def test_exp_map(self, e2):
+        g = exp_map(e2, algebra_element(e2, (1, 0), TAU / 4))
+        assert all(isinstance(x, TauScalar) for x in g.v)
+        assert g.v == (4 / TAU, 4 / TAU)
+
+    @pytest.mark.parametrize("quarters", [1, 2, 3, -1, 6])
+    def test_matches_numeric(self, e2, e2_r2, quarters):
+        rot2 = multiplicity_function({(GaussRational(0, 1), 2): 1})
+        t = TAU * quarters / 4
+        tol = DEFAULT_TOLERANCES.crosscheck
+        for aleph in (e2, e2_r2, rot2):
+            for exact, numeric in (
+                (phi_matrix(t, aleph), phi_matrix(t, aleph, mode="numeric")),
+                (block_exp(t, aleph), block_exp(t, aleph, mode="numeric")),
+            ):
+                got = np.array([[float(x) for x in row] for row in exact])
+                assert np.max(np.abs(got - numeric)) < tol
 
 
 class TestExpMap:

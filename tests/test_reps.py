@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from almostabelian.jordan import (
     group_mul,
     multiplicity_function,
 )
+from almostabelian.lattices import subgroup_from_data
 from almostabelian.linalg import mat_mul, mat_vec, vec
 from almostabelian.numeric import block_exp_numeric, group_rep_numeric
 from almostabelian.reps import (
@@ -25,7 +25,6 @@ from almostabelian.reps import (
     algebra_rep_GI,
     build_P,
     decompose,
-    entry_neg,
     group_rep_G,
     group_rep_GI,
     group_rep_GII,
@@ -44,10 +43,7 @@ ONE = TauScalar(1)
 
 
 def subgroup(aleph, *gens):
-    """Minimal stand-in exposing the attributes the rep builders read."""
-    return SimpleNamespace(
-        aleph=aleph, generators=tuple(group_element(aleph, v, t) for v, t in gens)
-    )
+    return subgroup_from_data(aleph, gens)
 
 
 def numeric_mul(aleph, v1, t1, v2, t2):
@@ -86,9 +82,7 @@ class TestEntries:
 
     def test_parity_normalization(self):
         assert make_entry(1, 0, "cos", -TAU / 3) == make_entry(1, 0, "cos", TAU / 3)
-        assert make_entry(1, 0, "sin", -TAU / 3) == entry_neg(
-            make_entry(1, 0, "sin", TAU / 3)
-        )
+        assert make_entry(1, 0, "sin", -TAU / 3) == -make_entry(1, 0, "sin", TAU / 3)
 
     def test_numeric_value(self):
         e = make_entry(Fraction(1, 2), TauScalar(1), "sin", TAU / 8)

@@ -133,7 +133,7 @@ class TestGaussRational:
         z = GaussRational(a, b) * GaussRational(c, d)
         assert z == GaussRational(a * c - b * d, a * d + b * c)
 
-    @pytest.mark.parametrize("bad", ["", "1..2", "i i", "2/3j"])
+    @pytest.mark.parametrize("bad", ["", "1..2", "i i", "2/3j", "1/0i", "1/0+i"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_gauss(bad)

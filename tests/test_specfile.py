@@ -68,6 +68,10 @@ class TestErrors:
         with pytest.raises(SpecError, match=r":2:"):
             parse_spec_text("block 0 2 1\nlattice gen 1,zz 0\n")
 
+    def test_zero_denominator_eigenvalue(self):
+        with pytest.raises(SpecError, match=r"<spec>:1: invalid GaussRational literal '1/0i'"):
+            parse_spec_text("block 1/0i 1 1\n")
+
     def test_unknown_key(self):
         with pytest.raises(SpecError, match="unknown key 'slope'"):
             parse_spec_text("block i 1 1\nsubgroup case1 basis=1,0 slope=2\n")

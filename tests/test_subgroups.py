@@ -115,10 +115,16 @@ class TestMembership:
         assert membership(e2, spec, on_curve, mode="numeric")
         assert not membership(e2, spec, off_curve, mode="numeric")
 
-    def test_exact_mode_reports_unavailable(self, e2):
+    def test_exact_quarter_turn(self, e2):
         spec = ConnectedSubgroupSpec(e2, [], v0=(1, 0))
-        g = group_element(e2, (1, 1), TAU / 4)
-        with pytest.raises(ExactnessUnavailable):
+        assert membership(e2, spec, group_element(e2, (1, 1), TAU / 4))
+        assert not membership(e2, spec, group_element(e2, (1, 2), TAU / 4))
+
+    def test_exact_mode_reports_unavailable(self, e2):
+        # cos(tau/3) is rational, sin(tau/3) is not: no exact closed form
+        spec = ConnectedSubgroupSpec(e2, [], v0=(1, 0))
+        g = group_element(e2, (1, 1), TAU / 3)
+        with pytest.raises(ExactnessUnavailable, match=r"block \(i, 1\)"):
             membership(e2, spec, g)
 
     def test_closed_under_group_law(self, heis, e2_r2):
