@@ -29,16 +29,15 @@ from .jordan import (
     group_inverse,
     group_mul,
 )
+from .lattices import DiscreteCentralSubgroup, integer_coordinates
 from .linalg import (
     Matrix,
     Vector,
-    from_columns,
     identity,
     inverse,
     is_invertible,
     mat_mul,
     mat_vec,
-    solve,
     vec,
     vec_add,
     vec_scale,
@@ -497,26 +496,13 @@ def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
     automorphism action is exact; the certificate A expresses each image
     in the generator basis and must be unimodular.
     """
-    gens = list(subgroup.generators)
-    if not gens:
-        return ()
-    span = from_columns(subgroup.columns())
-    coords = []
-    for g in gens:
-        image = apply_aut(aleph, phi, g)
-        lam = solve(span, vec(tuple(image.v) + (image.t,)))
-        if lam is None:
-            return None
-        entries = []
-        for c in lam:
-            if not c.is_integer:
-                return None
-            entries.append(c.as_integer())
-        coords.append(entries)
-    matrix = tuple(
-        tuple(coords[j][i] for j in range(len(gens)))
-        for i in range(len(gens))
+    image = DiscreteCentralSubgroup(
+        aleph, tuple(apply_aut(aleph, phi, g) for g in subgroup.generators)
     )
+    coords = integer_coordinates(subgroup, image.columns())
+    if coords is None:
+        return None
+    matrix = tuple(zip(*coords))
     if not is_unimodular(matrix):
         return None
     return matrix

@@ -14,14 +14,7 @@ from .autos import (
     preserves_lattice,
     validate_aut,
 )
-from .errors import (
-    DegenerateDatum,
-    ExactnessUnavailable,
-    InvalidAutomorphism,
-    NotCentral,
-    NoWitness,
-    UnsupportedLattice,
-)
+from .errors import ExactnessUnavailable, InvalidAutomorphism
 from .expmap import (
     dilation_group,
     exp_map,
@@ -91,6 +84,32 @@ def _need(spec, section):
     return value
 
 
+def _at_least(args, flag, low):
+    if getattr(args, flag) < low:
+        raise ValueError(f"--{flag} must be at least {low}")
+
+
+def _emit_element(args, g):
+    """Print an exact group element, or the (v, t) floats of numeric mode."""
+    if args.mode == "numeric":
+        vf, tf = g
+        v_text = ",".join(_fmt(c, args.digits) for c in vf)
+        t_text = _fmt(tf, args.digits)
+    else:
+        v_text = _vec_str(g.v)
+        t_text = str(g.t)
+    _emit(args, [f"[{v_text} | {t_text}]"], [("v", v_text), ("t", t_text)])
+
+
+def _emit_not_representable(args) -> int:
+    _emit(
+        args,
+        ["no faithful quotient representation: generator span meets [L,L]"],
+        [("representable", "no")],
+    )
+    return 1
+
+
 def _gen_pairs(prefix, subgroup):
     out = []
     for i, g in enumerate(subgroup.generators):
@@ -149,15 +168,7 @@ def cmd_analyze(spec, args):
 def cmd_exp(spec, args):
     aleph = spec.aleph
     x = algebra_element(aleph, _vector_arg(args.v, aleph.dim), parse_tau(args.t))
-    if args.mode == "numeric":
-        vf, tf = exp_map(aleph, x, mode="numeric")
-        v_text = ",".join(_fmt(c, args.digits) for c in vf)
-        t_text = _fmt(tf, args.digits)
-    else:
-        g = exp_map(aleph, x)
-        v_text = _vec_str(g.v)
-        t_text = str(g.t)
-    _emit(args, [f"[{v_text} | {t_text}]"], [("v", v_text), ("t", t_text)])
+    _emit_element(args, exp_map(aleph, x, mode=args.mode))
     return 0
 
 
@@ -165,15 +176,7 @@ def cmd_mul(spec, args):
     aleph = spec.aleph
     g = _element(spec, args.v1, args.t1)
     h = _element(spec, args.v2, args.t2)
-    if args.mode == "numeric":
-        vf, tf = group_mul(aleph, g, h, mode="numeric")
-        v_text = ",".join(_fmt(c, args.digits) for c in vf)
-        t_text = _fmt(tf, args.digits)
-    else:
-        out = group_mul(aleph, g, h)
-        v_text = _vec_str(out.v)
-        t_text = str(out.t)
-    _emit(args, [f"[{v_text} | {t_text}]"], [("v", v_text), ("t", t_text)])
+    _emit_element(args, group_mul(aleph, g, h, mode=args.mode))
     return 0
 
 
@@ -201,12 +204,7 @@ def cmd_rep(spec, args):
     if args.kind == "quotient":
         decision = has_faithful_quotient_rep(aleph, _need(spec, "lattice"))
         if not decision.representable:
-            _emit(
-                args,
-                ["no faithful quotient representation: generator span meets [L,L]"],
-                [("representable", "no")],
-            )
-            return 1
+            return _emit_not_representable(args)
         _print_rep(args, decision.rep.matrix(apply_aut(aleph, decision.phi, g)))
         return 0
     _print_rep(args, _REPS[args.kind](aleph, g))
@@ -254,12 +252,7 @@ def cmd_faithful(spec, args):
             [("representable", "yes"), ("dimension", decision.rep.dimension)],
         )
         return 0
-    _emit(
-        args,
-        ["no faithful quotient representation: generator span meets [L,L]"],
-        [("representable", "no")],
-    )
-    return 1
+    return _emit_not_representable(args)
 
 
 def cmd_closed(spec, args):
@@ -275,8 +268,8 @@ def cmd_closed(spec, args):
 def cmd_aut(spec, args):
     aleph = spec.aleph
     phi = _need(spec, "aut")
+    violations = validate_aut(aleph, phi)
     if args.action == "validate":
-        violations = validate_aut(aleph, phi)
         if not violations:
             _emit(args, ["valid"], [("valid", "yes")])
             return 0
@@ -284,17 +277,11 @@ def cmd_aut(spec, args):
             (f"violation{i}", v) for i, v in enumerate(violations)
         ])
         return 1
+    if violations:
+        raise InvalidAutomorphism(violations[0])
     if args.action == "apply":
         g = _element(spec, args.v, args.t)
-        if args.mode == "numeric":
-            vf, tf = apply_aut(aleph, phi, g, mode="numeric")
-            v_text = ",".join(_fmt(c, args.digits) for c in vf)
-            t_text = _fmt(tf, args.digits)
-        else:
-            image = apply_aut(aleph, phi, g)
-            v_text = _vec_str(image.v)
-            t_text = str(image.t)
-        _emit(args, [f"[{v_text} | {t_text}]"], [("v", v_text), ("t", t_text)])
+        _emit_element(args, apply_aut(aleph, phi, g, mode=args.mode))
         return 0
     a = preserves_lattice(aleph, phi, _need(spec, "lattice"))
     if a is None:
@@ -305,6 +292,7 @@ def cmd_aut(spec, args):
 
 
 def cmd_related(spec, args):
+    _at_least(args, "bound", 0)
     other = parse_spec_file(args.other)
     n = _need(spec, "lattice")
     m = _need(other, "lattice")
@@ -329,14 +317,14 @@ def cmd_oracle(spec, args):
 
     aleph = spec.aleph
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    if args.probe == "expcheck":
-        report = exp_crosscheck(aleph, args.samples, seed=seed)
-    elif args.probe == "inject":
-        report = injectivity_probe(aleph, args.samples, seed=seed)
-    else:
-        if args.dim < 2:
-            raise ValueError("--dim must be at least 2")
+    if args.probe == "heis":
+        _at_least(args, "trials", 1)
+        _at_least(args, "dim", 2)
         report = antihermitian_probe(args.trials, args.dim, seed=seed)
+    else:
+        _at_least(args, "samples", 1)
+        probe = exp_crosscheck if args.probe == "expcheck" else injectivity_probe
+        report = probe(aleph, args.samples, seed=seed)
     pairs = [
         ("passed", "yes" if report.passed else "no"),
         ("max_dev", report.max_dev),
@@ -422,9 +410,6 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec_file(args.spec)
         return args.handler(spec, args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"error: cannot read spec file: {e}", file=sys.stderr)
         return 2
@@ -432,14 +417,7 @@ def main(argv=None) -> int:
         print(f"error: exact evaluation unavailable: {e}", file=sys.stderr)
         print("hint: rerun with --mode numeric", file=sys.stderr)
         return 2
-    except (
-        DegenerateDatum,
-        InvalidAutomorphism,
-        NotCentral,
-        NoWitness,
-        UnsupportedLattice,
-        ValueError,
-    ) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

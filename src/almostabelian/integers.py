@@ -168,15 +168,7 @@ def diagonalize(mat):
 
 def integer_kernel(mat):
     """Basis of {x in Z^n : mat @ x = 0} (a saturated sublattice of Z^n)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _, d, v = diagonalize(mat)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    return [[v[row][col] for row in range(n)] for col in range(r, n)]
+    return kernel_complement_split(mat)[1]
 
 
 def kernel_complement_split(mat):
@@ -188,8 +180,6 @@ def kernel_complement_split(mat):
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    if m == 0:
-        return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     _, d, v = diagonalize(mat)
     r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     cols = [[v[row][col] for row in range(n)] for col in range(n)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, is_unimodular
 from .jordan import (
+    GroupElement,
     MultiplicityFunction,
     group_element,
     in_kernel,
@@ -23,7 +24,6 @@ from .linalg import (
     identity,
     is_invertible,
     rank,
-    solve,
     solve_columns,
     vec,
 )
@@ -118,21 +118,29 @@ def reduce_generators(subgroup: DiscreteCentralSubgroup):
     k = len(gens)
     if k == 0:
         return subgroup, ()
-    d = subgroup.aleph.dim
     _, a = bezout_row_reduce(subgroup.time_multiples)
-    new_gens = []
-    for j in range(k):
-        v = [ZERO] * d
-        t = ZERO
-        for i in range(k):
-            c = a[i][j]
-            if c:
-                for idx in range(d):
-                    v[idx] = v[idx] + c * gens[i].v[idx]
-                t = t + c * gens[i].t
-        new_gens.append(group_element(subgroup.aleph, v, t))
-    reduced = DiscreteCentralSubgroup(subgroup.aleph, tuple(new_gens))
+    new_gens = tuple(
+        integer_combination(subgroup.aleph, gens, [row[j] for row in a])
+        for j in range(k)
+    )
+    reduced = DiscreteCentralSubgroup(subgroup.aleph, new_gens)
     return reduced, tuple(tuple(row) for row in a)
+
+
+def integer_combination(aleph, gens, coeffs) -> GroupElement:
+    """The central element sum_i c_i g_i, computed on (v, t) coordinates.
+
+    Central generators commute, so this is the product of their powers.
+    """
+    d = aleph.dim
+    v = [ZERO] * d
+    t = ZERO
+    for c, g in zip(coeffs, gens):
+        if c:
+            for i in range(d):
+                v[i] = v[i] + c * g.v[i]
+            t = t + c * g.t
+    return group_element(aleph, v, t)
 
 
 def is_economic(subgroup) -> bool:
@@ -148,21 +156,27 @@ def lattice_equal(n: DiscreteCentralSubgroup, m: DiscreteCentralSubgroup) -> boo
     """
     if n.aleph != m.aleph:
         raise ValueError("subgroups live in different groups")
-    return _integer_inside(n, m) and _integer_inside(m, n)
+    return (
+        integer_coordinates(m, n.columns()) is not None
+        and integer_coordinates(n, m.columns()) is not None
+    )
 
 
-def _integer_inside(n, m) -> bool:
-    cols_n = n.columns()
-    if not cols_n:
-        return True
-    cols_m = m.columns()
-    if not cols_m:
-        return False
-    span = from_columns(cols_m)
-    sols = solve_columns(span, cols_n)
-    if sols is None:
-        return False
-    return all(c.is_integer for lam in sols for c in lam)
+def integer_coordinates(subgroup, cols):
+    """Integer coordinates of each column in the subgroup's generators.
+
+    Returns one tuple of ints per column, or None when some column is not
+    an integer combination of the generator columns.
+    """
+    if not cols:
+        return []
+    gens = subgroup.columns()
+    if not gens:
+        return None
+    sols = solve_columns(from_columns(gens), cols)
+    if sols is None or not all(c.is_integer for lam in sols for c in lam):
+        return None
+    return [tuple(c.as_integer() for c in lam) for lam in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +340,17 @@ def related_by_aut_search(n, m, bound: int = 1):
     s1 = m.generators[0].t
     if t1 != s1 and t1 != -s1:
         return None
-    positions = _pattern_positions(aleph)
+    boundaries = _block_boundaries(aleph)
     v_cols = _significant(n)
     u_cols = _significant(m)
     constrained = list(range(k)) if t1.is_zero else list(range(1, k))
     for a in _unimodular_candidates(k, bound, first_row_fixed=not t1.is_zero):
-        delta = _solve_delta(q, positions, v_cols, u_cols, a, constrained)
+        delta = _solve_delta(q, boundaries, v_cols, u_cols, a, constrained)
         if delta is None:
             continue
         if related_by_aut_check(n, m, delta, a):
             return delta, a
     return None
-
-
-def _pattern_positions(aleph) -> list:
-    """Entry positions allowed by the block-triangular pattern."""
-    boundaries = _block_boundaries(aleph)
-    q = boundaries[-1][1] if boundaries else 0
-    positions = []
-    for r0, r1 in boundaries:
-        for r in range(r0, r1):
-            for c in range(r0, q):
-                positions.append((r, c))
-    return positions
 
 
 def _unimodular_candidates(k, bound, first_row_fixed):
@@ -365,27 +367,28 @@ def _unimodular_candidates(k, bound, first_row_fixed):
                 yield tuple(tuple(row) for row in a)
 
 
-def _solve_delta(q, positions, v_cols, u_cols, a, constrained):
+def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     # solve (id + X) V = U A on the constrained columns with X supported
-    # on the triangular pattern, free entries left at zero
+    # on the triangular pattern, free entries left at zero: the rows of one
+    # grading block [r0, r1) share the unknown columns r0..q-1, so each
+    # block is one system with V's rows restricted to those columns
     k = len(a)
-    rows = []
-    targets = []
-    for j in constrained:
-        for r in range(q):
-            coeffs = [v_cols[j][c] if rr == r else ZERO for (rr, c) in positions]
-            rows.append(vec(coeffs))
-            rhs = sum((u_cols[i][r] * a[i][j] for i in range(k)), ZERO)
-            targets.append(rhs - v_cols[j][r])
-    if rows:
-        x = solve(tuple(rows), vec(targets))
-        if x is None:
+    targets = [
+        [
+            sum((u_cols[i][r] * a[i][j] for i in range(k)), ZERO) - v_cols[j][r]
+            for r in range(q)
+        ]
+        for j in constrained
+    ]
+    delta = [list(row) for row in identity(q)]
+    for r0, r1 in boundaries:
+        system = tuple(v_cols[j][r0:] for j in constrained)
+        xs = solve_columns(system, [[t[r] for t in targets] for r in range(r0, r1)])
+        if xs is None:
             return None
-    else:
-        x = [ZERO] * len(positions)
-    delta = [[ONE if r == c else ZERO for c in range(q)] for r in range(q)]
-    for (r, c), value in zip(positions, x):
-        delta[r][c] = delta[r][c] + value
+        for r, x in zip(range(r0, r1), xs):
+            for c, value in enumerate(x, r0):
+                delta[r][c] = delta[r][c] + value
     delta = tuple(tuple(row) for row in delta)
     if not is_invertible(delta):
         return None
@@ -466,25 +469,16 @@ def _kernel_shear(aleph, subgroup):
     deep = [i for i in aleph.kernel_coordinates if i not in set(abelian)]
     if not deep or not subgroup.generators:
         return identity_aut(aleph)
-    v_deep = [vec(g.v[i] for i in deep) for g in subgroup.generators]
-    v_ab = [vec(g.v[i] for i in abelian) for g in subgroup.generators]
-    # solve L v_ab = v_deep columnwise; unknown L is |deep| x |abelian|
-    rows = []
-    targets = []
-    for j in range(len(subgroup.generators)):
-        for r in range(len(deep)):
-            coeffs = []
-            for rr in range(len(deep)):
-                for c in range(len(abelian)):
-                    coeffs.append(v_ab[j][c] if rr == r else ZERO)
-            rows.append(vec(coeffs))
-            targets.append(v_deep[j][r])
-    x = solve(tuple(rows), vec(targets))
-    if x is None:
+    v_ab = tuple(vec(g.v[i] for i in abelian) for g in subgroup.generators)
+    deep_rows = [[g.v[i] for g in subgroup.generators] for i in deep]
+    # the unknown |deep| x |abelian| matrix L maps each generator's abelian
+    # part onto its deep part, so row r of L solves v_ab x = deep_rows[r]
+    ls = solve_columns(v_ab, deep_rows)
+    if ls is None:
         raise ValueError("separation criterion violated during shear solve")
     d = aleph.dim
     delta = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-    for r in range(len(deep)):
-        for c in range(len(abelian)):
-            delta[deep[r]][abelian[c]] = -x[r * len(abelian) + c]
+    for r, row in zip(deep, ls):
+        for c, value in zip(abelian, row):
+            delta[r][c] = -value
     return GenericAut(tuple(tuple(row) for row in delta), (0,) * d, 1)

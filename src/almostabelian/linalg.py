@@ -1,9 +1,12 @@
 """Dense exact linear algebra over the field Q(tau).
 
 Matrices are tuples of row tuples, vectors are tuples; every entry is a
-TauScalar.  Everything here is plain Gaussian elimination over a field;
-smallness of the ambient dimensions (a handful of Jordan blocks) makes
-asymptotics irrelevant, exactness is the point.
+TauScalar.  Everything here is plain Gaussian elimination over a field,
+and every linear system in the package is posed by its caller and
+eliminated here, so a faster elimination changes this module only.
+The cost is not negligible: through coefficient growth, an n x n inverse
+with entries a + b*tau takes about seven times longer each time n grows
+by two.
 """
 
 from __future__ import annotations
@@ -113,6 +116,18 @@ def _rref(rows):
     return [tuple(row) for row in work], pivots
 
 
+def pivot_columns(a: Matrix) -> list:
+    """Pivot columns of the reduced row echelon form of a.
+
+    These are the first columns, from the left, that are independent of
+    the columns before them.
+
+    >>> pivot_columns(mat([[1, 2, 0], [2, 4, 1]]))
+    [0, 2]
+    """
+    return _rref(a)[1]
+
+
 def rank(a: Matrix) -> int:
     if not a:
         return 0
@@ -128,16 +143,29 @@ def row_space_basis(vectors) -> list:
     return [rows[i] for i in range(len(pivots))]
 
 
+def echelon_residual(echelon, target) -> Vector:
+    """What is left of target after elimination by row_space_basis rows.
+
+    The residual is linear in target and vanishes exactly when target
+    lies in the span of the rows.
+    """
+    out = list(target)
+    for row in echelon:
+        p = next(i for i, x in enumerate(row) if not x.is_zero)
+        c = out[p]
+        if not c.is_zero:
+            for i in range(len(out)):
+                out[i] = out[i] - c * row[i]
+    return vec(out)
+
+
 def in_span(vectors, target) -> bool:
     """Whether target lies in the span of the given vectors."""
-    vectors = [vec(v) for v in vectors]
+    vectors = list(vectors)
     target = vec(target)
-    if vec_is_zero(target):
-        return True
     if not vectors:
-        return False
-    base = rank(tuple(vectors))
-    return rank(tuple(vectors) + (target,)) == base
+        return vec_is_zero(target)
+    return solve(from_columns(vectors), target) is not None
 
 
 def solve(a: Matrix, b: Vector):

@@ -22,7 +22,16 @@ from .expmap import (
     write_exp_block,
 )
 from .jordan import GroupElement, MultiplicityFunction, group_element
-from .linalg import Matrix, inverse, mat_vec, rank, unit_vec, vec
+from .linalg import (
+    Matrix,
+    from_columns,
+    inverse,
+    mat_vec,
+    pivot_columns,
+    solve,
+    unit_vec,
+    vec,
+)
 from .scalars import TAU, TauScalar, as_tau, tau_floor
 
 ZERO = TauScalar(0)
@@ -263,20 +272,12 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     cols = subgroup.columns()
     if not cols:
         return g
-    k = len(cols)
-    # pivot coordinates: positions where the generator span has full rank
-    pivots = []
-    for i in range(len(cols[0])):
-        candidate = pivots + [i]
-        rows = [tuple(col[j] for col in cols) for j in candidate]
-        if rank(tuple(rows)) == len(candidate):
-            pivots = candidate
-        if len(pivots) == k:
-            break
+    # pivot coordinates: the first coordinates on which the generators
+    # are independent, where the lattice coordinates are read off
+    pivots = pivot_columns(tuple(cols))
     point = tuple(g.v) + (g.t,)
     system = tuple(tuple(col[i] for col in cols) for i in pivots)
-    target = vec(point[i] for i in pivots)
-    coords = mat_vec(inverse(system), target)
+    coords = solve(system, vec(point[i] for i in pivots))
     shift = [ZERO] * len(point)
     for col, coord in zip(cols, coords):
         n = tau_floor(coord)
@@ -311,20 +312,19 @@ def build_P(aleph: MultiplicityFunction, subgroup, completion=None):
         cols.append(vec(tuple(g.v[d0:]) + (g.t,)))
     k = len(cols)
     if completion is None:
-        completion = []
-        for i in range(m):
-            candidate = cols + completion + [unit_vec(m, i)]
-            if rank(tuple(candidate)) == len(candidate):
-                completion.append(candidate[-1])
-            if k + len(completion) == m:
-                break
+        # the first standard basis vectors independent of the generators:
+        # the pivot columns past k of [C | id]
+        augmented = tuple(
+            tuple(c[i] for c in cols) + unit_vec(m, i) for i in range(m)
+        )
+        completion = [
+            unit_vec(m, p - k) for p in pivot_columns(augmented) if p >= k
+        ]
     else:
         completion = [vec(c) for c in completion]
     if k + len(completion) != m:
         raise ValueError("completion does not have the right size")
-    full = cols + completion
-    matrix = tuple(tuple(full[j][i] for j in range(m)) for i in range(m))
-    p = inverse(matrix)
+    p = inverse(from_columns(cols + completion))
     return p, p[:k], p[k:]
 
 

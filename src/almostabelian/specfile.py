@@ -25,7 +25,7 @@ from .expmap import torsion
 from .jordan import MultiplicityFunction, multiplicity_function
 from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
 from .scalars import TauScalar, parse_gauss, parse_rational, parse_tau
-from .subgroups import ConnectedSubgroupSpec
+from .subgroups import ConnectedSubgroupSpec, validate_subspace
 
 
 class SpecError(ValueError):
@@ -179,9 +179,9 @@ def _assemble_subgroup(aleph, line, fail):
         v0 = _vector(kv["v0"]) if case == "case2" else None
     except ValueError as e:
         fail(lineno, e)
-    for row in basis:
-        if len(row) != aleph.dim:
-            fail(lineno, f"basis row has {len(row)} coordinates, expected {aleph.dim}")
+    violations = validate_subspace(aleph, basis)
+    if violations:
+        fail(lineno, violations[0])
     if v0 is not None and len(v0) != aleph.dim:
         fail(lineno, f"v0 has {len(v0)} coordinates, expected {aleph.dim}")
     return ConnectedSubgroupSpec(aleph, basis, v0)

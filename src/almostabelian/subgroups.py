@@ -21,11 +21,11 @@ from .jordan import (
     GroupElement,
     MultiplicityFunction,
     build_jordan,
-    group_element,
     in_kernel,
 )
-from .lattices import DiscreteCentralSubgroup
+from .lattices import DiscreteCentralSubgroup, integer_combination
 from .linalg import (
+    echelon_residual,
     in_span,
     mat_vec,
     row_space_basis,
@@ -163,18 +163,6 @@ def _kernel_projection(aleph, v):
     return vec(x if i in kernel else ZERO for i, x in enumerate(v))
 
 
-def _residual(echelon, target):
-    # eliminate against reduced echelon rows (unit pivots)
-    out = list(target)
-    for row in echelon:
-        p = next(i for i, x in enumerate(row) if not x.is_zero)
-        c = out[p]
-        if not c.is_zero:
-            for i in range(len(out)):
-                out[i] = out[i] - c * row[i]
-    return vec(out)
-
-
 def _integer_rows(condition_rows) -> list:
     """Expand rows over Q(tau) into equivalent integer rows.
 
@@ -199,18 +187,6 @@ def _integer_rows(condition_rows) -> list:
             scale = math.lcm(*(f.denominator for f in fracs))
             out.append([int(f * scale) for f in fracs])
     return out
-
-
-def _combine(aleph, gens, coeffs) -> GroupElement:
-    d = aleph.dim
-    v = [ZERO] * d
-    t = ZERO
-    for c, g in zip(coeffs, gens):
-        if c:
-            for i in range(d):
-                v[i] = v[i] + c * g.v[i]
-            t = t + c * g.t
-    return group_element(aleph, v, t)
 
 
 def split_lattice_through(
@@ -241,7 +217,7 @@ def split_lattice_through(
     else:
         targets = [g.v for g in gens]
     echelon = row_space_basis(spec.basis)
-    residuals = [_residual(echelon, z) for z in targets]
+    residuals = [echelon_residual(echelon, z) for z in targets]
     conditions = []
     for coord in range(aleph.dim):
         row = [r[coord] for r in residuals]
@@ -254,10 +230,10 @@ def split_lattice_through(
         return subgroup, empty
     complement_cols, kernel_cols = kernel_complement_split(int_rows)
     inside = DiscreteCentralSubgroup(
-        aleph, tuple(_combine(aleph, gens, c) for c in kernel_cols)
+        aleph, tuple(integer_combination(aleph, gens, c) for c in kernel_cols)
     )
     complement = DiscreteCentralSubgroup(
-        aleph, tuple(_combine(aleph, gens, c) for c in complement_cols)
+        aleph, tuple(integer_combination(aleph, gens, c) for c in complement_cols)
     )
     return inside, complement
 

@@ -42,6 +42,16 @@ def specs(tmp_path):
         "noncentral": "block i 1 1\nlattice gen 1,0 0\n",
         "heis_aut_e2": "block i 1 1\naut heis alpha=1\n",
         "heis_aut_dim": "block 0 2 1\nblock 0 1 1\naut heis alpha=1\n",
+        "bad_generic_aut": (
+            "block i 1 1\nlattice gen 0,0 1\n"
+            "aut generic alpha=1 delta=2,0;0,1 gamma=0,0\n"
+        ),
+        "not_invariant": (
+            "block i 1 1\nblock 0 1 1\n"
+            "lattice gen 0,0,1 0\nsubgroup case1 basis=1,0,0\n"
+        ),
+        "heis_r_n": "block 0 2 1\nblock 0 1 1\nlattice gen 0,0,1 0\n",
+        "heis_r_m": "block 0 2 1\nblock 0 1 1\nlattice gen 1,0,1 0\n",
     }
     paths = {}
     for name, text in files.items():
@@ -223,6 +233,13 @@ class TestAut:
         )
         assert code == 0
 
+    def test_related_entry_above_blocks(self, specs, capsys):
+        code, out = run(
+            capsys, "--spec", specs["heis_r_n"], "related", "--other", specs["heis_r_m"]
+        )
+        assert code == 0
+        assert out == "delta_tilde: 1,-1;0,-1\nA: -1\n"
+
     def test_related_index_two(self, specs, capsys):
         other = specs["e2"].replace("e2.spec", "e2b.spec")
         with open(other, "w") as fh:
@@ -299,6 +316,35 @@ class TestInvalidInput:
         assert capsys.readouterr().err.startswith(f"error: {error}")
         assert main(["--spec", path, "aut", "validate"]) == 1
         assert error in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    @pytest.mark.parametrize("action", [["apply", "1,1", "1"], ["preserves"]])
+    def test_invalid_generic_aut(self, specs, capsys, mode, action):
+        path = specs["bad_generic_aut"]
+        assert main(["--spec", path, "--mode", mode, "aut", *action]) == 2
+        assert capsys.readouterr().err == "error: Delta J != alpha J Delta\n"
+        assert main(["--spec", path, "aut", "validate"]) == 1
+        assert "Delta J != alpha J Delta" in capsys.readouterr().out
+
+    def test_subgroup_not_j_invariant(self, specs, capsys):
+        path = specs["not_invariant"]
+        assert main(["--spec", path, "closed"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4: J maps (1, 0, 0) outside the subspace" in err
+
+    def test_negative_bound(self, specs, capsys):
+        argv = ["--spec", specs["e2"], "--bound", "-1", "related", "--other", specs["e2"]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --bound must be at least 0\n"
+
+    @pytest.mark.parametrize("probe", ["expcheck", "inject"])
+    def test_no_samples(self, specs, capsys, probe):
+        assert main(["--spec", specs["heis"], "oracle", probe, "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be at least 1\n"
+
+    def test_no_trials(self, specs, capsys):
+        assert main(["--spec", specs["heis"], "oracle", "heis", "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: --trials must be at least 1\n"
 
     def test_heis_probe_dimension(self, specs, capsys):
         assert main(["--spec", specs["heis"], "oracle", "heis", "--dim", "1"]) == 2

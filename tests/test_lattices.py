@@ -223,6 +223,17 @@ class TestRelated:
         deep = sub(heis_r, ((1, 0, 0), 0))
         assert related_by_aut_check(deep, deep, ((1, 5), (0, 1)), ((1,),))
 
+    def test_search_uses_entry_above_blocks(self, heis_r):
+        # the abelian generator must gain a deep (size 2 block) component,
+        # which only the entry above the diagonal blocks can supply
+        n = sub(heis_r, ((0, 0, 1), 0))
+        m = sub(heis_r, ((1, 0, 1), 0))
+        found = related_by_aut_search(n, m, bound=1)
+        assert found is not None
+        delta, a = found
+        assert not delta[0][1].is_zero
+        assert related_by_aut_check(n, m, delta, a)
+
     def test_zero_rank(self, e2):
         found = related_by_aut_search(sub(e2), sub(e2))
         assert found is not None

@@ -16,6 +16,7 @@ from almostabelian.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    pivot_columns,
     rank,
     row_space_basis,
     solve,
@@ -70,6 +71,20 @@ def test_nullspace_annihilates():
     assert len(basis) == 2
     for v in basis:
         assert vec_is_zero(mat_vec(a, v))
+
+
+def test_pivot_columns_skip_dependent_column():
+    assert pivot_columns(mat([[1, 2, 0], [2, 4, 1]])) == [0, 2]
+    assert pivot_columns(mat([[1, TAU, 1], [0, 0, 1]])) == [0, 2]
+
+
+def test_pivot_columns_skip_zero_column():
+    assert pivot_columns(mat([[0, 1, 0], [0, 0, 3]])) == [1, 2]
+
+
+def test_pivot_columns_empty_matrix():
+    assert pivot_columns(()) == []
+    assert pivot_columns(mat([[0, 0]])) == []
 
 
 def test_in_span():

@@ -102,6 +102,11 @@ class TestErrors:
         with pytest.raises(SpecError, match="coordinates"):
             parse_spec_text("block i 1 1\nsubgroup case1 basis=1,0,0\n")
 
+    @pytest.mark.parametrize("line", ["case1 basis=1,0,0", "case2 basis=1,0,0 v0=0,0,1"])
+    def test_subgroup_must_be_j_invariant(self, line):
+        with pytest.raises(SpecError, match=r"<spec>:3: J maps \(1, 0, 0\) outside the subspace"):
+            parse_spec_text(f"block i 1 1\nblock 0 1 1\nsubgroup {line}\n")
+
     def test_delta_rows_match_dimension(self):
         with pytest.raises(SpecError, match=r"<spec>:2: delta has 3 rows, expected 2"):
             parse_spec_text("block i 1 1\naut generic alpha=1 delta=1,0,0;0,1,0;0,0,1\n")
