@@ -169,9 +169,6 @@ def inner_aut(aleph: MultiplicityFunction, g: GroupElement) -> InnerAut:
     return InnerAut(aleph=aleph, u=g.v, s=g.t)
 
 
-AutElement = "GenericAut | HeisAut | InnerAut"
-
-
 # ---------------------------------------------------------------------------
 # case detection and validation
 

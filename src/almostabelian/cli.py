@@ -408,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _at_least(args, "digits", 0)
         spec = parse_spec_file(args.spec)
         return args.handler(spec, args)
     except OSError as e:

@@ -185,13 +185,6 @@ class ExpAtom:
         return "*".join(parts)
 
 
-def _leading_negative(x: TauScalar) -> bool:
-    for c in x.num:
-        if c:
-            return c < 0
-    return False
-
-
 def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
     """The pair (e^x cos(theta), e^x sin(theta)) for x = exp_arg, theta = angle.
 
@@ -205,7 +198,7 @@ def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
     if quarters.is_integer:
         q = quarters.as_integer() % 4
         return make_entry(_COS_QUARTER[q], exp_arg), make_entry(_SIN_QUARTER[q], exp_arg)
-    if _leading_negative(angle):
+    if angle.leading_sign() < 0:
         angle = -angle
         return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(-ONE, exp_arg, "sin", angle)
     return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(ONE, exp_arg, "sin", angle)

@@ -148,14 +148,18 @@ def is_economic(subgroup) -> bool:
     return all(g.t.is_zero for g in subgroup.generators[1:])
 
 
+def _same_group(n, m):
+    if n.aleph != m.aleph:
+        raise ValueError("subgroups live in different groups")
+
+
 def lattice_equal(n: DiscreteCentralSubgroup, m: DiscreteCentralSubgroup) -> bool:
     """Whether the two generator sets span the same subgroup.
 
     Each generator of one must have integer coordinates in the other,
     solved exactly over the coordinate field.
     """
-    if n.aleph != m.aleph:
-        raise ValueError("subgroups live in different groups")
+    _same_group(n, m)
     return (
         integer_coordinates(m, n.columns()) is not None
         and integer_coordinates(n, m.columns()) is not None
@@ -268,9 +272,10 @@ def related_by_aut_check(n, m, delta_tilde, a) -> bool:
     column (all of them at time zero, columns 2..k otherwise: the first
     column is absorbed by the translational part of the automorphism).
 
-    Raises ValueError when either subgroup is not economic or the
-    operator is not square of the right size.
+    Raises ValueError for subgroups of different groups, a subgroup not
+    in economic form, or an operator not square of the right size.
     """
+    _same_group(n, m)
     aleph = n.aleph
     if not (is_economic(n) and is_economic(m)):
         raise ValueError("both subgroups must be in economic form")
@@ -327,6 +332,7 @@ def related_by_aut_search(n, m, bound: int = 1):
     was found within the bound, except that differing surviving times
     are definitively unrelated.
     """
+    _same_group(n, m)
     aleph = n.aleph
     if not (is_economic(n) and is_economic(m)):
         raise ValueError("both subgroups must be in economic form")

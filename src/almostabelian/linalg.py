@@ -79,10 +79,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
 def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 

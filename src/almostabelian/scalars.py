@@ -23,12 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -140,17 +134,12 @@ def _pgcd(a, b):
     return tuple(c / lead for c in a)
 
 
-def _peval(c, x, real):
-    """Horner evaluation at the real number x, each rational coefficient
-    converted by ``real``."""
-    acc = 0 * x
-    for coef in reversed(c):
-        acc = acc * x + real(coef)
+def _float_horner(coefs) -> float:
+    """Float Horner evaluation at tau = 2*pi."""
+    acc = 0.0
+    for c in reversed(coefs):
+        acc = acc * 6.283185307179586 + c.numerator / c.denominator
     return acc
-
-
-def _float(frac: Fraction) -> float:
-    return frac.numerator / frac.denominator
 
 
 class TauScalar:
@@ -166,7 +155,7 @@ class TauScalar:
     True
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num=0, den=1):
         if isinstance(num, TauScalar) or isinstance(den, TauScalar):
@@ -186,8 +175,8 @@ class TauScalar:
             if lead != 1:
                 pn = tuple(c / lead for c in pn)
                 pd = tuple(c / lead for c in pd)
-        object.__setattr__(self, "num", pn)
-        object.__setattr__(self, "den", pd)
+        object.__setattr__(self, "_num", pn)
+        object.__setattr__(self, "_den", pd)
 
     @staticmethod
     def _coerce_poly(value):
@@ -204,32 +193,41 @@ class TauScalar:
 
     @property
     def is_zero(self) -> bool:
-        return _pis_zero(self.num)
+        return _pis_zero(self._num)
 
     @property
     def is_rational(self) -> bool:
-        return len(self.num) == 1 and self.den == _PONE
+        return len(self._num) == 1 and self._den == _PONE
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.num[0]
+        return self._num[0]
 
     @property
     def is_integer(self) -> bool:
-        return self.is_rational and self.num[0].denominator == 1
+        return self.is_rational and self._num[0].denominator == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return self.num[0].numerator
+        return self._num[0].numerator
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __float__(self) -> float:
-        two_pi = 6.283185307179586
-        return _peval(self.num, two_pi, _float) / _peval(self.den, two_pi, _float)
+        return _float_horner(self._num) / _float_horner(self._den)
+
+    def leading_sign(self) -> int:
+        """Sign of the lowest-degree nonzero numerator coefficient, 0 at zero.
+
+        A canonical choice between x and -x, not the sign of the real x.
+        """
+        for c in self._num:
+            if c:
+                return 1 if c > 0 else -1
+        return 0
 
     # -- arithmetic
 
@@ -246,14 +244,14 @@ class TauScalar:
         if o is None:
             return NotImplemented
         return TauScalar(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
+            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
+            _pmul(self._den, o._den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TauScalar(_pneg(self.num), self.den)
+        return TauScalar(_pneg(self._num), self._den)
 
     def __pos__(self):
         return self
@@ -274,7 +272,7 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TauScalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return TauScalar(_pmul(self._num, o._num), _pmul(self._den, o._den))
 
     __rmul__ = __mul__
 
@@ -284,7 +282,7 @@ class TauScalar:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("TauScalar division by zero")
-        return TauScalar(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return TauScalar(_pmul(self._num, o._den), _pmul(self._den, o._num))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -311,20 +309,20 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self):
         if self.is_rational:
-            return hash(self.num[0])
-        return hash((self.num, self.den))
+            return hash(self._num[0])
+        return hash((self._num, self._den))
 
     # -- printing
 
     def __str__(self):
-        ns = _poly_str(self.num)
-        if self.den == _PONE:
+        ns = _poly_str(self._num)
+        if self._den == _PONE:
             return ns
-        return f"({ns})/({_poly_str(self.den)})"
+        return f"({ns})/({_poly_str(self._den)})"
 
     def __repr__(self):
         return f"TauScalar({str(self)!r})"
@@ -365,33 +363,70 @@ def as_tau(value) -> TauScalar:
     raise TypeError(f"cannot interpret {type(value).__name__} as TauScalar")
 
 
-def tau_eval(x: TauScalar, digits: int = 15) -> mpmath.mpf:
-    """Evaluate x at tau = 2*pi to at least ``digits`` correct decimal digits.
+def integer_rows(rows) -> list:
+    """Expand linear rows over Q(tau) into equivalent integer rows.
 
-    >>> round(float(tau_eval(TAU, 15)), 6)
-    6.283185
+    tau is transcendental, so a linear condition with rational unknowns
+    splits into one rational condition per tau power after clearing the
+    polynomial denominators.
+
+    >>> integer_rows([[TAU, 1 + TAU / 2]])
+    [[0, 1], [2, 1]]
     """
-    import mpmath
+    out = []
+    for row in rows:
+        den = TauScalar(1)
+        for c in row:
+            den = den * TauScalar(c._den)
+        nums = [(c * den)._num for c in row]
+        for power in range(max(map(len, nums))):
+            fracs = [p[power] if power < len(p) else Fraction(0) for p in nums]
+            if any(fracs):
+                scale = math.lcm(*(f.denominator for f in fracs))
+                out.append([int(f * scale) for f in fracs])
+    return out
 
-    if digits < 1:
-        raise ValueError("digits must be positive")
 
-    def real(frac):
-        return mpmath.mpf(frac.numerator) / frac.denominator
+# ---------------------------------------------------------------------------
+# the real embedding tau = 2*pi, by exact rational enclosures
 
-    with mpmath.workdps(digits + 15):
-        two_pi = 2 * mpmath.pi
-        value = _peval(x.num, two_pi, real) / _peval(x.den, two_pi, real)
-        return +value
+
+def tau_enclosure(terms: int) -> tuple:
+    """Rationals lo < tau < hi from Machin's formula
+    tau = 8*(4*arctan(1/5) - arctan(1/239)), for ``terms`` >= 1.
+
+    Each arctan series alternates with strictly decreasing terms, so its
+    partial sums after ``terms`` and ``terms + 1`` terms bracket its value;
+    the width shrinks about 25-fold a term.
+
+    >>> lo, hi = tau_enclosure(8)
+    >>> lo < Fraction(6283185307179586, 10**15) < hi, hi - lo < Fraction(1, 10**11)
+    (True, True)
+    """
+    bounds = []
+    for x in (5, 239):
+        s = sum(Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1)) for k in range(terms))
+        t = s + Fraction((-1) ** terms, (2 * terms + 1) * x ** (2 * terms + 1))
+        bounds.append((min(s, t), max(s, t)))
+    (lo5, hi5), (lo239, hi239) = bounds
+    return 8 * (4 * lo5 - hi239), 8 * (4 * hi5 - lo239)
+
+
+def _interval_horner(coefs, lo, hi) -> tuple:
+    """Bounds of the polynomial over the interval [lo, hi], 0 < lo, by
+    Horner's rule in interval arithmetic."""
+    a = b = Fraction(0)
+    for c in reversed(coefs):
+        a, b = min(a * lo, a * hi) + c, max(b * lo, b * hi) + c
+    return a, b
 
 
 def tau_floor(x: TauScalar) -> int:
-    """Largest integer not exceeding x.
+    """Largest integer not exceeding x, proven by exact enclosures.
 
-    Rational values floor exactly.  A non-rational element of the field is
-    irrational (tau is transcendental), so it is never an integer and a
-    numeric evaluation at escalating precision eventually separates it from
-    its integer neighbours.
+    x = p(tau)/q(tau) is bounded over an enclosure of tau, with the terms
+    doubling until both ends of its enclosure have the same floor.  This
+    ends: tau is transcendental, so a non-rational x is never an integer.
 
     >>> tau_floor(TAU)
     6
@@ -400,18 +435,17 @@ def tau_floor(x: TauScalar) -> int:
     """
     if x.is_rational:
         return math.floor(x.as_rational())
-    import mpmath
-
-    digits = 30
-    while digits <= 100_000:
-        value = tau_eval(x, digits)
-        with mpmath.workdps(digits + 15):
-            below = mpmath.floor(value)
-            gap = min(value - below, below + 1 - value)
-            if gap > mpmath.mpf(10) ** (-digits // 2):
-                return int(below)
-        digits *= 4
-    raise ArithmeticError(f"could not separate {x} from an integer")
+    terms = 8
+    while True:
+        lo, hi = tau_enclosure(terms)
+        n0, n1 = _interval_horner(x._num, lo, hi)
+        d0, d1 = _interval_horner(x._den, lo, hi)
+        if d0 > 0 or d1 < 0:
+            ends = [n / d for n in (n0, n1) for d in (d0, d1)]
+            below = math.floor(min(ends))
+            if below == math.floor(max(ends)):
+                return below
+        terms *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ of the whole lattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expmap import apply_exp_integral, central_log, torsion
 from .integers import kernel_complement_split
@@ -33,7 +31,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .scalars import TauScalar, as_tau
+from .scalars import TauScalar, as_tau, integer_rows
 
 ZERO = TauScalar(0)
 ONE = TauScalar(1)
@@ -163,32 +161,6 @@ def _kernel_projection(aleph, v):
     return vec(x if i in kernel else ZERO for i, x in enumerate(v))
 
 
-def _integer_rows(condition_rows) -> list:
-    """Expand rows over Q(tau) into equivalent integer rows.
-
-    tau is transcendental, so a linear condition with rational unknowns
-    splits into one rational condition per tau power after clearing the
-    polynomial denominators.
-    """
-    out = []
-    for row in condition_rows:
-        den = ONE
-        for c in row:
-            den = den * TauScalar(c.den)
-        scaled = [c * den for c in row]
-        width = max(len(s.num) for s in scaled)
-        for power in range(width):
-            fracs = [
-                s.num[power] / s.den[0] if power < len(s.num) else Fraction(0)
-                for s in scaled
-            ]
-            if all(f == 0 for f in fracs):
-                continue
-            scale = math.lcm(*(f.denominator for f in fracs))
-            out.append([int(f * scale) for f in fracs])
-    return out
-
-
 def split_lattice_through(
     aleph: MultiplicityFunction, spec: ConnectedSubgroupSpec, subgroup
 ):
@@ -225,7 +197,7 @@ def split_lattice_through(
             conditions.append(row)
     if spec.case == 1 and any(multiples):
         conditions.append([as_tau(m) for m in multiples])
-    int_rows = _integer_rows(conditions)
+    int_rows = integer_rows(conditions)
     if not int_rows:
         return subgroup, empty
     complement_cols, kernel_cols = kernel_complement_split(int_rows)

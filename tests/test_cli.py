@@ -346,6 +346,18 @@ class TestInvalidInput:
         assert main(["--spec", specs["heis"], "oracle", "heis", "--trials", "0"]) == 2
         assert capsys.readouterr().err == "error: --trials must be at least 1\n"
 
+    @pytest.mark.parametrize("other", ["heis", "e2"])
+    def test_related_across_groups(self, specs, capsys, other):
+        argv = ["--spec", specs["heis_r_n"], "related", "--other", specs[other]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: subgroups live in different groups\n"
+
+    def test_negative_digits(self, specs, capsys):
+        argv = ["--spec", specs["e2"], "--mode", "numeric", "--digits", "-1", "exp", "1,0", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --digits must be at least 0\n"
+        assert run(capsys, *argv[:5], "0", *argv[6:]) == (0, "[0.8,0.5 | 1]\n")
+
     def test_heis_probe_dimension(self, specs, capsys):
         assert main(["--spec", specs["heis"], "oracle", "heis", "--dim", "1"]) == 2
         assert capsys.readouterr().err == "error: --dim must be at least 2\n"
@@ -399,6 +411,19 @@ class TestImportFootprint:
         )
         assert out.startswith("[0.841")
         assert "numpy" in loaded
+
+    def test_floor_of_an_irrational_coordinate(self):
+        code = (
+            "from almostabelian import GaussRational, TAU, multiplicity_function, "
+            "quotient_chart, subgroup_from_data\n"
+            "from almostabelian.jordan import group_element\n"
+            "e2r2 = multiplicity_function({(GaussRational(0, 1), 1): 1, (GaussRational(0), 1): 2})\n"
+            "n = subgroup_from_data(e2r2, [((0, 0, 1, 0), 0)])\n"
+            "print(quotient_chart(e2r2, group_element(e2r2, (0, 0, TAU, 1), 0), n).v[2])"
+        )
+        out, loaded = _loaded_after(code)
+        assert out.startswith("-6+tau")
+        assert loaded == set()
 
     def test_oracle_names_resolve_on_use(self):
         out, loaded = _loaded_after(

@@ -234,6 +234,14 @@ class TestRelated:
         assert not delta[0][1].is_zero
         assert related_by_aut_check(n, m, delta, a)
 
+    def test_different_groups_rejected(self, heis_r, heis, e2):
+        n = sub(heis_r, ((0, 0, 1), 0))
+        for m in (sub(heis, ((1, 0), 0)), sub(e2, ((0, 0), TAU))):
+            with pytest.raises(ValueError, match="different groups"):
+                related_by_aut_search(n, m)
+            with pytest.raises(ValueError, match="different groups"):
+                related_by_aut_check(n, m, ((1, 0), (0, 1)), ((1,),))
+
     def test_zero_rank(self, e2):
         found = related_by_aut_search(sub(e2), sub(e2))
         assert found is not None

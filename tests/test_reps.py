@@ -320,6 +320,12 @@ class TestQuotientChart:
         assert reduced.v == (ZERO, ZERO, TauScalar(Fraction(1, 2)), ONE)
         assert reduced.t == TAU / 2
 
+    def test_irrational_coordinate(self, e2_r2):
+        n = subgroup(e2_r2, ((0, 0, 1, 0), 0))
+        g = group_element(e2_r2, (0, 0, -TAU / 4, 1), 0)
+        reduced = quotient_chart(e2_r2, g, n)
+        assert reduced.v == (ZERO, ZERO, 2 - TAU / 4, ONE)
+
     def test_idempotent(self, e2):
         n = subgroup(e2, ((0, 0), TAU))
         g = group_element(e2, (0, 0), -TAU * Fraction(13, 3))

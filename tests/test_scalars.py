@@ -1,10 +1,12 @@
 """Exact scalar tower: rationals, the formal circle constant, Gaussian rationals."""
 
+import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
-import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from almostabelian.scalars import (
@@ -12,14 +14,19 @@ from almostabelian.scalars import (
     GaussRational,
     TauScalar,
     as_tau,
+    integer_rows,
     parse_gauss,
     parse_rational,
     parse_tau,
     rat_gcd,
-    tau_eval,
+    tau_enclosure,
+    tau_floor,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+# 2*pi truncated after 30 decimals: tau - R30 is about 5.8e-33
+R30 = Fraction("6.283185307179586476925286766559")
 
 
 def taus(max_degree=2):
@@ -64,8 +71,18 @@ class TestTauField:
         assert x == TAU - 1
 
     def test_numeric_value(self):
-        with mpmath.workdps(40):
-            assert abs(tau_eval(TAU, 35) - 2 * mpmath.pi) < mpmath.mpf(10) ** (-30)
+        # the enclosures bracket 2*pi and narrow strictly as terms double
+        two_pi = Fraction(2 * math.pi)
+        width = None
+        for terms in (1, 2, 4, 8, 16, 32, 64):
+            lo, hi = tau_enclosure(terms)
+            assert lo < hi
+            if width is not None:
+                assert hi - lo < width
+            width = hi - lo
+            if width > 1e-15:
+                assert lo < two_pi < hi
+        assert abs(lo - R30) < Fraction(1, 10**29) and abs(hi - R30) < Fraction(1, 10**29)
         assert abs(float(TAU) - 6.283185307179586) < 1e-12
 
     def test_rational_predicates(self):
@@ -107,6 +124,47 @@ class TestTauField:
     def test_float_is_evaluation_at_two_pi(self):
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12
+
+
+class TestRealEmbedding:
+    def test_floor_near_an_integer(self):
+        # float evaluation cancels to 0.0 here, so a float floor of -x is wrong
+        x = 10**18 * (TAU - R30)
+        lo, hi = tau_enclosure(64)
+        assert 0 < 10**18 * (lo - R30) and 10**18 * (hi - R30) < 1e-12
+        assert tau_floor(x) == 0
+        assert tau_floor(-x) == -1
+
+    @given(taus(3), taus(2).filter(lambda q: not q.is_zero))
+    @settings(max_examples=200, derandomize=True)
+    def test_floor_matches_float_floor(self, p, q):
+        x = p / q
+        if x.is_rational:
+            assert tau_floor(x) == math.floor(x.as_rational())
+            return
+        value = float(x)
+        assume(abs(value - round(value)) >= 1e-6)
+        assert tau_floor(x) == math.floor(value)
+
+    def test_leading_sign_is_the_lowest_coefficient(self):
+        assert (1 - TAU).leading_sign() == 1
+        assert (TAU - 1).leading_sign() == -1
+        assert (-TAU / (TAU + 1)).leading_sign() == -1
+        assert as_tau(0).leading_sign() == 0
+
+    def test_integer_rows_split_by_tau_power(self):
+        rows = integer_rows([[TAU, 1 + TAU / 2], [1 / (TAU + 1), as_tau(0)]])
+        assert rows == [[0, 1], [2, 1], [1, 0]]
+
+    def test_storage_is_private_to_scalars(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "almostabelian"
+        pattern = re.compile(r"\.(_?num|_?den)\b")
+        readers = [
+            f.name
+            for f in sorted(package.glob("*.py"))
+            if f.name != "scalars.py" and pattern.search(f.read_text())
+        ]
+        assert readers == []
 
 
 class TestGaussRational:
