@@ -5,7 +5,9 @@ gamma, alpha) requires Delta J = alpha J Delta exactly and acts through
 the integrated exponential; the central extensions of the Heisenberg
 group admit a strictly larger ten-parameter family whose action is
 polynomial.  Inner automorphisms keep their defining group element and
-act by exact conjugation.
+act by exact conjugation.  An automorphism of a simply connected group is
+determined by its differential, so composition and inversion multiply or
+invert (d+1) x (d+1) differentials and read the result back.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .jordan import (
     group_element,
     group_inverse,
     group_mul,
+    numeric_mode,
 )
 from .lattices import DiscreteCentralSubgroup, integer_coordinates
 from .linalg import (
@@ -257,13 +260,11 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
     """
     if isinstance(phi, HeisAut) and (misfit := _heis_misfit(aleph, phi)):
         raise InvalidAutomorphism(misfit)
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import apply_aut_numeric, element_numeric
 
         v, t = element_numeric(g)
         return apply_aut_numeric(aleph, phi, v, t)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if isinstance(phi, InnerAut):
         if phi.aleph != aleph:
             raise InvalidAutomorphism(
@@ -271,7 +272,8 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
             )
         return _apply_inner(aleph, phi, g)
     if isinstance(phi, HeisAut):
-        return _apply_heis(aleph, phi, g)
+        v, t = heis_action(_heis_differential(phi), g.v, g.t)
+        return group_element(aleph, v, t)
     if isinstance(phi, GenericAut):
         scaled_t = g.t * phi.alpha
         integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
@@ -298,33 +300,37 @@ def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:
     return group_element(aleph, moved, g.t)
 
 
-def _apply_heis(aleph, phi: HeisAut, g: GroupElement) -> GroupElement:
-    x, y = g.v[0], g.v[1]
-    w = g.v[2:]
-    t = g.t
-    half = Fraction(1, 2)
+def heis_action(m, v, t) -> tuple:
+    """The ten-parameter action on coordinates (v, t) = (x, y, w..., t),
+    read off the automorphism's differential m.
+
+    The image is m (v, t) plus one quadratic term in x.  m, v and t may
+    hold exact scalars or floats: this is the one place the polynomial is
+    written.  Returns the image as (v, t).
+    """
+    d = len(v)
+    x, y = v[0], v[1]
+    alpha, beta2, gamma2, delta22 = m[d][d], m[d][1], m[1][d], m[1][1]
     new_x = (
-        phi.invariant * x
-        + phi.delta12 * y
-        + phi.gamma1 * t
-        + phi.beta2 * phi.gamma2 * t * y
-        + phi.alpha * phi.gamma2 * t * t * half
-        + phi.delta22 * phi.beta2 * y * y * half
-        + sum((c * wi for c, wi in zip(phi.phi01, w)), ZERO)
+        m[0][0] * x
+        + m[0][1] * y
+        + m[0][d] * t
+        + beta2 * gamma2 * t * y
+        + alpha * gamma2 * t * t / 2
+        + delta22 * beta2 * y * y / 2
     )
-    new_y = phi.delta22 * y + phi.gamma2 * t
-    new_w = tuple(
-        phi.eta[i] * y
-        + phi.rho[i] * t
-        + sum((phi.phi11[i][j] * w[j] for j in range(len(w))), ZERO)
-        for i in range(len(w))
-    )
-    new_t = phi.beta2 * y + phi.alpha * t
-    return group_element(aleph, (new_x, new_y) + new_w, new_t)
+    new_w = []
+    for i in range(2, d):
+        new_x = new_x + m[0][i] * v[i]
+        acc = m[i][1] * y + m[i][d] * t
+        for j in range(2, d):
+            acc = acc + m[i][j] * v[j]
+        new_w.append(acc)
+    return (new_x, delta22 * y + gamma2 * t, *new_w), beta2 * y + alpha * t
 
 
 # ---------------------------------------------------------------------------
-# composition, inversion, differentials
+# differentials, composition and inversion
 
 
 def inner_as_generic(aleph: MultiplicityFunction, phi: InnerAut) -> GenericAut:
@@ -336,6 +342,44 @@ def inner_as_generic(aleph: MultiplicityFunction, phi: InnerAut) -> GenericAut:
     return GenericAut(delta, gamma, 1)
 
 
+def _heis_differential(phi: HeisAut) -> Matrix:
+    """Differential in the package coordinate order (x, y, w..., t)."""
+    zeros = (ZERO,) * len(phi.phi01)
+    return (
+        (phi.invariant, phi.delta12, *phi.phi01, phi.gamma1),
+        (ZERO, phi.delta22, *zeros, phi.gamma2),
+        *((ZERO, e, *row, r) for e, row, r in zip(phi.eta, phi.phi11, phi.rho)),
+        (ZERO, phi.beta2, *zeros, TauScalar(phi.alpha)),
+    )
+
+
+def _alpha(matrix: Matrix) -> Fraction:
+    alpha = matrix[-1][-1]
+    if not alpha.is_rational:
+        raise InvalidAutomorphism("alpha must be rational")
+    return alpha.as_rational()
+
+
+def _heis_from_differential(matrix: Matrix) -> HeisAut:
+    """The ten-parameter datum with this differential.
+
+    Raises InvalidAutomorphism when the matrix is not of that form: a
+    nonzero entry off the family's pattern, or a corner other than the
+    invariant alpha*delta22 - beta2*gamma2.
+    """
+    d = len(matrix) - 1
+    w = matrix[2:d]
+    phi = HeisAut(
+        _alpha(matrix), beta2=matrix[d][1], gamma1=matrix[0][d],
+        gamma2=matrix[1][d], delta12=matrix[0][1], delta22=matrix[1][1],
+        phi01=matrix[0][2:d], eta=[row[1] for row in w],
+        rho=[row[d] for row in w], phi11=[row[2:d] for row in w],
+    )
+    if _heis_differential(phi) != matrix:
+        raise InvalidAutomorphism("not the differential of a ten-parameter datum")
+    return phi
+
+
 def embed_generic(phi: GenericAut) -> HeisAut:
     """Rewrite a generic datum on a Heisenberg extension as the beta2 = 0
     member of the ten-parameter family.
@@ -343,143 +387,59 @@ def embed_generic(phi: GenericAut) -> HeisAut:
     Raises InvalidAutomorphism when delta does not have the block pattern
     forced by Delta J = alpha J Delta on such a datum.
     """
-    d = phi.dim
-    delta = phi.delta
-    for i in range(1, d):
-        if not delta[i][0].is_zero:
-            raise InvalidAutomorphism(
-                "delta does not preserve the derived direction"
-            )
-    for j in range(2, d):
-        if not delta[1][j].is_zero:
-            raise InvalidAutomorphism("delta mixes y into the split factor")
-    expected = phi.alpha * delta[1][1]
-    if delta[0][0] != expected:
-        raise InvalidAutomorphism("Delta J != alpha J Delta")
-    return HeisAut(
-        alpha=phi.alpha,
-        beta2=0,
-        gamma1=phi.gamma[0],
-        gamma2=phi.gamma[1],
-        delta12=delta[0][1],
-        delta22=delta[1][1],
-        phi01=delta[0][2:],
-        eta=tuple(delta[i][1] for i in range(2, d)),
-        rho=phi.gamma[2:],
-        phi11=tuple(row[2:] for row in delta[2:]),
-    )
-
-
-def _heis_differential(phi: HeisAut) -> Matrix:
-    """Differential in the package coordinate order (x, y, w..., t)."""
-    d = phi.dim
-    n = len(phi.phi01)
-    rows = [[ZERO] * (d + 1) for _ in range(d + 1)]
-    rows[0][0] = phi.invariant
-    rows[0][1] = phi.delta12
-    for j in range(n):
-        rows[0][2 + j] = phi.phi01[j]
-    rows[0][d] = phi.gamma1
-    rows[1][1] = phi.delta22
-    rows[1][d] = phi.gamma2
-    for i in range(n):
-        rows[2 + i][1] = phi.eta[i]
-        for j in range(n):
-            rows[2 + i][2 + j] = phi.phi11[i][j]
-        rows[2 + i][d] = phi.rho[i]
-    rows[d][1] = phi.beta2
-    rows[d][d] = TauScalar(phi.alpha)
-    return tuple(tuple(row) for row in rows)
-
-
-def _heis_from_differential(matrix: Matrix) -> HeisAut:
-    d = len(matrix) - 1
-    n = d - 2
-    alpha = matrix[d][d]
-    if not alpha.is_rational:
-        raise InvalidAutomorphism("alpha must be rational")
-    return HeisAut(
-        alpha=alpha.as_rational(),
-        beta2=matrix[d][1],
-        gamma1=matrix[0][d],
-        gamma2=matrix[1][d],
-        delta12=matrix[0][1],
-        delta22=matrix[1][1],
-        phi01=matrix[0][2 : 2 + n],
-        eta=tuple(matrix[2 + i][1] for i in range(n)),
-        rho=tuple(matrix[2 + i][d] for i in range(n)),
-        phi11=tuple(row[2 : 2 + n] for row in matrix[2 : 2 + n]),
-    )
+    return _heis_from_differential(differential(None, phi))
 
 
 def differential(aleph: MultiplicityFunction, phi) -> Matrix:
-    """(d+1) x (d+1) derivative at the identity, coordinates (v..., t)."""
+    """(d+1) x (d+1) derivative at the identity, coordinates (v..., t).
+
+    aleph is read only to expand an inner automorphism.
+    """
     if isinstance(phi, InnerAut):
-        return differential(aleph, inner_as_generic(aleph, phi))
+        phi = inner_as_generic(aleph, phi)
     if isinstance(phi, HeisAut):
         return _heis_differential(phi)
     if isinstance(phi, GenericAut):
-        d = phi.dim
-        rows = []
-        for i in range(d):
-            rows.append(tuple(phi.delta[i]) + (phi.gamma[i],))
-        rows.append((ZERO,) * d + (TauScalar(phi.alpha),))
-        return tuple(rows)
+        rows = tuple(row + (g,) for row, g in zip(phi.delta, phi.gamma))
+        return rows + ((ZERO,) * phi.dim + (TauScalar(phi.alpha),),)
     raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
 
 
-def compose(phi1, phi2, aleph: MultiplicityFunction = None):
-    """Automorphism phi1 after phi2; mixed cases embed into the wider family.
+def _from_differential(matrix: Matrix, *phis):
+    """The automorphism with this differential, in the widest family
+    among phis: ten-parameter if any of them is, generic otherwise."""
+    if any(isinstance(phi, HeisAut) for phi in phis):
+        return _heis_from_differential(matrix)
+    d = len(matrix) - 1
+    rows = matrix[:d]
+    return GenericAut([r[:d] for r in rows], [r[d] for r in rows], _alpha(matrix))
 
-    Inner elements compose into inner elements of the product; composing an
-    inner with a parameter family needs aleph to expand the inner datum.
+
+def compose(phi1, phi2):
+    """Automorphism phi1 after phi2: the product of the differentials.
+
+    Two inner automorphisms compose into the inner automorphism of the
+    product element.  Otherwise the result is generic, or ten-parameter
+    when either factor is; an inner factor is expanded on its own group.
     """
     if isinstance(phi1, InnerAut) and isinstance(phi2, InnerAut):
         if phi1.aleph != phi2.aleph:
             raise InvalidAutomorphism("inner automorphisms of different groups")
-        product = group_mul(
-            phi1.aleph, phi1.element, phi2.element
-        )
+        product = group_mul(phi1.aleph, phi1.element, phi2.element)
         return inner_aut(phi1.aleph, product)
-    if isinstance(phi1, InnerAut) or isinstance(phi2, InnerAut):
-        inner = phi1 if isinstance(phi1, InnerAut) else phi2
-        if aleph is None:
-            aleph = inner.aleph
-        if isinstance(phi1, InnerAut):
-            phi1 = inner_as_generic(aleph, phi1)
-        else:
-            phi2 = inner_as_generic(aleph, phi2)
-    if isinstance(phi1, HeisAut) or isinstance(phi2, HeisAut):
-        if isinstance(phi1, GenericAut):
-            phi1 = embed_generic(phi1)
-        if isinstance(phi2, GenericAut):
-            phi2 = embed_generic(phi2)
-        product = mat_mul(_heis_differential(phi1), _heis_differential(phi2))
-        return _heis_from_differential(product)
-    return GenericAut(
-        mat_mul(phi1.delta, phi2.delta),
-        vec_add(
-            mat_vec(phi1.delta, phi2.gamma),
-            vec_scale(phi2.alpha, phi1.gamma),
-        ),
-        phi1.alpha * phi2.alpha,
+    aleph = next(
+        (phi.aleph for phi in (phi1, phi2) if isinstance(phi, InnerAut)), None
     )
+    product = mat_mul(differential(aleph, phi1), differential(aleph, phi2))
+    return _from_differential(product, phi1, phi2)
 
 
-def invert(phi, aleph: MultiplicityFunction = None):
-    """Inverse automorphism within the same family."""
+def invert(phi):
+    """Inverse automorphism within the same family: the inverse of the
+    differential, or the inner automorphism of the inverse element."""
     if isinstance(phi, InnerAut):
-        g = group_inverse(phi.aleph, phi.element)
-        return inner_aut(phi.aleph, g)
-    if isinstance(phi, HeisAut):
-        return _heis_from_differential(inverse(_heis_differential(phi)))
-    if isinstance(phi, GenericAut):
-        delta_inv = inverse(phi.delta)
-        gamma = vec_scale(
-            -Fraction(1, 1) / phi.alpha, mat_vec(delta_inv, phi.gamma)
-        )
-        return GenericAut(delta_inv, gamma, Fraction(1, 1) / phi.alpha)
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
+        return inner_aut(phi.aleph, group_inverse(phi.aleph, phi.element))
+    return _from_differential(inverse(differential(None, phi)), phi)
 
 
 # ---------------------------------------------------------------------------

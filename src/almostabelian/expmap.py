@@ -35,6 +35,7 @@ from .jordan import (
     build_jordan,
     in_kernel,
     kernel_basis,
+    numeric_mode,
 )
 from .linalg import (
     Matrix,
@@ -366,7 +367,7 @@ def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):
     >>> [[str(x) for x in row] for row in block_exp(TAU / 4, e2)]
     [['0', '-1'], ['1', '0']]
     """
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import block_exp_numeric
 
         return block_exp_numeric(aleph, float(t))
@@ -380,7 +381,7 @@ def phi_matrix(t, aleph: MultiplicityFunction, mode: str = "exact"):
     the whole matrix collapses to the projection onto ker J (zero on the
     rotation blocks, identity on the kernel coordinates).
     """
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import phi_numeric
 
         return phi_numeric(aleph, float(t))
@@ -396,7 +397,7 @@ def exp_map(aleph: MultiplicityFunction, x: AlgebraElement, mode: str = "exact")
     >>> str(exp_map(heis, algebra_element(heis, [1, 2], 3)))
     '[4, 2 | 3]'
     """
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import element_numeric, phi_numeric
 
         v, t = element_numeric(x)

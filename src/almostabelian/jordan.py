@@ -313,6 +313,13 @@ def derived_algebra_basis(aleph: MultiplicityFunction) -> tuple:
     return tuple(row_space_basis([c for c in cols if not vec_is_zero(c)]))
 
 
+def numeric_mode(mode: str) -> bool:
+    """Whether mode is "numeric" rather than "exact"; else ValueError."""
+    if mode not in ("exact", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "numeric"
+
+
 def group_mul(
     aleph: MultiplicityFunction,
     g: GroupElement,
@@ -328,7 +335,7 @@ def group_mul(
     """
     from . import expmap
 
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import block_exp_numeric, element_numeric
 
         vg, tg = element_numeric(g)
@@ -351,7 +358,7 @@ def group_inverse(
     """
     from . import expmap
 
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import block_exp_numeric, element_numeric
 
         v, t = element_numeric(g)

@@ -23,9 +23,12 @@ from .linalg import (
     from_columns,
     identity,
     is_invertible,
+    nullspace,
+    pivot_columns,
     rank,
     solve_columns,
     vec,
+    vec_add,
 )
 from .scalars import TauScalar
 
@@ -377,7 +380,9 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     # solve (id + X) V = U A on the constrained columns with X supported
     # on the triangular pattern, free entries left at zero: the rows of one
     # grading block [r0, r1) share the unknown columns r0..q-1, so each
-    # block is one system with V's rows restricted to those columns
+    # block is one system with V's rows restricted to those columns.
+    # Delta is invertible iff every diagonal block is; a singular one is
+    # completed along null directions of its block's system
     k = len(a)
     targets = [
         [
@@ -395,10 +400,22 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
         for r, x in zip(range(r0, r1), xs):
             for c, value in enumerate(x, r0):
                 delta[r][c] = delta[r][c] + value
-    delta = tuple(tuple(row) for row in delta)
-    if not is_invertible(delta):
-        return None
-    return delta
+        diag = [tuple(row[r0:r1]) for row in delta[r0:r1]]
+        if not is_invertible(tuple(diag)):
+            # complete as build_P does with pivot columns: the pivot columns
+            # of [diag rows | null directions cut to the block] keep the
+            # independent rows, and each dependent row takes a pivot null
+            # direction.  Every reachable row lies in their span, so with
+            # too few directions no choice of free entries will do
+            m, null = r1 - r0, nullspace(system)
+            pivots = pivot_columns(from_columns(diag + [z[:m] for z in null]))
+            spare = [null[p - m] for p in pivots if p >= m]
+            dependent = [i for i in range(m) if i not in pivots]
+            if len(spare) < len(dependent):
+                return None
+            for i, z in zip(dependent, spare):
+                delta[r0 + i][r0:] = vec_add(delta[r0 + i][r0:], z)
+    return tuple(tuple(row) for row in delta)
 
 
 # ---------------------------------------------------------------------------

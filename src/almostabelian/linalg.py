@@ -75,7 +75,8 @@ def mat_vec(a: Matrix, u: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in bt)
+        for row in a
     )
 
 
@@ -100,11 +101,11 @@ def _rref(rows):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = _ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
+        work[r] = [inv * x if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and not work[i][c].is_zero:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

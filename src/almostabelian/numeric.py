@@ -13,16 +13,24 @@ import math
 
 import numpy as np
 
-from .autos import GenericAut, HeisAut, InnerAut
+from .autos import HeisAut, InnerAut, differential, heis_action
 from .expmap import ExpAtom, write_exp_block
 from .jordan import Block, MultiplicityFunction, block_matrix, build_jordan
+from .reps import write_group_rep, write_quotient_cells
 
-_REP_KINDS = ("G", "GI", "GII")
+
+def _vector(entries) -> np.ndarray:
+    return np.array([float(c) for c in entries], dtype=float)
+
+
+def _matrix(rows, width: int) -> np.ndarray:
+    """Rows of exact scalars in floats; no rows give a 0 x width matrix."""
+    return np.array([[float(c) for c in row] for row in rows], dtype=float).reshape(len(rows), width)
 
 
 def element_numeric(x) -> tuple:
     """Float coordinates (numpy vector, float time) of an exact element."""
-    return np.array([float(c) for c in x.v], dtype=float), float(x.t)
+    return _vector(x.v), float(x.t)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +62,7 @@ def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
             for j in range(block.size - k):
                 out[k, k + j] = t ** j / math.factorial(j + 1)
         return out
-    jb = np.array([[float(x) for x in row] for row in block_matrix(block)])
+    jb = _matrix(block_matrix(block), w)
     scale = abs(t) * math.hypot(a, b)
     if scale < 0.5:
         # series sum (tJ)^k/(k+1)!, geometric-dominated tail
@@ -92,41 +100,17 @@ def apply_aut_numeric(aleph: MultiplicityFunction, phi, v: np.ndarray, t: float)
     """Floating-point action on coordinate data (v, t)."""
     v = np.asarray(v, dtype=float)
     if isinstance(phi, InnerAut):
-        u, s = np.array([float(c) for c in phi.u]), float(phi.s)
+        u, s = _vector(phi.u), float(phi.s)
         moved = u + block_exp_numeric(aleph, s) @ v - block_exp_numeric(aleph, t) @ u
         return moved, t
+    m = _matrix(differential(aleph, phi), aleph.dim + 1)
     if isinstance(phi, HeisAut):
-        alpha = float(phi.alpha)
-        beta2 = float(phi.beta2)
-        gamma1, gamma2 = float(phi.gamma1), float(phi.gamma2)
-        delta12, delta22 = float(phi.delta12), float(phi.delta22)
-        x, y, w = v[0], v[1], v[2:]
-        phi01 = np.array([float(c) for c in phi.phi01])
-        eta = np.array([float(c) for c in phi.eta])
-        rho = np.array([float(c) for c in phi.rho])
-        phi11 = np.array([[float(c) for c in row] for row in phi.phi11])
-        if phi11.size == 0:
-            phi11 = phi11.reshape(len(w), len(w))
-        new_x = (
-            (alpha * delta22 - beta2 * gamma2) * x
-            + delta12 * y
-            + gamma1 * t
-            + beta2 * gamma2 * t * y
-            + 0.5 * alpha * gamma2 * t * t
-            + 0.5 * delta22 * beta2 * y * y
-            + phi01 @ w
-        )
-        new_y = delta22 * y + gamma2 * t
-        new_w = eta * y + rho * t + phi11 @ w
-        return np.concatenate([[new_x, new_y], new_w]), beta2 * y + alpha * t
-    if isinstance(phi, GenericAut):
-        alpha = float(phi.alpha)
-        s = alpha * t
-        gamma = np.array([float(c) for c in phi.gamma])
-        delta = np.array([[float(c) for c in row] for row in phi.delta])
-        moved = (s / alpha) * (phi_numeric(aleph, s) @ gamma) + delta @ v
-        return moved, s
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
+        moved, s = heis_action(m, v, t)
+        return np.array(moved), s
+    d = aleph.dim
+    s = m[d, d] * t
+    moved = t * (phi_numeric(aleph, s) @ m[:d, d]) + m[:d, :d] @ v
+    return moved, s
 
 
 # ---------------------------------------------------------------------------
@@ -149,46 +133,25 @@ def rep_matrix_numeric(matrix) -> np.ndarray:
 
 def group_rep_numeric(aleph, v: np.ndarray, t: float, kind: str = "G") -> np.ndarray:
     """Float version of the group representations, for numeric probes."""
-    if kind not in _REP_KINDS:
+    if kind not in ("G", "GI", "GII"):
         raise ValueError(f"unknown representation kind {kind!r}")
-    d = aleph.dim
-    n = d + 1 if kind == "G" else d + 2
+    n = aleph.dim + (1 if kind == "G" else 2)
     out = np.zeros((n, n))
-    out[0, 0] = 1.0
-    out[1 : d + 1, 0] = v
-    out[1 : d + 1, 1 : d + 1] = block_exp_numeric(aleph, t)
-    if kind == "GI":
-        out[d + 1, d + 1] = math.exp(t)
-    elif kind == "GII":
-        out[d + 1, 0] = t
-        out[d + 1, d + 1] = 1.0
+    write_group_rep(out, aleph, kind, v, t, 1.0, _float_factors, math.exp)
     return out
 
 
 def quotient_rep_numeric(rep, v: np.ndarray, t: float) -> np.ndarray:
     """Float matrix of a QuotientRep at coordinate data (v, t)."""
     dec = rep.decomposition
-    d0 = dec.d0
-    par = np.array([[float(e) for e in row] for row in rep.p_par]) if rep.p_par else np.zeros((0, len(v) - d0 + 1))
-    perp = np.array([[float(e) for e in row] for row in rep.p_perp]) if rep.p_perp else np.zeros((0, len(v) - d0 + 1))
-    wt = np.concatenate([np.asarray(v, dtype=float)[d0:], [t]])
-    x_par = par @ wt
-    y_perp = perp @ wt
+    v = np.asarray(v, dtype=float)
+    wt = np.append(v[dec.d0 :], t)
     out = np.zeros((rep.dimension, rep.dimension))
-    out[: d0 + 1, : d0 + 1] = group_rep_numeric(
-        dec.core_aleph, np.asarray(v, dtype=float)[:d0], t)
-    o = d0 + 1
-    tau = 2 * math.pi
-    for x in x_par:
-        c, s = math.cos(tau * x), math.sin(tau * x)
-        out[o, o] = c
-        out[o, o + 1] = -s
-        out[o + 1, o] = s
-        out[o + 1, o + 1] = c
-        o += 2
-    for y in y_perp:
-        out[o, o] = math.exp(y)
-        o += 1
+    write_group_rep(out, dec.core_aleph, "G", v[: dec.d0], t, 1.0, _float_factors, None)
+    x_par = _matrix(rep.p_par, len(wt)) @ wt
+    turns = [(math.cos(2 * math.pi * x), math.sin(2 * math.pi * x)) for x in x_par]
+    exps = [math.exp(y) for y in _matrix(rep.p_perp, len(wt)) @ wt]
+    write_quotient_cells(out, dec.d0 + 1, turns, exps)
     return out
 
 
@@ -199,17 +162,17 @@ def quotient_rep_numeric(rep, v: np.ndarray, t: float) -> np.ndarray:
 def membership_numeric(aleph, spec, g, tol: float) -> bool:
     """Float membership test: the defect of g against the subgroup's
     slope, least-squares projected onto its basis."""
-    v = np.array([float(x) for x in g.v])
+    v = _vector(g.v)
     t = float(g.t)
     if spec.case == 1:
         if abs(t) > tol:
             return False
         defect = v
     else:
-        v0 = np.array([float(x) for x in spec.v0])
+        v0 = _vector(spec.v0)
         defect = v - t * (phi_numeric(aleph, t) @ v0)
     if not spec.basis:
         return bool(np.linalg.norm(defect) <= tol)
-    w = np.array([[float(x) for x in row] for row in spec.basis]).T
+    w = _matrix(spec.basis, len(v)).T
     coeffs, *_ = np.linalg.lstsq(w, defect, rcond=None)
     return bool(np.linalg.norm(w @ coeffs - defect) <= tol)

@@ -11,6 +11,7 @@ exact matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ExactnessUnavailable, UnsupportedLattice
 from .expmap import (
@@ -21,7 +22,7 @@ from .expmap import (
     torsion,
     write_exp_block,
 )
-from .jordan import GroupElement, MultiplicityFunction, group_element
+from .jordan import GroupElement, MultiplicityFunction, build_jordan, group_element
 from .linalg import (
     Matrix,
     from_columns,
@@ -144,8 +145,6 @@ def rep_exp_tj(aleph: MultiplicityFunction, t) -> RepMatrix:
 
 def algebra_rep(aleph: MultiplicityFunction, x) -> RepMatrix:
     """(d+1)-dimensional faithful algebra representation [[0, 0], [v, tJ]]."""
-    from .jordan import build_jordan
-
     d = aleph.dim
     jmat = build_jordan(aleph).matrix
     rows = _grid(d + 1)
@@ -156,46 +155,48 @@ def algebra_rep(aleph: MultiplicityFunction, x) -> RepMatrix:
     return _freeze(rows)
 
 
+def write_group_rep(rows, aleph: MultiplicityFunction, kind: str, v, t, one, factors, exp) -> None:
+    """Write representation kind of [v, t] into the zeroed square grid rows.
+
+    G is [[1, 0], [v, e^{tJ}]], e^{tJ} from the blocks' factors(block, t);
+    GI adds the corner exp(t), and GII the corner row (t, 0, ..., 0, 1).
+    Entries are exact or floats: this is the one place the layout is written.
+    """
+    d = aleph.dim
+    rows[0][0] = one
+    for i in range(d):
+        rows[i + 1][0] = v[i]
+    for block in build_jordan(aleph).blocks:
+        write_exp_block(rows, 1 + block.offset, block, t, *factors(block, t))
+    if kind == "GI":
+        rows[d + 1][d + 1] = exp(t)
+    elif kind == "GII":
+        rows[d + 1][0], rows[d + 1][d + 1] = t, one
+
+
+def _group_rep(aleph: MultiplicityFunction, kind: str, g: GroupElement) -> RepMatrix:
+    rows = _grid(aleph.dim + (1 if kind == "G" else 2))
+    write_group_rep(rows, aleph, kind, g.v, g.t, ONE, block_factors, partial(make_entry, ONE))
+    return _freeze(rows)
+
+
 def group_rep_G(aleph: MultiplicityFunction, g: GroupElement) -> RepMatrix:
     """(d+1)-dimensional representation [[1, 0], [v, e^{tJ}]].
 
     Faithful exactly when G is simply connected; in general its kernel is
     the central subgroup {0} x T.
     """
-    d = aleph.dim
-    etj = rep_exp_tj(aleph, g.t)
-    rows = _grid(d + 1)
-    rows[0][0] = ONE
-    for i in range(d):
-        rows[i + 1][0] = g.v[i]
-        for j in range(d):
-            rows[i + 1][j + 1] = etj.entries[i][j]
-    return _freeze(rows)
+    return _group_rep(aleph, "G", g)
 
 
 def group_rep_GI(aleph: MultiplicityFunction, g: GroupElement) -> RepMatrix:
     """(d+2)-dimensional faithful representation with corner entry e^t."""
-    base = group_rep_G(aleph, g)
-    d = aleph.dim
-    rows = _grid(d + 2)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            rows[i][j] = base.entries[i][j]
-    rows[d + 1][d + 1] = make_entry(ONE, g.t)
-    return _freeze(rows)
+    return _group_rep(aleph, "GI", g)
 
 
 def group_rep_GII(aleph: MultiplicityFunction, g: GroupElement) -> RepMatrix:
     """(d+2)-dimensional faithful representation with corner row entry t."""
-    base = group_rep_G(aleph, g)
-    d = aleph.dim
-    rows = _grid(d + 2)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            rows[i][j] = base.entries[i][j]
-    rows[d + 1][0] = g.t
-    rows[d + 1][d + 1] = ONE
-    return _freeze(rows)
+    return _group_rep(aleph, "GII", g)
 
 
 def algebra_rep_GI(aleph: MultiplicityFunction, x) -> RepMatrix:
@@ -345,34 +346,15 @@ class QuotientRep:
     p_perp: Matrix
     dimension: int
 
-    def _split(self, v, t):
-        d0 = self.decomposition.d0
-        wt = vec(tuple(v[d0:]) + (t,))
-        x_par = mat_vec(self.p_par, wt) if self.p_par else ()
-        y_perp = mat_vec(self.p_perp, wt) if self.p_perp else ()
-        return v[:d0], x_par, y_perp
-
     def matrix(self, g: GroupElement) -> RepMatrix:
         g = group_element(self.aleph, g.v, g.t)
-        d0 = self.decomposition.d0
-        v0, x_par, y_perp = self._split(g.v, g.t)
-        core = group_rep_G(self.decomposition.core_aleph, group_element(
-            self.decomposition.core_aleph, v0, g.t))
+        dec = self.decomposition
+        wt = vec(tuple(g.v[dec.d0 :]) + (g.t,))
         rows = _grid(self.dimension)
-        for i in range(d0 + 1):
-            for j in range(d0 + 1):
-                rows[i][j] = core.entries[i][j]
-        o = d0 + 1
-        for x in x_par:
-            c, s = exp_rotation(ZERO, TAU * x)
-            rows[o][o] = c
-            rows[o][o + 1] = -s
-            rows[o + 1][o] = s
-            rows[o + 1][o + 1] = c
-            o += 2
-        for y in y_perp:
-            rows[o][o] = make_entry(ONE, y)
-            o += 1
+        write_group_rep(rows, dec.core_aleph, "G", g.v[: dec.d0], g.t, ONE, block_factors, None)
+        turns = [exp_rotation(ZERO, TAU * x) for x in mat_vec(self.p_par, wt)]
+        exps = [make_entry(ONE, y) for y in mat_vec(self.p_perp, wt)]
+        write_quotient_cells(rows, dec.d0 + 1, turns, exps)
         return _freeze(rows)
 
     def numeric(self, v, t: float):
@@ -380,6 +362,18 @@ class QuotientRep:
         from .numeric import quotient_rep_numeric
 
         return quotient_rep_numeric(self, v, t)
+
+
+def write_quotient_cells(rows, o: int, turns, exps) -> None:
+    """Write the cells of a QuotientRep after its core, from (o, o) on: a
+    rotation cell [[c, -s], [s, c]] for each pair (c, s) in turns, then
+    the entries exps down the diagonal.  Entries are exact or floats."""
+    for c, s in turns:
+        rows[o][o : o + 2] = c, -s
+        rows[o + 1][o : o + 2] = s, c
+        o += 2
+    for i, e in enumerate(exps, o):
+        rows[i][i] = e
 
 
 def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup, completion=None) -> QuotientRep:

@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -134,14 +135,6 @@ def _pgcd(a, b):
     return tuple(c / lead for c in a)
 
 
-def _float_horner(coefs) -> float:
-    """Float Horner evaluation at tau = 2*pi."""
-    acc = 0.0
-    for c in reversed(coefs):
-        acc = acc * 6.283185307179586 + c.numerator / c.denominator
-    return acc
-
-
 class TauScalar:
     """Element of the rational function field Q(tau), tau a formal 2*pi.
 
@@ -217,7 +210,12 @@ class TauScalar:
         return not self.is_zero
 
     def __float__(self) -> float:
-        return _float_horner(self._num) / _float_horner(self._den)
+        """The real value at tau = 2*pi, correctly rounded."""
+        if self.is_rational:
+            return float(self._num[0])
+        for lo, hi in _enclosures(self):
+            if float(lo) == float(hi):
+                return float(lo)
 
     def leading_sign(self) -> int:
         """Sign of the lowest-degree nonzero numerator coefficient, 0 at zero.
@@ -391,6 +389,7 @@ def integer_rows(rows) -> list:
 # the real embedding tau = 2*pi, by exact rational enclosures
 
 
+@lru_cache(maxsize=None)
 def tau_enclosure(terms: int) -> tuple:
     """Rationals lo < tau < hi from Machin's formula
     tau = 8*(4*arctan(1/5) - arctan(1/239)), for ``terms`` >= 1.
@@ -421,11 +420,25 @@ def _interval_horner(coefs, lo, hi) -> tuple:
     return a, b
 
 
+def _enclosures(x: TauScalar):
+    """Rational enclosures lo <= x <= hi of the real value of x, shrinking
+    without end: x = p(tau)/q(tau) is bounded over an enclosure of tau,
+    with the terms doubling each time, once the bounds of q exclude 0."""
+    terms = 8
+    while True:
+        lo, hi = tau_enclosure(terms)
+        n0, n1 = _interval_horner(x._num, lo, hi)
+        d0, d1 = _interval_horner(x._den, lo, hi)
+        if d0 > 0 or d1 < 0:
+            ends = [n / d for n in (n0, n1) for d in (d0, d1)]
+            yield min(ends), max(ends)
+        terms *= 2
+
+
 def tau_floor(x: TauScalar) -> int:
     """Largest integer not exceeding x, proven by exact enclosures.
 
-    x = p(tau)/q(tau) is bounded over an enclosure of tau, with the terms
-    doubling until both ends of its enclosure have the same floor.  This
+    The enclosures of x shrink until both ends have the same floor.  This
     ends: tau is transcendental, so a non-rational x is never an integer.
 
     >>> tau_floor(TAU)
@@ -435,17 +448,9 @@ def tau_floor(x: TauScalar) -> int:
     """
     if x.is_rational:
         return math.floor(x.as_rational())
-    terms = 8
-    while True:
-        lo, hi = tau_enclosure(terms)
-        n0, n1 = _interval_horner(x._num, lo, hi)
-        d0, d1 = _interval_horner(x._den, lo, hi)
-        if d0 > 0 or d1 < 0:
-            ends = [n / d for n in (n0, n1) for d in (d0, d1)]
-            below = math.floor(min(ends))
-            if below == math.floor(max(ends)):
-                return below
-        terms *= 2
+    for lo, hi in _enclosures(x):
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
 
 
 # ---------------------------------------------------------------------------

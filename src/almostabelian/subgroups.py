@@ -20,6 +20,7 @@ from .jordan import (
     MultiplicityFunction,
     build_jordan,
     in_kernel,
+    numeric_mode,
 )
 from .lattices import DiscreteCentralSubgroup, integer_combination
 from .linalg import (
@@ -108,7 +109,7 @@ def membership(
     a closed rational form (always for case 1) and raises otherwise;
     numeric mode compares the defect against the subspace in floats.
     """
-    if mode == "numeric":
+    if numeric_mode(mode):
         from .numeric import membership_numeric
 
         return membership_numeric(aleph, spec, g, tol)

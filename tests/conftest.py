@@ -1,11 +1,19 @@
-"""Shared fixtures: the six standing example groups."""
+"""Shared fixtures: the six standing example groups, and the hypothesis
+profile every property runs under."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from almostabelian.jordan import multiplicity_function
 from almostabelian.scalars import GaussRational
+
+# Every run draws the same examples and writes no example database, so a
+# property fails or passes alike on every run; each test keeps its own
+# max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

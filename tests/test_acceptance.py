@@ -234,7 +234,7 @@ def test_criterion_7_automorphism_laws(request, e2):
     for _ in range(100):
         phi1, phi2 = _random_e2_aut(rng), _random_e2_aut(rng)
         assert validate_aut(e2, phi1) == () and validate_aut(e2, phi2) == ()
-        composed = compose(phi1, phi2, e2)
+        composed = compose(phi1, phi2)
         assert differential(e2, composed) == mat_mul(
             differential(e2, phi1), differential(e2, phi2)
         )

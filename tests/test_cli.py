@@ -52,6 +52,8 @@ def specs(tmp_path):
         ),
         "heis_r_n": "block 0 2 1\nblock 0 1 1\nlattice gen 0,0,1 0\n",
         "heis_r_m": "block 0 2 1\nblock 0 1 1\nlattice gen 1,0,1 0\n",
+        "e2r2_n": "block i 1 1\nblock 0 1 2\nlattice gen 0,0,1,0 0\n",
+        "e2r2_m": "block i 1 1\nblock 0 1 2\nlattice gen 0,0,0,1 0\n",
     }
     paths = {}
     for name, text in files.items():
@@ -239,6 +241,15 @@ class TestAut:
         )
         assert code == 0
         assert out == "delta_tilde: 1,-1;0,-1\nA: -1\n"
+
+    def test_related_swap(self, specs, capsys):
+        # related by the coordinate swap, found through a singular
+        # zero-filled Delta
+        code, out = run(
+            capsys, "--spec", specs["e2r2_n"], "related", "--other", specs["e2r2_m"]
+        )
+        assert code == 0
+        assert out == "delta_tilde: 0,1;-1,1\nA: -1\n"
 
     def test_related_index_two(self, specs, capsys):
         other = specs["e2"].replace("e2.spec", "e2b.spec")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostabelian.autos import apply_aut, identity_aut
 from almostabelian.errors import DegenerateDatum, ExactnessUnavailable
+from almostabelian.expmap import block_exp, exp_map, phi_matrix
 from almostabelian.jordan import (
     AlgebraElement,
     algebra_element,
@@ -24,6 +26,7 @@ from almostabelian.jordan import (
 )
 from almostabelian.linalg import in_span, mat, vec, vec_is_zero
 from almostabelian.scalars import TAU, GaussRational, TauScalar, as_tau
+from almostabelian.subgroups import ConnectedSubgroupSpec, membership
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -261,3 +264,26 @@ class TestGroupLaw:
         nv, nt = group_mul(heis, g, h, mode="numeric")
         assert np.allclose(nv, [float(x) for x in exact.v], atol=1e-12)
         assert abs(nt - float(exact.t)) < 1e-12
+
+
+class TestModeArgument:
+    # every function taking a mode argument shares one check, so a typo
+    # never falls through to exact arithmetic
+    CALLS = {
+        "block_exp": lambda a, g, mode: block_exp(g.t, a, mode=mode),
+        "phi_matrix": lambda a, g, mode: phi_matrix(g.t, a, mode=mode),
+        "exp_map": lambda a, g, mode: exp_map(a, AlgebraElement(g.v, g.t), mode=mode),
+        "group_mul": lambda a, g, mode: group_mul(a, g, g, mode=mode),
+        "group_inverse": lambda a, g, mode: group_inverse(a, g, mode=mode),
+        "membership": lambda a, g, mode: membership(
+            a, ConnectedSubgroupSpec(a, ((0, 1),), None), g, mode=mode
+        ),
+        "apply_aut": lambda a, g, mode: apply_aut(a, identity_aut(a), g, mode=mode),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("mode", ["nmeric", "Exact", ""])
+    def test_unknown_mode_rejected(self, heis, name, mode):
+        g = group_element(heis, (1, 2), 3)
+        with pytest.raises(ValueError, match="unknown mode"):
+            self.CALLS[name](heis, g, mode)

@@ -165,6 +165,8 @@ class TestRelated:
     def test_identity_certificate(self, e2_r2):
         n, _ = reduce_generators(sub(e2_r2, ((0, 0, 1, 0), TAU)))
         assert related_by_aut_check(n, n, ((1, 0), (0, 1)), ((1,),))
+        # with one generator at a nonzero time no column is constrained
+        assert related_by_aut_search(n, n) is not None
 
     def test_different_times_definitive(self, e2):
         a1 = sub(e2, ((0, 0), TAU))
@@ -233,6 +235,18 @@ class TestRelated:
         delta, a = found
         assert not delta[0][1].is_zero
         assert related_by_aut_check(n, m, delta, a)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_search_completes_a_singular_delta(self, e2_r2, bound):
+        # the coordinate swap relates the pair, but the zero-filled solution
+        # Delta = [[0, 0], [1, 1]] is singular; a null direction of the
+        # system completes it
+        n = sub(e2_r2, ((0, 0, 1, 0), 0))
+        m = sub(e2_r2, ((0, 0, 0, 1), 0))
+        assert related_by_aut_check(n, m, ((0, 1), (1, 0)), ((1,),))
+        found = related_by_aut_search(n, m, bound=bound)
+        assert found is not None
+        assert related_by_aut_check(n, m, *found)
 
     def test_different_groups_rejected(self, heis_r, heis, e2):
         n = sub(heis_r, ((0, 0, 1), 0))

@@ -128,15 +128,42 @@ class TestTauField:
 
 class TestRealEmbedding:
     def test_floor_near_an_integer(self):
-        # float evaluation cancels to 0.0 here, so a float floor of -x is wrong
+        # Horner's rule in floats cancels to 0.0 here, so a floor taken
+        # from such a float of -x is wrong
         x = 10**18 * (TAU - R30)
         lo, hi = tau_enclosure(64)
         assert 0 < 10**18 * (lo - R30) and 10**18 * (hi - R30) < 1e-12
         assert tau_floor(x) == 0
         assert tau_floor(-x) == -1
 
+    def test_float_near_an_integer(self):
+        x = 10**18 * (TAU - R30)
+        lo, hi = tau_enclosure(64)
+        assert float(x) == float(10**18 * (lo - R30)) == float(10**18 * (hi - R30))
+        assert 5.76e-15 < float(x) < 5.77e-15
+
+    @given(
+        st.lists(rationals, min_size=2, max_size=4),
+        st.lists(rationals, min_size=1, max_size=3),
+    )
+    @settings(max_examples=100)
+    def test_float_is_correctly_rounded(self, num, den):
+        # against p(lo)/q(lo) at a far finer enclosure of tau: the two
+        # differ by far less than the spacing of doubles, so they round
+        # alike unless x all but sits on a rounding boundary
+        q = TauScalar(tuple(den))
+        assume(not q.is_zero)
+        x = TauScalar(tuple(num)) / q
+        assume(not x.is_rational)
+        lo, _ = tau_enclosure(64)
+
+        def at(coefs):
+            return sum(c * lo**k for k, c in enumerate(coefs))
+
+        assert float(x) == float(at(num) / at(den))
+
     @given(taus(3), taus(2).filter(lambda q: not q.is_zero))
-    @settings(max_examples=200, derandomize=True)
+    @settings(max_examples=200)
     def test_floor_matches_float_floor(self, p, q):
         x = p / q
         if x.is_rational:
