@@ -19,7 +19,6 @@ from .autos import (
     inner_aut,
     invert,
     is_heisenberg_extension,
-    preserves_lattice,
     validate_aut,
 )
 from .errors import (
@@ -38,6 +37,8 @@ from .expmap import (
     dilation_group,
     e2_witness,
     exp_map,
+    group_inverse,
+    group_mul,
     is_central,
     is_exponential,
     torsion,
@@ -50,8 +51,6 @@ from .jordan import (
     build_jordan,
     group_element,
     group_identity,
-    group_inverse,
-    group_mul,
     multiplicity_function,
 )
 from .lattices import (
@@ -59,6 +58,7 @@ from .lattices import (
     has_faithful_quotient_rep,
     lattice_equal,
     normalize_subgroup,
+    preserves_lattice,
     quotient_iso_certificate,
     reduce_generators,
     related_by_aut_check,

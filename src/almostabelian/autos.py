@@ -13,26 +13,23 @@ invert (d+1) x (d+1) differentials and read the result back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidAutomorphism
-from .integers import is_unimodular
 from .expmap import (
     apply_exp_integral,
     apply_exp_tj,
     block_exp,
     dilation_contains,
+    group_inverse,
+    group_mul,
 )
 from .jordan import (
     GroupElement,
     MultiplicityFunction,
     build_jordan,
     group_element,
-    group_inverse,
-    group_mul,
     numeric_mode,
 )
-from .lattices import DiscreteCentralSubgroup, integer_coordinates
 from .linalg import (
     Matrix,
     Vector,
@@ -51,34 +48,26 @@ ZERO = TauScalar(0)
 ONE = TauScalar(1)
 
 
-def _rational(value, name: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"{name} must be a rational number, got {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class GenericAut:
     """Automorphism datum (Delta, gamma, alpha) for a non-Heisenberg group.
 
-    delta is a d x d matrix, gamma a d-vector, alpha a nonzero rational.
+    delta is a d x d matrix, gamma a d-vector, alpha a nonzero scalar.
     Validity against a given multiplicity function is checked separately
     by validate_aut.
     """
 
     delta: Matrix
     gamma: Vector
-    alpha: Fraction
+    alpha: TauScalar
 
     def __init__(self, delta, gamma, alpha):
         object.__setattr__(
             self, "delta", tuple(vec(row) for row in delta)
         )
         object.__setattr__(self, "gamma", vec(gamma))
-        object.__setattr__(self, "alpha", _rational(alpha, "alpha"))
-        if self.alpha == 0:
+        object.__setattr__(self, "alpha", as_tau(alpha))
+        if self.alpha.is_zero:
             raise InvalidAutomorphism("alpha must be nonzero")
         if any(len(row) != len(self.delta) for row in self.delta):
             raise InvalidAutomorphism("delta must be a square matrix")
@@ -100,7 +89,7 @@ class HeisAut:
     phi11 invertible.
     """
 
-    alpha: Fraction
+    alpha: TauScalar
     beta2: TauScalar
     gamma1: TauScalar
     gamma2: TauScalar
@@ -124,8 +113,8 @@ class HeisAut:
         rho=(),
         phi11=(),
     ):
-        object.__setattr__(self, "alpha", _rational(alpha, "alpha"))
         for name, value in (
+            ("alpha", alpha),
             ("beta2", beta2),
             ("gamma1", gamma1),
             ("gamma2", gamma2),
@@ -278,7 +267,7 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
         scaled_t = g.t * phi.alpha
         integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
         moved = vec_add(
-            vec_scale(Fraction(1, 1) / phi.alpha, integral),
+            vec_scale(ONE / phi.alpha, integral),
             mat_vec(phi.delta, g.v),
         )
         return group_element(aleph, moved, scaled_t)
@@ -349,15 +338,8 @@ def _heis_differential(phi: HeisAut) -> Matrix:
         (phi.invariant, phi.delta12, *phi.phi01, phi.gamma1),
         (ZERO, phi.delta22, *zeros, phi.gamma2),
         *((ZERO, e, *row, r) for e, row, r in zip(phi.eta, phi.phi11, phi.rho)),
-        (ZERO, phi.beta2, *zeros, TauScalar(phi.alpha)),
+        (ZERO, phi.beta2, *zeros, phi.alpha),
     )
-
-
-def _alpha(matrix: Matrix) -> Fraction:
-    alpha = matrix[-1][-1]
-    if not alpha.is_rational:
-        raise InvalidAutomorphism("alpha must be rational")
-    return alpha.as_rational()
 
 
 def _heis_from_differential(matrix: Matrix) -> HeisAut:
@@ -370,7 +352,7 @@ def _heis_from_differential(matrix: Matrix) -> HeisAut:
     d = len(matrix) - 1
     w = matrix[2:d]
     phi = HeisAut(
-        _alpha(matrix), beta2=matrix[d][1], gamma1=matrix[0][d],
+        matrix[d][d], beta2=matrix[d][1], gamma1=matrix[0][d],
         gamma2=matrix[1][d], delta12=matrix[0][1], delta22=matrix[1][1],
         phi01=matrix[0][2:d], eta=[row[1] for row in w],
         rho=[row[d] for row in w], phi11=[row[2:d] for row in w],
@@ -401,7 +383,7 @@ def differential(aleph: MultiplicityFunction, phi) -> Matrix:
         return _heis_differential(phi)
     if isinstance(phi, GenericAut):
         rows = tuple(row + (g,) for row, g in zip(phi.delta, phi.gamma))
-        return rows + ((ZERO,) * phi.dim + (TauScalar(phi.alpha),),)
+        return rows + ((ZERO,) * phi.dim + (phi.alpha,),)
     raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
 
 
@@ -412,7 +394,7 @@ def _from_differential(matrix: Matrix, *phis):
         return _heis_from_differential(matrix)
     d = len(matrix) - 1
     rows = matrix[:d]
-    return GenericAut([r[:d] for r in rows], [r[d] for r in rows], _alpha(matrix))
+    return GenericAut([r[:d] for r in rows], [r[d] for r in rows], matrix[d][d])
 
 
 def compose(phi1, phi2):
@@ -441,25 +423,3 @@ def invert(phi):
         return inner_aut(phi.aleph, group_inverse(phi.aleph, phi.element))
     return _from_differential(inverse(differential(None, phi)), phi)
 
-
-# ---------------------------------------------------------------------------
-# lattice preservation
-
-
-def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
-    """Integer change-of-basis certificate for phi(N) = N, or None.
-
-    The generators of a central lattice live in ker J x T, where the
-    automorphism action is exact; the certificate A expresses each image
-    in the generator basis and must be unimodular.
-    """
-    image = DiscreteCentralSubgroup(
-        aleph, tuple(apply_aut(aleph, phi, g) for g in subgroup.generators)
-    )
-    coords = integer_coordinates(subgroup, image.columns())
-    if coords is None:
-        return None
-    matrix = tuple(zip(*coords))
-    if not is_unimodular(matrix):
-        return None
-    return matrix

@@ -8,25 +8,22 @@ print in the literal grammar and re-parse to equal values.
 import argparse
 import sys
 
-from .autos import (
-    apply_aut,
-    is_heisenberg_extension,
-    preserves_lattice,
-    validate_aut,
-)
+from .autos import apply_aut, is_heisenberg_extension, validate_aut
 from .errors import ExactnessUnavailable, InvalidAutomorphism
 from .expmap import (
     dilation_group,
     exp_map,
+    group_mul,
     is_central,
     is_exponential,
     torsion,
 )
-from .jordan import algebra_element, build_jordan, group_element, group_mul
+from .jordan import algebra_element, build_jordan, group_element
 from .lattices import (
     DiscreteCentralSubgroup,
     has_faithful_quotient_rep,
     normalize_subgroup,
+    preserves_lattice,
     reduce_generators,
     related_by_aut_search,
 )

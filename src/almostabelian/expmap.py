@@ -1,7 +1,8 @@
 """Closed-form exponential machinery and spectral decision procedures.
 
 Covers the phi function phi(A) = (e^A - id)/A with phi(0) = id, block
-exponentials e^{tJ}, the group exponential exp(v, t) = [phi(tJ)v, t], the
+exponentials e^{tJ}, the group law [v, s][w, t] = [v + e^{sJ}w, s + t],
+the group exponential exp(v, t) = [phi(tJ)v, t], the
 logarithm on the central cylinder, the torsion subgroup T of times t with
 e^{tJ} = id, exponentiality of the group, the dilation group of the datum,
 and the center.
@@ -348,6 +349,50 @@ def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
     """Exact ((e^{sJ} - id)/J) v = s*phi(sJ) v, the displacement integral."""
     s = as_tau(s)
     return vec([s * x for x in apply_phi_tj(aleph, s, v)])
+
+
+def group_mul(
+    aleph: MultiplicityFunction,
+    g: GroupElement,
+    h: GroupElement,
+    mode: str = "exact",
+):
+    """Product [v_g, t_g][v_h, t_h] = [v_g + e^{t_g J} v_h, t_g + t_h].
+
+    Exact mode requires e^{t_g J} v_h to have a closed form in Q(tau): per
+    block, the block is nilpotent, or t_g is a quarter turn of a rotation
+    block (or 0), or v_h vanishes on the block.  Otherwise
+    ExactnessUnavailable is raised naming the first offending block.
+    """
+    if numeric_mode(mode):
+        from .numeric import block_exp_numeric, element_numeric
+
+        vg, tg = element_numeric(g)
+        vh, th = element_numeric(h)
+        return vg + block_exp_numeric(aleph, tg) @ vh, tg + th
+    moved = apply_exp_tj(aleph, g.t, h.v)
+    return GroupElement(
+        tuple(a + b for a, b in zip(g.v, moved)), g.t + h.t
+    )
+
+
+def group_inverse(
+    aleph: MultiplicityFunction, g: GroupElement, mode: str = "exact"
+):
+    """Inverse [v, t]^{-1} = [-e^{-t J} v, -t], same exactness domain as mul.
+
+    >>> from .jordan import group_element, multiplicity_function
+    >>> heis = multiplicity_function({(GaussRational(0), 2): 1})
+    >>> str(group_inverse(heis, group_element(heis, [4, 2], 3)))
+    '[2, -2 | -3]'
+    """
+    if numeric_mode(mode):
+        from .numeric import block_exp_numeric, element_numeric
+
+        v, t = element_numeric(g)
+        return -(block_exp_numeric(aleph, -t) @ v), -t
+    moved = apply_exp_tj(aleph, -g.t, g.v)
+    return GroupElement(tuple(-x for x in moved), -g.t)
 
 
 def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):

@@ -1,4 +1,4 @@
-"""Integer matrix utilities: Bezout reduction, diagonalization, kernels.
+"""Integer matrix utilities: column Hermite reduction, determinants, kernels.
 
 Used by the lattice layer, where generator recombinations live in GL(Z, k).
 All matrices here are plain lists/tuples of Python ints.
@@ -54,116 +54,54 @@ def is_unimodular(a) -> bool:
     return det_int(a) in (1, -1)
 
 
+def hermite_columns(mat):
+    """Column Hermite reduction (H, V, r) of an integer matrix.
+
+    V is unimodular and mat @ V = H is in column echelon form: each column
+    j < r has a positive pivot in a row strictly below the pivot of column
+    j - 1, and the columns from r on are zero.  Row by row, the entries right
+    of the current pivot column are folded into it by ext_gcd column
+    operations (H. Cohen, GTM 138, Section 2.4); entries left of a pivot are
+    not reduced.  Matrices are lists of rows.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    h = [[int(x) for x in row] for row in mat]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def colop(c0, c1, m00, m01, m10, m11):
+        for rows in (h, v):
+            for row in rows:
+                x, y = row[c0], row[c1]
+                row[c0], row[c1] = m00 * x + m10 * y, m01 * x + m11 * y
+
+    r = 0
+    for row in h:
+        first = next((j for j in range(r, n) if row[j] != 0), None)
+        if first is None:
+            continue
+        if first != r:
+            colop(r, first, 0, 1, 1, 0)
+        for j in range(r + 1, n):
+            if row[j] != 0:
+                g, x, y = ext_gcd(row[r], row[j])
+                colop(r, j, x, -(row[j] // g), y, row[r] // g)
+        if row[r] < 0:
+            for rows in (h, v):
+                for other in rows:
+                    other[r] = -other[r]
+        r += 1
+    return h, v, r
+
+
 def bezout_row_reduce(ns):
     """Unimodular column reduction of an integer row to (g, 0, ..., 0).
 
     Returns (g, A) with A a k x k unimodular matrix (list of rows) such that
     row . A = (g, 0, ..., 0) and g = gcd(ns) >= 0.
     """
-    k = len(ns)
-    n = [int(x) for x in ns]
-    a = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def colop(c0, c1, m00, m01, m10, m11):
-        for row in a:
-            x, y = row[c0], row[c1]
-            row[c0], row[c1] = m00 * x + m10 * y, m01 * x + m11 * y
-        x, y = n[c0], n[c1]
-        n[c0], n[c1] = m00 * x + m10 * y, m01 * x + m11 * y
-
-    first = next((j for j in range(k) if n[j] != 0), None)
-    if first is None:
-        return 0, a
-    if first != 0:
-        colop(0, first, 0, 1, 1, 0)
-    for j in range(1, k):
-        if n[j] == 0:
-            continue
-        g, x, y = ext_gcd(n[0], n[j])
-        colop(0, j, x, -(n[j] // g), y, n[0] // g)
-    if n[0] < 0:
-        for row in a:
-            row[0] = -row[0]
-        n[0] = -n[0]
-    return n[0], a
-
-
-def diagonalize(mat):
-    """(U, D, V) with U @ mat @ V = D diagonal, U and V unimodular.
-
-    D's nonzero entries occupy the leading diagonal positions.  Divisibility
-    between successive entries is not enforced (not needed by the callers).
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    d = [[int(x) for x in row] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def rowop(r0, r1, m00, m01, m10, m11):
-        for k in range(n):
-            x, y = d[r0][k], d[r1][k]
-            d[r0][k], d[r1][k] = m00 * x + m01 * y, m10 * x + m11 * y
-        for k in range(m):
-            x, y = u[r0][k], u[r1][k]
-            u[r0][k], u[r1][k] = m00 * x + m01 * y, m10 * x + m11 * y
-
-    def colop(c0, c1, m00, m01, m10, m11):
-        for row in d:
-            x, y = row[c0], row[c1]
-            row[c0], row[c1] = m00 * x + m10 * y, m01 * x + m11 * y
-        for row in v:
-            x, y = row[c0], row[c1]
-            row[c0], row[c1] = m00 * x + m10 * y, m01 * x + m11 * y
-
-    t = 0
-    while True:
-        pivot = next(
-            (
-                (i, j)
-                for i in range(t, m)
-                for j in range(t, n)
-                if d[i][j] != 0
-            ),
-            None,
-        )
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            rowop(t, i, 0, 1, 1, 0)
-        if j != t:
-            colop(t, j, 0, 1, 1, 0)
-        if d[t][t] < 0:
-            rowop(t, t, -1, 0, 0, -1)
-        while True:
-            # divisible entries are cleared by subtraction (leaves row/col t of
-            # the pivot untouched); otherwise a Bezout step strictly shrinks
-            # the positive pivot, so the loop terminates
-            a = d[t][t]
-            row_entry = next((i for i in range(m) if i != t and d[i][t] != 0), None)
-            if row_entry is not None:
-                b = d[row_entry][t]
-                if b % a == 0:
-                    rowop(t, row_entry, 1, 0, -(b // a), 1)
-                else:
-                    g, x, y = ext_gcd(a, b)
-                    rowop(t, row_entry, x, y, -(b // g), a // g)
-                continue
-            col_entry = next((j for j in range(n) if j != t and d[t][j] != 0), None)
-            if col_entry is not None:
-                b = d[t][col_entry]
-                if b % a == 0:
-                    colop(t, col_entry, 1, -(b // a), 0, 1)
-                else:
-                    g, x, y = ext_gcd(a, b)
-                    colop(t, col_entry, x, -(b // g), y, a // g)
-                continue
-            break
-        t += 1
-        if t == min(m, n):
-            break
-    return u, d, v
+    h, a, r = hermite_columns([ns])
+    return (h[0][0] if r else 0), a
 
 
 def integer_kernel(mat):
@@ -178,9 +116,6 @@ def kernel_complement_split(mat):
     of Z^n (a unimodular matrix), and kernel_cols is a basis of the kernel of
     mat.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    _, d, v = diagonalize(mat)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    cols = [[v[row][col] for row in range(n)] for col in range(n)]
+    _, v, r = hermite_columns(mat)
+    cols = [list(col) for col in zip(*v)]
     return cols[:r], cols[r:]

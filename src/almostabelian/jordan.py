@@ -1,4 +1,4 @@
-"""Jordan data of real almost Abelian Lie algebras and the ambient group law.
+"""Jordan data of real almost Abelian Lie algebras, their elements and bracket.
 
 An almost Abelian algebra R^d x| R is determined by a multiplicity function:
 finitely many (eigenvalue, block size) pairs with positive multiplicities,
@@ -318,51 +318,3 @@ def numeric_mode(mode: str) -> bool:
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
     return mode == "numeric"
-
-
-def group_mul(
-    aleph: MultiplicityFunction,
-    g: GroupElement,
-    h: GroupElement,
-    mode: str = "exact",
-):
-    """Product [v_g, t_g][v_h, t_h] = [v_g + e^{t_g J} v_h, t_g + t_h].
-
-    Exact mode requires e^{t_g J} v_h to have a closed form in Q(tau): per
-    block, the block is nilpotent, or t_g is a quarter turn of a rotation
-    block (or 0), or v_h vanishes on the block.  Otherwise
-    ExactnessUnavailable is raised naming the first offending block.
-    """
-    from . import expmap
-
-    if numeric_mode(mode):
-        from .numeric import block_exp_numeric, element_numeric
-
-        vg, tg = element_numeric(g)
-        vh, th = element_numeric(h)
-        return vg + block_exp_numeric(aleph, tg) @ vh, tg + th
-    moved = expmap.apply_exp_tj(aleph, g.t, h.v)
-    return GroupElement(
-        tuple(a + b for a, b in zip(g.v, moved)), g.t + h.t
-    )
-
-
-def group_inverse(
-    aleph: MultiplicityFunction, g: GroupElement, mode: str = "exact"
-):
-    """Inverse [v, t]^{-1} = [-e^{-t J} v, -t], same exactness domain as mul.
-
-    >>> heis = multiplicity_function({(GaussRational(0), 2): 1})
-    >>> str(group_inverse(heis, group_element(heis, [4, 2], 3)))
-    '[2, -2 | -3]'
-    """
-    from . import expmap
-
-    if numeric_mode(mode):
-        from .numeric import block_exp_numeric, element_numeric
-
-        v, t = element_numeric(g)
-        return -(block_exp_numeric(aleph, -t) @ v), -t
-    moved = expmap.apply_exp_tj(aleph, -g.t, g.v)
-    return GroupElement(tuple(-x for x in moved), -g.t)
-

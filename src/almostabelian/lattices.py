@@ -1,4 +1,5 @@
-"""Discrete central subgroups: normal forms and automorphism relatedness.
+"""Discrete central subgroups: normal forms, images under automorphisms,
+automorphism relatedness, and faithful representability of the quotient.
 
 A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
@@ -11,11 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .autos import GenericAut, apply_aut, compose, identity_aut
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, is_unimodular
 from .jordan import (
     GroupElement,
     MultiplicityFunction,
+    derived_algebra_basis,
     group_element,
     in_kernel,
 )
@@ -30,6 +33,7 @@ from .linalg import (
     vec,
     vec_add,
 )
+from .reps import quotient_faithful_rep
 from .scalars import TauScalar
 
 ZERO = TauScalar(0)
@@ -187,7 +191,7 @@ def integer_coordinates(subgroup, cols):
 
 
 # ---------------------------------------------------------------------------
-# normalization by automorphisms
+# images under automorphisms: normalization, isomorphism, preservation
 
 
 def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
@@ -199,8 +203,6 @@ def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
     Reduction to economic form happens first, which also makes the
     surviving time positive, so the dilation component is 1.
     """
-    from .autos import GenericAut, apply_aut, identity_aut
-
     aleph = subgroup.aleph
     reduced, _ = reduce_generators(subgroup)
     gens = reduced.generators
@@ -209,10 +211,7 @@ def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
     t1 = gens[0].t
     gamma = tuple(-(c / t1) for c in gens[0].v)
     phi = GenericAut(identity(aleph.dim), gamma, 1)
-    image = DiscreteCentralSubgroup(
-        aleph, tuple(apply_aut(aleph, phi, g) for g in gens)
-    )
-    return phi, image
+    return phi, aut_image(aleph, phi, reduced)
 
 
 def quotient_iso_certificate(n, m, phi) -> bool:
@@ -221,13 +220,30 @@ def quotient_iso_certificate(n, m, phi) -> bool:
     A true answer certifies that the quotients by the two subgroups are
     isomorphic via the map induced by phi.
     """
-    from .autos import apply_aut
+    return lattice_equal(aut_image(n.aleph, phi, n), m)
 
-    aleph = n.aleph
-    image = DiscreteCentralSubgroup(
-        aleph, tuple(apply_aut(aleph, phi, g) for g in n.generators)
+
+def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubgroup:
+    """The subgroup generated by the images of the generators under phi."""
+    return DiscreteCentralSubgroup(
+        aleph, tuple(apply_aut(aleph, phi, g) for g in subgroup.generators)
     )
-    return lattice_equal(image, m)
+
+
+def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
+    """Integer change-of-basis certificate for phi(N) = N, or None.
+
+    The generators of a central lattice live in ker J x T, where the
+    automorphism action is exact; the certificate A expresses each image
+    in the generator basis and must be unimodular.
+    """
+    coords = integer_coordinates(subgroup, aut_image(aleph, phi, subgroup).columns())
+    if coords is None:
+        return None
+    matrix = tuple(zip(*coords))
+    if not is_unimodular(matrix):
+        return None
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +467,6 @@ def has_faithful_quotient_rep(
     generators on the split Euclidean factor and the time axis, and the
     representation of the transformed quotient is built.
     """
-    from .autos import apply_aut, compose
-    from .jordan import derived_algebra_basis
-    from .reps import quotient_faithful_rep
-
     gen_cols = subgroup.columns()
     derived = [vec(tuple(b) + (ZERO,)) for b in derived_algebra_basis(aleph)]
     if gen_cols:
@@ -466,10 +478,7 @@ def has_faithful_quotient_rep(
     if not separate:
         return FaithfulQuotientDecision(representable=False)
     shear = _kernel_shear(aleph, subgroup)
-    sheared = DiscreteCentralSubgroup(
-        aleph, tuple(apply_aut(aleph, shear, g) for g in subgroup.generators)
-    )
-    splitter, image = normalize_subgroup(sheared)
+    splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))
     phi = compose(splitter, shear)
     rep = quotient_faithful_rep(aleph, image)
     return FaithfulQuotientDecision(
@@ -486,8 +495,6 @@ def _kernel_shear(aleph, subgroup):
     trivial, forcing every generator time to zero).  The shear fixes J,
     hence is an automorphism with trivial dilation.
     """
-    from .autos import GenericAut, identity_aut
-
     abelian = sorted(aleph.abelian_coordinates)
     deep = [i for i in aleph.kernel_coordinates if i not in set(abelian)]
     if not deep or not subgroup.generators:

@@ -583,38 +583,8 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    @property
-    def is_imaginary(self) -> bool:
-        """Purely imaginary and nonzero."""
-        return self.re == 0 and self.im != 0
-
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = _lift_gauss(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _lift_gauss(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = _lift_gauss(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __complex__(self):
-        return complex(self.re, self.im)
 
     def __str__(self):
         if self.im == 0:
@@ -626,12 +596,6 @@ class GaussRational:
 
     def __repr__(self):
         return f"GaussRational({str(self)!r})"
-
-
-def _lift_gauss(value) -> GaussRational:
-    if isinstance(value, GaussRational):
-        return value
-    return GaussRational(Fraction(value))
 
 
 def parse_gauss(text: str) -> GaussRational:

@@ -6,8 +6,8 @@ One directive per line, '#' starts a comment:
     lattice gen <vector> <integer multiple of t0>
     subgroup case1 basis=<rows>
     subgroup case2 basis=<rows> v0=<vector>
-    aut generic alpha=<rational> delta=<rows> gamma=<vector>
-    aut heis alpha=<rational> [beta2=...] [gamma1=...] [gamma2=...]
+    aut generic alpha=<scalar> delta=<rows> gamma=<vector>
+    aut heis alpha=<scalar> [beta2=...] [gamma1=...] [gamma2=...]
              [delta12=...] [delta22=...] [phi01=...] [eta=...] [rho=...]
              [phi11=<rows>]
 
@@ -24,7 +24,7 @@ from .errors import DegenerateDatum, InvalidAutomorphism
 from .expmap import torsion
 from .jordan import MultiplicityFunction, multiplicity_function
 from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
-from .scalars import TauScalar, parse_gauss, parse_rational, parse_tau
+from .scalars import TauScalar, parse_gauss, parse_tau
 from .subgroups import ConnectedSubgroupSpec, validate_subspace
 
 
@@ -132,7 +132,7 @@ def parse_spec_text(text: str, name: str = "<spec>") -> SpecFile:
                 allowed = ("alpha", "delta", "gamma") if fields[1] == "generic" else _HEIS_KEYS
                 kv = _keyvals(fields[2:], allowed)
                 if "alpha" not in kv:
-                    raise SpecError("aut needs alpha=<rational>")
+                    raise SpecError("aut needs alpha=<scalar>")
                 aut_line = (lineno, fields[1], kv)
             else:
                 raise SpecError(f"unknown directive {head!r}")
@@ -201,8 +201,8 @@ def _assemble_aut(aleph, line, fail):
                 fail(lineno, f"delta has {len(delta)} rows, expected {aleph.dim}")
             if not gamma:
                 gamma = (TauScalar(0),) * aleph.dim
-            return GenericAut(delta, gamma, parse_rational(kv["alpha"]))
-        args = {"alpha": parse_rational(kv["alpha"])}
+            return GenericAut(delta, gamma, parse_tau(kv["alpha"]))
+        args = {"alpha": parse_tau(kv["alpha"])}
         for key in ("beta2", "gamma1", "gamma2", "delta12", "delta22"):
             if key in kv:
                 args[key] = parse_tau(kv[key])

@@ -17,7 +17,6 @@ from almostabelian.autos import (
     compose,
     differential,
     inner_aut,
-    preserves_lattice,
     validate_aut,
 )
 from almostabelian.expmap import block_exp, e2_witness, exp_map, is_exponential, torsion
@@ -27,6 +26,7 @@ from almostabelian.lattices import (
     has_faithful_quotient_rep,
     lattice_equal,
     normalize_subgroup,
+    preserves_lattice,
     quotient_iso_certificate,
     reduce_generators,
     subgroup_from_data,

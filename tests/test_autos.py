@@ -19,19 +19,17 @@ from almostabelian.autos import (
     inner_aut,
     invert,
     is_heisenberg_extension,
-    preserves_lattice,
     validate_aut,
 )
 from almostabelian.errors import InvalidAutomorphism
+from almostabelian.expmap import group_inverse, group_mul
 from almostabelian.jordan import (
     algebra_element,
     commutator,
     group_element,
-    group_inverse,
-    group_mul,
     multiplicity_function,
 )
-from almostabelian.lattices import subgroup_from_data
+from almostabelian.lattices import preserves_lattice, subgroup_from_data
 from almostabelian.linalg import identity, mat_mul, mat_vec, vec
 from almostabelian.numeric import apply_aut_numeric
 from almostabelian.scalars import TAU, GaussRational, TauScalar
@@ -328,6 +326,27 @@ class TestComposeInvert:
         assert apply_aut(heis, both, g) == apply_aut(
             heis, generic, apply_aut(heis, heis_phi, g)
         )
+
+    def test_irrational_alpha_composite(self, heis):
+        # the time row (0, tau, 1) of the first differential meets the last
+        # column (0, 1, 1) of the second in the corner alpha = 1 + tau
+        heis_phi = HeisAut(alpha=1, beta2=TAU, delta22=1)
+        shift = GenericAut(((1, 0), (0, 1)), (0, 1), 1)
+        both = compose(heis_phi, shift)
+        assert both.alpha == 1 + TAU
+        assert validate_aut(heis, both) == ()
+        g = group_element(heis, (1, 2), Fraction(1, 3))
+        assert apply_aut(heis, both, g) == apply_aut(
+            heis, heis_phi, apply_aut(heis, shift, g)
+        )
+
+    def test_irrational_alpha_inverse(self, heis):
+        phi = HeisAut(alpha=1, beta2=TAU, gamma2=1, delta22=1)
+        back = invert(phi)
+        assert back.alpha == 1 / (1 - TAU)
+        g = group_element(heis, (1, 2), Fraction(1, 3))
+        assert apply_aut(heis, back, apply_aut(heis, phi, g)) == g
+        assert apply_aut(heis, phi, apply_aut(heis, back, g)) == g
 
     def test_inner_composition_functorial(self, heis):
         g1 = group_element(heis, (1, 2), 3)

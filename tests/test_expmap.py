@@ -21,6 +21,7 @@ from almostabelian.expmap import (
     dilation_group,
     e2_witness,
     exp_map,
+    group_mul,
     is_central,
     is_exponential,
     phi_matrix,
@@ -30,7 +31,6 @@ from almostabelian.jordan import (
     algebra_element,
     build_jordan,
     group_element,
-    group_mul,
     multiplicity_function,
 )
 from almostabelian.linalg import identity, is_invertible, mat, mat_mul, vec

@@ -1,4 +1,4 @@
-"""Integer matrix utilities: Bezout reduction, diagonalization, kernels."""
+"""Integer matrix utilities: column Hermite reduction, determinants, kernels."""
 
 import math
 
@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from almostabelian.integers import (
     bezout_row_reduce,
     det_int,
-    diagonalize,
     ext_gcd,
+    hermite_columns,
     integer_kernel,
     is_unimodular,
     kernel_complement_split,
 )
+from almostabelian.linalg import mat, rank
 
 ints = st.integers(min_value=-9, max_value=9)
 
@@ -61,32 +62,30 @@ def test_det_multiplicative(a, b):
 
 @given(int_matrices(3, 4))
 @settings(max_examples=60)
-def test_diagonalize(m):
-    u, d, v = diagonalize(m)
-    assert is_unimodular(u)
+def test_hermite_columns(m):
+    h, v, r = hermite_columns(m)
     assert is_unimodular(v)
-    prod = mat_mul_int(mat_mul_int(u, m), v)
-    assert prod == d
-    nonzero = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x > 0 for x in nonzero)
-    # nonzero entries lead
-    flat = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    seen_zero = False
-    for x in flat:
-        if x == 0:
-            seen_zero = True
-        else:
-            assert not seen_zero
+    assert mat_mul_int(m, v) == h
+    # column echelon form: pivots positive and strictly descending, every
+    # entry right of a pivot zero, and no pivot in the columns from r on
+    last = -1
+    for j in range(4):
+        nonzero = [i for i in range(3) if h[i][j] != 0]
+        if j >= r:
+            assert not nonzero
+            continue
+        assert nonzero and nonzero[0] > last
+        last = nonzero[0]
+        assert h[last][j] > 0
+        assert all(h[last][k] == 0 for k in range(j + 1, 4))
+    assert r == rank(mat(m))
 
 
 @given(int_matrices(2, 4))
 @settings(max_examples=60)
 def test_integer_kernel(m):
     kern = integer_kernel(m)
+    assert len(kern) == 4 - rank(mat(m))
     for col in kern:
         image = [sum(m[i][j] * col[j] for j in range(4)) for i in range(2)]
         assert all(x == 0 for x in image)
@@ -98,6 +97,7 @@ def test_kernel_complement_split(m):
     image_part, kernel_part = kernel_complement_split(m)
     combined = [list(row) for row in zip(*(image_part + kernel_part))]
     assert is_unimodular(combined)
+    assert len(kernel_part) == 4 - rank(mat(m))
     for col in kernel_part:
         image = [sum(m[i][j] * col[j] for j in range(4)) for i in range(2)]
         assert all(x == 0 for x in image)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from almostabelian.autos import apply_aut, identity_aut
 from almostabelian.errors import DegenerateDatum, ExactnessUnavailable
-from almostabelian.expmap import block_exp, exp_map, phi_matrix
+from almostabelian.expmap import block_exp, exp_map, group_inverse, group_mul, phi_matrix
 from almostabelian.jordan import (
     AlgebraElement,
     algebra_element,
@@ -18,8 +18,6 @@ from almostabelian.jordan import (
     derived_algebra_basis,
     group_element,
     group_identity,
-    group_inverse,
-    group_mul,
     in_kernel,
     kernel_basis,
     multiplicity_function,

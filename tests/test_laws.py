@@ -1,4 +1,5 @@
-"""Algebraic laws of the group law and of the automorphism families.
+"""Algebraic laws of the group law, the representations and the automorphism
+families.
 
 Derandomized properties over a small catalog of groups.  Times stay in
 the exact domain: small rationals on nilpotent data, and multiples of a
@@ -29,6 +30,8 @@ from almostabelian.expmap import (
     dilation_conjugator,
     dilation_group,
     exp_map,
+    group_inverse,
+    group_mul,
     phi_matrix,
 )
 from almostabelian.jordan import (
@@ -36,8 +39,6 @@ from almostabelian.jordan import (
     build_jordan,
     group_element,
     group_identity,
-    group_inverse,
-    group_mul,
     multiplicity_function,
 )
 from almostabelian.linalg import (
@@ -49,6 +50,7 @@ from almostabelian.linalg import (
     mat_vec,
     solve,
 )
+from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
 from almostabelian.scalars import TAU
 from almostabelian.scalars import GaussRational as G
 
@@ -66,12 +68,11 @@ GROUPS = {
     name: (multiplicity_function(data), unit) for name, (data, unit) in CATALOG.items()
 }
 NILPOTENT = [name for name, (_, unit) in CATALOG.items() if unit is None]
+ROTATION = [name for name in CATALOG if name not in NILPOTENT]
 HEIS = [name for name, (aleph, _) in GROUPS.items() if is_heisenberg_extension(aleph)]
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 nonzero = small.filter(bool)
-# ten-parameter entries off the t row may involve tau; beta2 and gamma2
-# stay rational, so that composites keep a rational alpha
 tau_linear = st.tuples(small, small).map(lambda ab: ab[0] + ab[1] * TAU)
 
 
@@ -117,9 +118,9 @@ def _heis_auts(draw, aleph):
     assume(is_invertible(phi11))
     phi = HeisAut(
         alpha=draw(nonzero),
-        beta2=draw(small),
+        beta2=draw(tau_linear),
         gamma1=draw(tau_linear),
-        gamma2=draw(small),
+        gamma2=draw(tau_linear),
         delta12=draw(tau_linear),
         delta22=draw(small),
         phi01=draw(vectors(n)),
@@ -193,6 +194,45 @@ def test_one_parameter_subgroups(data):
         return exp_map(aleph, algebra_element(aleph, [c * x for x in v], c * unit))
 
     assert group_mul(aleph, exp(s), exp(t)) == exp(s + t)
+
+
+@given(st.data())
+@settings(max_examples=10)
+def test_quarter_turn_conjugation(data):
+    # on a size-1 rotation block with eigenvalue ib, e^{sJ} at s = tau/(4b)
+    # is the quarter turn J/b: conjugating [v, 0] by [0, s] gives [Jv/b, 0]
+    name, aleph = draw_group(data, ROTATION)
+    block = data.draw(
+        st.sampled_from([k for k in aleph.blocks if k.realified and k.size == 1])
+    )
+    b = block.eigenvalue.im
+    v = [0] * aleph.dim
+    v[block.offset : block.offset + 2] = data.draw(vectors(2))
+    g = group_element(aleph, [0] * aleph.dim, TAU / (4 * b))
+    h = group_element(aleph, v, 0)
+    conjugate = group_mul(aleph, group_mul(aleph, g, h), group_inverse(aleph, g))
+    jv = mat_vec(build_jordan(aleph).matrix, v)
+    assert conjugate == group_element(aleph, [x / b for x in jv], 0)
+
+
+# ---------------------------------------------------------------------------
+# representations
+
+REPS = {"G": group_rep_G, "GI": group_rep_GI, "GII": group_rep_GII}
+
+
+@pytest.mark.parametrize("kind", sorted(REPS))
+@given(data=st.data())
+@settings(max_examples=10)
+def test_representations_are_homomorphisms(kind, data):
+    # RepMatrix.mul multiplies exact matrices only, and GI's corner e^t is
+    # exact only at t = 0, so GI is checked on time-zero elements
+    name, aleph = draw_group(data, GROUPS)
+    g, h = data.draw(elements(name)), data.draw(elements(name))
+    if kind == "GI":
+        g, h = (group_element(aleph, x.v, 0) for x in (g, h))
+    rep = REPS[kind]
+    assert rep(aleph, g).mul(rep(aleph, h)) == rep(aleph, group_mul(aleph, g, h))
 
 
 # ---------------------------------------------------------------------------

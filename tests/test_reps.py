@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from almostabelian.errors import ExactnessUnavailable, UnsupportedLattice
-from almostabelian.expmap import exp_map
+from almostabelian.expmap import exp_map, group_mul
 from almostabelian.jordan import (
     algebra_element,
     commutator,
     group_element,
-    group_mul,
     multiplicity_function,
 )
 from almostabelian.lattices import subgroup_from_data

@@ -212,12 +212,6 @@ class TestGaussRational:
         assert z.conjugate() == GaussRational(1, Fraction(-2, 3))
         assert z.conjugate().conjugate() == z
 
-    @given(rationals, rationals, rationals, rationals)
-    @settings(max_examples=40)
-    def test_multiplication(self, a, b, c, d):
-        z = GaussRational(a, b) * GaussRational(c, d)
-        assert z == GaussRational(a * c - b * d, a * d + b * c)
-
     @pytest.mark.parametrize("bad", ["", "1..2", "i i", "2/3j", "1/0i", "1/0+i"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

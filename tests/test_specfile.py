@@ -52,6 +52,12 @@ class TestParse:
         assert isinstance(spec.aut, HeisAut)
         assert spec.aut.beta2 == TAU
 
+    def test_alpha_is_a_scalar_literal(self):
+        spec = parse_spec_text("block 0 2 1\naut heis alpha=1+tau beta2=tau\n")
+        assert spec.aut.alpha == 1 + TAU
+        spec = parse_spec_text("block 0 2 1\naut generic alpha=(tau)/(2) delta=1,0;0,1\n")
+        assert spec.aut.alpha == TAU / 2
+
     def test_file_io(self, tmp_path):
         path = tmp_path / "g.spec"
         path.write_text("block 1 1 1\n")

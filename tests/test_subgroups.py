@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from almostabelian.errors import ExactnessUnavailable, NotCentral
-from almostabelian.expmap import central_log
-from almostabelian.jordan import group_element, group_inverse, group_mul
+from almostabelian.expmap import central_log, group_inverse, group_mul
+from almostabelian.jordan import group_element
 from almostabelian.lattices import DiscreteCentralSubgroup, lattice_equal, subgroup_from_data
 from almostabelian.linalg import from_columns, in_span, solve, vec, vec_is_zero
 from almostabelian.scalars import TAU, TauScalar
