@@ -34,6 +34,7 @@ from .expmap import (
     TorsionDescription,
     center,
     central_log,
+    dilation_conjugator,
     dilation_group,
     e2_witness,
     exp_map,
@@ -41,6 +42,7 @@ from .expmap import (
     group_mul,
     is_central,
     is_exponential,
+    phi_matrix,
     torsion,
 )
 from .jordan import (
@@ -49,6 +51,7 @@ from .jordan import (
     MultiplicityFunction,
     algebra_element,
     build_jordan,
+    commutator,
     group_element,
     group_identity,
     multiplicity_function,

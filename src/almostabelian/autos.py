@@ -178,9 +178,17 @@ def is_heisenberg_extension(aleph: MultiplicityFunction) -> bool:
     return seen_core
 
 
-def _heis_misfit(aleph: MultiplicityFunction, phi: HeisAut):
-    """Why a ten-parameter datum cannot act on the group at all, or None."""
-    if not is_heisenberg_extension(aleph):
+def _misfit(aleph: MultiplicityFunction, phi):
+    """Why the datum cannot act on the group at all, or None: an inner
+    automorphism of another group, a ten-parameter datum off a Heisenberg
+    extension, or a datum of another dimension."""
+    if isinstance(phi, InnerAut):
+        if phi.aleph != aleph:
+            return "inner automorphism belongs to a different group"
+        return None
+    if not isinstance(phi, (GenericAut, HeisAut)):
+        raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
+    if isinstance(phi, HeisAut) and not is_heisenberg_extension(aleph):
         return "ten-parameter automorphisms require a Heisenberg central extension datum"
     if phi.dim != aleph.dim:
         return "dimension mismatch"
@@ -193,40 +201,33 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
     An empty tuple means the datum defines an automorphism of the group
     of aleph.
     """
+    if misfit := _misfit(aleph, phi):
+        return (misfit,)
     if isinstance(phi, InnerAut):
-        if phi.aleph != aleph:
-            return ("inner automorphism belongs to a different group",)
         return ()
     if isinstance(phi, HeisAut):
-        misfit = _heis_misfit(aleph, phi)
-        if misfit:
-            return (misfit,)
         violations = []
         if phi.invariant.is_zero:
             violations.append("alpha*delta22 - beta2*gamma2 must be nonzero")
         if phi.phi11 and not is_invertible(phi.phi11):
             violations.append("phi11 is singular")
         return tuple(violations)
-    if isinstance(phi, GenericAut):
-        violations = []
-        if phi.dim != aleph.dim:
-            return ("dimension mismatch",)
-        jmat = build_jordan(aleph).matrix
-        lhs = mat_mul(phi.delta, jmat)
-        rhs = tuple(
-            tuple(phi.alpha * e for e in row)
-            for row in mat_mul(jmat, phi.delta)
+    violations = []
+    jmat = build_jordan(aleph)
+    lhs = mat_mul(phi.delta, jmat)
+    rhs = tuple(
+        tuple(phi.alpha * e for e in row)
+        for row in mat_mul(jmat, phi.delta)
+    )
+    if lhs != rhs:
+        violations.append("Delta J != alpha J Delta")
+    if not is_invertible(phi.delta):
+        violations.append("Delta is singular")
+    if not dilation_contains(aleph, phi.alpha):
+        violations.append(
+            f"alpha = {phi.alpha} is not an admissible dilation"
         )
-        if lhs != rhs:
-            violations.append("Delta J != alpha J Delta")
-        if not is_invertible(phi.delta):
-            violations.append("Delta is singular")
-        if not dilation_contains(aleph, phi.alpha):
-            violations.append(
-                f"alpha = {phi.alpha} is not an admissible dilation"
-            )
-        return tuple(violations)
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
+    return tuple(violations)
 
 
 def identity_aut(aleph: MultiplicityFunction) -> GenericAut:
@@ -244,10 +245,12 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
     Exact mode raises ExactnessUnavailable when the integrated exponential
     in the generic action has no closed form at alpha*t; the polynomial
     Heisenberg action is always exact.  Both modes raise
-    InvalidAutomorphism for a ten-parameter datum on a group that is not a
-    Heisenberg extension, or of another dimension.
+    InvalidAutomorphism for a datum that cannot act on the group at all:
+    an inner automorphism of another group, a ten-parameter datum on a
+    group that is not a Heisenberg extension, or a datum of another
+    dimension.
     """
-    if isinstance(phi, HeisAut) and (misfit := _heis_misfit(aleph, phi)):
+    if misfit := _misfit(aleph, phi):
         raise InvalidAutomorphism(misfit)
     if numeric_mode(mode):
         from .numeric import apply_aut_numeric, element_numeric
@@ -255,23 +258,17 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
         v, t = element_numeric(g)
         return apply_aut_numeric(aleph, phi, v, t)
     if isinstance(phi, InnerAut):
-        if phi.aleph != aleph:
-            raise InvalidAutomorphism(
-                "inner automorphism belongs to a different group"
-            )
         return _apply_inner(aleph, phi, g)
     if isinstance(phi, HeisAut):
         v, t = heis_action(_heis_differential(phi), g.v, g.t)
         return group_element(aleph, v, t)
-    if isinstance(phi, GenericAut):
-        scaled_t = g.t * phi.alpha
-        integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
-        moved = vec_add(
-            vec_scale(ONE / phi.alpha, integral),
-            mat_vec(phi.delta, g.v),
-        )
-        return group_element(aleph, moved, scaled_t)
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
+    scaled_t = g.t * phi.alpha
+    integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
+    moved = vec_add(
+        vec_scale(ONE / phi.alpha, integral),
+        mat_vec(phi.delta, g.v),
+    )
+    return group_element(aleph, moved, scaled_t)
 
 
 def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:
@@ -326,7 +323,7 @@ def inner_as_generic(aleph: MultiplicityFunction, phi: InnerAut) -> GenericAut:
     """Generic form (Delta, gamma, alpha) = (e^{sJ}, -J u, 1) of an inner
     automorphism; exact only where e^{sJ} has a closed form."""
     delta = block_exp(phi.s, aleph)
-    jmat = build_jordan(aleph).matrix
+    jmat = build_jordan(aleph)
     gamma = tuple(-c for c in mat_vec(jmat, phi.u))
     return GenericAut(delta, gamma, 1)
 
@@ -362,16 +359,6 @@ def _heis_from_differential(matrix: Matrix) -> HeisAut:
     return phi
 
 
-def embed_generic(phi: GenericAut) -> HeisAut:
-    """Rewrite a generic datum on a Heisenberg extension as the beta2 = 0
-    member of the ten-parameter family.
-
-    Raises InvalidAutomorphism when delta does not have the block pattern
-    forced by Delta J = alpha J Delta on such a datum.
-    """
-    return _heis_from_differential(differential(None, phi))
-
-
 def differential(aleph: MultiplicityFunction, phi) -> Matrix:
     """(d+1) x (d+1) derivative at the identity, coordinates (v..., t).
 
@@ -402,7 +389,9 @@ def compose(phi1, phi2):
 
     Two inner automorphisms compose into the inner automorphism of the
     product element.  Otherwise the result is generic, or ten-parameter
-    when either factor is; an inner factor is expanded on its own group.
+    when either factor is; an inner factor is expanded on its own group,
+    and the other factor must fit that group.  Factors of different
+    dimensions raise InvalidAutomorphism.
     """
     if isinstance(phi1, InnerAut) and isinstance(phi2, InnerAut):
         if phi1.aleph != phi2.aleph:
@@ -412,8 +401,14 @@ def compose(phi1, phi2):
     aleph = next(
         (phi.aleph for phi in (phi1, phi2) if isinstance(phi, InnerAut)), None
     )
-    product = mat_mul(differential(aleph, phi1), differential(aleph, phi2))
-    return _from_differential(product, phi1, phi2)
+    if aleph is not None:
+        for phi in (phi1, phi2):
+            if misfit := _misfit(aleph, phi):
+                raise InvalidAutomorphism(misfit)
+    m1, m2 = differential(aleph, phi1), differential(aleph, phi2)
+    if len(m1) != len(m2):
+        raise InvalidAutomorphism("dimension mismatch")
+    return _from_differential(mat_mul(m1, m2), phi1, phi2)
 
 
 def invert(phi):

@@ -128,7 +128,7 @@ def cmd_analyze(spec, args):
     dil = dilation_group(aleph).value
     lines = [f"dimension: {aleph.dim} + 1"]
     lines.append("J:")
-    for row in build_jordan(aleph).matrix:
+    for row in build_jordan(aleph):
         lines.append("  " + " ".join(str(x) for x in row))
     if verdict.exponential:
         lines.append("exponential: yes")

@@ -33,7 +33,6 @@ from .jordan import (
     GroupElement,
     MultiplicityFunction,
     block_matrix,
-    build_jordan,
     in_kernel,
     kernel_basis,
     numeric_mode,
@@ -206,17 +205,13 @@ def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
     return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(ONE, exp_arg, "sin", angle)
 
 
-def make_entry(coeff, exp_arg=ZERO, trig: str = "one", trig_arg=ZERO):
-    """Build an entry, collapsing to an exact scalar whenever possible."""
+def make_entry(coeff, exp_arg):
+    """The entry coeff * e^exp_arg, an exact scalar whenever possible;
+    exp_rotation builds the trigonometric entries."""
     coeff = as_tau(coeff)
     exp_arg = as_tau(exp_arg)
-    if trig not in ("one", "cos", "sin"):
-        raise ValueError(f"unknown trig tag {trig!r}")
     if coeff.is_zero:
         return ZERO
-    if trig != "one":
-        cos_e, sin_e = exp_rotation(exp_arg, as_tau(trig_arg))
-        return (cos_e if trig == "cos" else sin_e) * coeff
     if exp_arg.is_zero:
         return coeff
     return ExpAtom(coeff, exp_arg)
@@ -312,7 +307,7 @@ def _phi_block(block: Block, t: TauScalar):
 def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn) -> Matrix:
     d = aleph.dim
     rows = [[ZERO] * d for _ in range(d)]
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         o = block.offset
         for i, row in enumerate(block_fn(block, t)):
             rows[o + i][o : o + block.width] = row
@@ -322,7 +317,7 @@ def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn) -> Matrix:
 def _apply_blockwise(aleph: MultiplicityFunction, t: TauScalar, v: Vector, block_fn) -> Vector:
     """Apply the blockwise matrix to v, skipping blocks where v vanishes."""
     out = [ZERO] * len(v)
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         chunk = [as_tau(v[i]) for i in block.coords]
         if all(x.is_zero for x in chunk):
             continue
@@ -508,7 +503,7 @@ def e2_witness(aleph: MultiplicityFunction) -> E2Witness:
     >>> (w.coordinates, [[str(x) for x in r] for r in w.restriction])
     ((0, 1), [['0', '-1'], ['1', '0']])
     """
-    for index, block in enumerate(build_jordan(aleph).blocks):
+    for index, block in enumerate(aleph.blocks):
         eig = block.eigenvalue
         if eig.re == 0 and eig.im != 0:
             b = eig.im
@@ -587,7 +582,7 @@ def dilation_conjugator(aleph: MultiplicityFunction, alpha) -> Matrix:
         return identity(d)
     if aleph.is_nilpotent:
         rows = [[ZERO] * d for _ in range(d)]
-        for block in build_jordan(aleph).blocks:
+        for block in aleph.blocks:
             for k in range(block.size):
                 rows[block.offset + k][block.offset + k] = alpha ** (
                     block.size - 1 - k
@@ -615,7 +610,7 @@ def _flip_matrix(aleph: MultiplicityFunction) -> Matrix:
     d = aleph.dim
     rows = [[ZERO] * d for _ in range(d)]
     by_key: dict = {}
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         by_key.setdefault((block.eigenvalue, block.size), []).append(block)
 
     def place(target: Block, source: Block):

@@ -33,6 +33,11 @@ from .linalg import (
 )
 from .scalars import GaussRational, TauScalar, as_tau
 
+# Largest total dimension d a datum may have.  Every exact matrix is a
+# dense d x d tuple of TauScalars, so a datum past this size is an input
+# error rather than a computation.
+MAX_DIM = 1000
+
 
 @dataclass(frozen=True)
 class Block:
@@ -60,13 +65,15 @@ class MultiplicityFunction:
 
     Eigenvalues with negative imaginary part are replaced by their conjugate
     representative.  The all-(0,1) datum is rejected: it describes an Abelian
-    algebra, which is out of scope.
+    algebra, which is out of scope.  So is a total dimension above MAX_DIM.
+    The blocks, with multiplicities unrolled and coordinate offsets in the
+    canonical order, are laid out once here.
 
     >>> MultiplicityFunction({(GaussRational(0), 2): 1}).dim
     2
     """
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("entries", "dim", "blocks")
 
     def __init__(self, data):
         merged = {}
@@ -100,8 +107,18 @@ class MultiplicityFunction:
         d = sum(
             mult * size * (2 if eig.im != 0 else 1) for eig, size, mult in entries
         )
+        if d > MAX_DIM:
+            raise ValueError(f"total dimension {d} exceeds the ceiling {MAX_DIM}")
+        blocks = []
+        offset = 0
+        for eig, size, mult in entries:
+            for _ in range(mult):
+                block = Block(eig, size, offset)
+                blocks.append(block)
+                offset += block.width
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiplicityFunction is immutable")
@@ -122,18 +139,6 @@ class MultiplicityFunction:
             if e == eig and s == size:
                 return m
         return 0
-
-    @property
-    def blocks(self) -> tuple:
-        """Expanded blocks (multiplicities unrolled) with coordinate offsets."""
-        out = []
-        offset = 0
-        for eig, size, mult in self.entries:
-            for _ in range(mult):
-                b = Block(eig, size, offset)
-                out.append(b)
-                offset += b.width
-        return tuple(out)
 
     @property
     def is_nilpotent(self) -> bool:
@@ -170,19 +175,6 @@ def multiplicity_function(data) -> MultiplicityFunction:
     return MultiplicityFunction(data)
 
 
-@dataclass(frozen=True)
-class JordanMatrix:
-    """Realified Jordan matrix J with its block layout."""
-
-    aleph: MultiplicityFunction
-    matrix: Matrix
-    blocks: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.aleph.dim
-
-
 @lru_cache(maxsize=None)
 def block_matrix(block: Block) -> Matrix:
     """The block's own real Jordan matrix, width x width.
@@ -205,16 +197,16 @@ def block_matrix(block: Block) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def build_jordan(aleph: MultiplicityFunction) -> JordanMatrix:
-    """Assemble the block-diagonal real Jordan matrix of the datum from
-    the blocks' own matrices."""
+def build_jordan(aleph: MultiplicityFunction) -> Matrix:
+    """The block-diagonal real Jordan matrix J of the datum, assembled from
+    the blocks' own matrices in the layout of aleph.blocks."""
     d = aleph.dim
     rows = [[TauScalar(0)] * d for _ in range(d)]
     for block in aleph.blocks:
         o = block.offset
         for i, row in enumerate(block_matrix(block)):
             rows[o + i][o : o + block.width] = row
-    return JordanMatrix(aleph, mat(rows), aleph.blocks)
+    return mat(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def commutator(
     >>> str(commutator(heis, x, y))
     '(-1, 0 | 0)'
     """
-    j = build_jordan(aleph).matrix
+    j = build_jordan(aleph)
     left = vec([x.t * c for c in mat_vec(j, y.v)])
     right = vec([y.t * c for c in mat_vec(j, x.v)])
     return AlgebraElement(
@@ -308,7 +300,7 @@ def commutator(
 
 def derived_algebra_basis(aleph: MultiplicityFunction) -> tuple:
     """Echelonized basis of [g, g] = im J (columns of J)."""
-    j = build_jordan(aleph).matrix
+    j = build_jordan(aleph)
     cols = list(zip(*j))
     return tuple(row_space_basis([c for c in cols if not vec_is_zero(c)]))
 

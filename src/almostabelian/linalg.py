@@ -43,10 +43,6 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vec(n, i) for i in range(n))
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return ((_ZERO,) * cols,) * rows
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
@@ -69,23 +65,19 @@ def vec_is_zero(u: Vector) -> bool:
 
 
 def mat_vec(a: Matrix, u: Vector) -> Vector:
-    return tuple(sum((row[j] * u[j] for j in range(len(u))), _ZERO) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, u, strict=True)), _ZERO) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in bt)
+        tuple(sum((x * y for x, y in zip(row, col, strict=True) if x and y), _ZERO) for col in bt)
         for row in a
     )
 
 
 def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
-
-
-def columns(a: Matrix):
-    return list(transpose(a))
 
 
 def _rref(rows):

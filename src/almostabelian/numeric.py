@@ -15,7 +15,7 @@ import numpy as np
 
 from .autos import HeisAut, InnerAut, differential, heis_action
 from .expmap import ExpAtom, write_exp_block
-from .jordan import Block, MultiplicityFunction, block_matrix, build_jordan
+from .jordan import Block, MultiplicityFunction, block_matrix
 from .reps import write_group_rep, write_quotient_cells
 
 
@@ -48,7 +48,7 @@ def block_exp_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
     """e^{tJ} in floats: the exact layer's block layout fed float factors."""
     d = aleph.dim
     out = np.zeros((d, d))
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         write_exp_block(out, block.offset, block, t, *_float_factors(block, t))
     return out
 
@@ -86,7 +86,7 @@ def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
     series for small arguments, otherwise (e^{tJ_b} - id)(tJ_b)^{-1}."""
     d = aleph.dim
     out = np.zeros((d, d))
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         o, w = block.offset, block.width
         out[o : o + w, o : o + w] = _phi_block_numeric(block, t)
     return out

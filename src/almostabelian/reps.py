@@ -121,32 +121,13 @@ def _freeze(rows) -> RepMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exponential of t*J with symbolic entries
-
-
-def rep_exp_tj(aleph: MultiplicityFunction, t) -> RepMatrix:
-    """e^{tJ} as a d x d RepMatrix; always defined, exact when possible.
-
-    The block exponential kernel of expmap with its atoms kept: each
-    block's factors are decided once, and entry (k, k+j) of a block
-    carries t^j/j! times them.
-    """
-    t = as_tau(t)
-    rows = _grid(aleph.dim)
-    for block in aleph.blocks:
-        c, s = block_factors(block, t)
-        write_exp_block(rows, block.offset, block, t, c, s)
-    return _freeze(rows)
-
-
-# ---------------------------------------------------------------------------
 # algebra and group representations
 
 
 def algebra_rep(aleph: MultiplicityFunction, x) -> RepMatrix:
     """(d+1)-dimensional faithful algebra representation [[0, 0], [v, tJ]]."""
     d = aleph.dim
-    jmat = build_jordan(aleph).matrix
+    jmat = build_jordan(aleph)
     rows = _grid(d + 1)
     for i in range(d):
         rows[i + 1][0] = x.v[i]
@@ -166,7 +147,7 @@ def write_group_rep(rows, aleph: MultiplicityFunction, kind: str, v, t, one, fac
     rows[0][0] = one
     for i in range(d):
         rows[i + 1][0] = v[i]
-    for block in build_jordan(aleph).blocks:
+    for block in aleph.blocks:
         write_exp_block(rows, 1 + block.offset, block, t, *factors(block, t))
     if kind == "GI":
         rows[d + 1][d + 1] = exp(t)
@@ -197,18 +178,6 @@ def group_rep_GI(aleph: MultiplicityFunction, g: GroupElement) -> RepMatrix:
 def group_rep_GII(aleph: MultiplicityFunction, g: GroupElement) -> RepMatrix:
     """(d+2)-dimensional faithful representation with corner row entry t."""
     return _group_rep(aleph, "GII", g)
-
-
-def algebra_rep_GI(aleph: MultiplicityFunction, x) -> RepMatrix:
-    """Derivative of group_rep_GI at the identity: [[0,0,0],[v,tJ,0],[0,0,t]]."""
-    base = algebra_rep(aleph, x)
-    d = aleph.dim
-    rows = _grid(d + 2)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            rows[i][j] = base.entries[i][j]
-    rows[d + 1][d + 1] = x.t
-    return _freeze(rows)
 
 
 def is_simply_connected_G(aleph: MultiplicityFunction) -> bool:
@@ -289,14 +258,14 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     return group_element(aleph, reduced[:-1], reduced[-1])
 
 
-def build_P(aleph: MultiplicityFunction, subgroup, completion=None):
+def build_P(aleph: MultiplicityFunction, subgroup):
     """Inverse of a completed generator matrix on the (w, t) coordinates.
 
     The subgroup generators, written in the coordinates of the split
-    Euclidean factor together with t, form the first k columns; completion
-    supplies the remaining m - k (defaulting to a greedy choice of standard
-    basis vectors).  Returns (P, P_par, P_perp): the full inverse, its first
-    k rows, and the rest.
+    Euclidean factor together with t, form the first k columns; the first
+    standard basis vectors independent of them supply the remaining m - k.
+    Returns (P, P_par, P_perp): the full inverse, its first k rows, and the
+    rest.
     """
     dec = decompose(aleph)
     d = aleph.dim
@@ -312,19 +281,16 @@ def build_P(aleph: MultiplicityFunction, subgroup, completion=None):
                 )
         cols.append(vec(tuple(g.v[d0:]) + (g.t,)))
     k = len(cols)
-    if completion is None:
-        # the first standard basis vectors independent of the generators:
-        # the pivot columns past k of [C | id]
-        augmented = tuple(
-            tuple(c[i] for c in cols) + unit_vec(m, i) for i in range(m)
-        )
-        completion = [
-            unit_vec(m, p - k) for p in pivot_columns(augmented) if p >= k
-        ]
-    else:
-        completion = [vec(c) for c in completion]
+    # the first standard basis vectors independent of the generators:
+    # the pivot columns past k of [C | id]
+    augmented = tuple(
+        tuple(c[i] for c in cols) + unit_vec(m, i) for i in range(m)
+    )
+    completion = [
+        unit_vec(m, p - k) for p in pivot_columns(augmented) if p >= k
+    ]
     if k + len(completion) != m:
-        raise ValueError("completion does not have the right size")
+        raise ValueError("subgroup generators are linearly dependent")
     p = inverse(from_columns(cols + completion))
     return p, p[:k], p[k:]
 
@@ -376,7 +342,7 @@ def write_quotient_cells(rows, o: int, turns, exps) -> None:
         rows[i][i] = e
 
 
-def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup, completion=None) -> QuotientRep:
+def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup) -> QuotientRep:
     """Representation of G whose kernel is exactly the given central subgroup.
 
     Requires the subgroup generators to be supported on the split Euclidean
@@ -384,7 +350,7 @@ def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup, completion=None
     representation acts on dimension d + 2 + k.
     """
     dec = decompose(aleph)
-    _, p_par, p_perp = build_P(aleph, subgroup, completion)
+    _, p_par, p_perp = build_P(aleph, subgroup)
     k = len(p_par)
     return QuotientRep(
         aleph=aleph,

@@ -458,6 +458,11 @@ def tau_floor(x: TauScalar) -> int:
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(tau)|([+\-*/^()]))")
 
+# Deepest parenthesis nesting a literal may have; str never nests deeper
+# than one level, and the bound keeps the descent far from the recursion
+# limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     text = text.strip()
@@ -481,6 +486,7 @@ class _TauParser:
         self.tokens = tokens
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -537,10 +543,16 @@ class _TauParser:
             return TAU
         if kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ValueError(
+                    f"TauScalar literal nests parentheses deeper than {_MAX_NESTING} levels"
+                )
             value = self.expr()
             if self.peek() != ")":
                 self.fail()
             self.take()
+            self.depth -= 1
             return value
         self.fail()
 

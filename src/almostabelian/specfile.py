@@ -22,7 +22,7 @@ from pathlib import Path
 from .autos import GenericAut, HeisAut
 from .errors import DegenerateDatum, InvalidAutomorphism
 from .expmap import torsion
-from .jordan import MultiplicityFunction, multiplicity_function
+from .jordan import MAX_DIM, MultiplicityFunction, multiplicity_function
 from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
 from .scalars import TauScalar, parse_gauss, parse_tau
 from .subgroups import ConnectedSubgroupSpec, validate_subspace
@@ -86,6 +86,7 @@ _HEIS_KEYS = (
 
 def parse_spec_text(text: str, name: str = "<spec>") -> SpecFile:
     blocks = {}
+    dim = 0
     lattice_lines = []
     subgroup_line = None
     aut_line = None
@@ -110,6 +111,9 @@ def parse_spec_text(text: str, name: str = "<spec>") -> SpecFile:
                 if (eig, size) in blocks:
                     raise SpecError(f"duplicate block ({fields[1]}, {size})")
                 blocks[(eig, size)] = mult
+                dim += size * mult * (2 if eig.im else 1)
+                if dim > MAX_DIM:
+                    raise SpecError(f"total dimension {dim} exceeds the ceiling {MAX_DIM}")
             elif head == "lattice":
                 if len(fields) != 4 or fields[1] != "gen":
                     raise SpecError("lattice needs: gen <vector> <integer>")

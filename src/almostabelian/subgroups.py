@@ -74,7 +74,7 @@ def validate_subspace(aleph: MultiplicityFunction, basis) -> tuple:
             violations.append(f"basis vector has {len(w)} coordinates, expected {d}")
     if violations:
         return tuple(violations)
-    j = build_jordan(aleph).matrix
+    j = build_jordan(aleph)
     for w in basis:
         image = mat_vec(j, w)
         if not in_span(basis, image):

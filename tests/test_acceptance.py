@@ -35,7 +35,7 @@ from almostabelian.linalg import from_columns, identity, mat_mul, solve, vec
 from almostabelian.numeric import group_rep_numeric
 from almostabelian.oracle import antihermitian_probe, exp_crosscheck, injectivity_probe
 from almostabelian.reps import group_rep_G
-from almostabelian.scalars import TAU, GaussRational
+from almostabelian.scalars import TAU
 from almostabelian.subgroups import ConnectedSubgroupSpec, is_quotient_subgroup_closed
 
 SEED = 0x5EED

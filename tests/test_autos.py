@@ -13,7 +13,6 @@ from almostabelian.autos import (
     apply_aut,
     compose,
     differential,
-    embed_generic,
     identity_aut,
     inner_as_generic,
     inner_aut,
@@ -40,6 +39,10 @@ ZERO = TauScalar(0)
 ONE = TauScalar(1)
 
 FLIP = GenericAut(((1, 0), (0, -1)), (0, 0), -1)
+
+# the ten-parameter identity on heis x R: composing with it rewrites a
+# generic datum as the beta2 = 0 member of the ten-parameter family
+HEIS_R_IDENTITY = HeisAut(alpha=1, phi01=(0,), eta=(0,), rho=(0,), phi11=((1,),))
 
 
 def rand_fraction(rng, span=4, den=3):
@@ -115,6 +118,44 @@ class TestValidation:
     def test_inner_always_valid(self, heis):
         phi = inner_aut(heis, group_element(heis, (1, 2), 3))
         assert validate_aut(heis, phi) == ()
+
+
+class TestFit:
+    """Every family is checked against the group before it acts."""
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_generic_of_another_dimension(self, heis_r, mode):
+        phi = GenericAut(((1,),), (0,), 1)
+        assert validate_aut(heis_r, phi) == ("dimension mismatch",)
+        g = group_element(heis_r, (1, 2, 3), 1)
+        with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
+            apply_aut(heis_r, phi, g, mode=mode)
+        n = subgroup_from_data(heis_r, [((0, 0, 1), 0)])
+        with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
+            preserves_lattice(heis_r, phi, n)
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_inner_of_another_group(self, heis, e2, mode):
+        phi = inner_aut(e2, group_element(e2, (1, 0), TAU / 4))
+        assert validate_aut(heis, phi) == ("inner automorphism belongs to a different group",)
+        g = group_element(heis, (3, 2), 1)
+        with pytest.raises(InvalidAutomorphism, match="different group"):
+            apply_aut(heis, phi, g, mode=mode)
+
+    def test_compose_with_inner_checks_fit(self, e2):
+        inner = inner_aut(e2, group_element(e2, (1, 0), TAU / 4))
+        wide = GenericAut(identity(3), (0, 0, 0), 1)
+        for pair in ((inner, wide), (wide, inner)):
+            with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
+                compose(*pair)
+        with pytest.raises(InvalidAutomorphism, match="Heisenberg"):
+            compose(inner, HeisAut(alpha=1))
+
+    def test_compose_dimensions_must_agree(self):
+        wide = GenericAut(identity(3), (0, 0, 0), 1)
+        for pair in ((FLIP, wide), (wide, FLIP), (HeisAut(alpha=1), wide)):
+            with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
+                compose(*pair)
 
 
 class TestApply:
@@ -382,7 +423,7 @@ class TestEmbedding:
             gamma = tuple(rand_fraction(rng) for _ in range(3))
             generic = GenericAut(delta, gamma, alpha)
             assert validate_aut(heis_r, generic) == ()
-            embedded = embed_generic(generic)
+            embedded = compose(HEIS_R_IDENTITY, generic)
             assert embedded.beta2 == ZERO
             assert validate_aut(heis_r, embedded) == ()
             coords = [rand_fraction(rng) for _ in range(4)]
@@ -393,7 +434,7 @@ class TestEmbedding:
     def test_bad_pattern_rejected(self, heis):
         skew = GenericAut(((1, 0), (1, 1)), (0, 0), 1)
         with pytest.raises(InvalidAutomorphism):
-            embed_generic(skew)
+            compose(HeisAut(alpha=1), skew)
 
 
 class TestDifferential:

@@ -309,6 +309,21 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert f"{specs[name]}:3: delta must be a square matrix" in err
 
+    def test_huge_block(self, tmp_path, capsys):
+        path = tmp_path / "huge.spec"
+        path.write_text("block 0 99999999999999999999 1\n")
+        assert main(["--spec", str(path), "analyze"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: total dimension")
+
+    def test_deeply_nested_literal(self, specs, tmp_path, capsys):
+        deep = "(" * 1200 + "1" + ")" * 1200
+        assert main(["--spec", specs["heis"], "exp", "1,0", deep]) == 2
+        assert "nests parentheses" in capsys.readouterr().err
+        path = tmp_path / "nested.spec"
+        path.write_text(f"block 0 2 1\naut heis alpha={deep}\n")
+        assert main(["--spec", str(path), "aut", "validate"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: TauScalar literal nests")
+
     def test_noncentral_lattice(self, specs, capsys):
         assert main(["--spec", specs["noncentral"], "reduce"]) == 2
         assert f"{specs['noncentral']}:2: generator" in capsys.readouterr().err

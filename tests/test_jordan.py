@@ -11,6 +11,7 @@ from almostabelian.autos import apply_aut, identity_aut
 from almostabelian.errors import DegenerateDatum, ExactnessUnavailable
 from almostabelian.expmap import block_exp, exp_map, group_inverse, group_mul, phi_matrix
 from almostabelian.jordan import (
+    MAX_DIM,
     AlgebraElement,
     algebra_element,
     build_jordan,
@@ -23,7 +24,7 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.linalg import in_span, mat, vec, vec_is_zero
-from almostabelian.scalars import TAU, GaussRational, TauScalar, as_tau
+from almostabelian.scalars import TAU, GaussRational, as_tau
 from almostabelian.subgroups import ConnectedSubgroupSpec, membership
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -41,6 +42,23 @@ class TestMultiplicityFunction:
             multiplicity_function({(GaussRational(1), 0): 1})
         with pytest.raises(ValueError):
             multiplicity_function({(GaussRational(1), 1): 0})
+
+    def test_dimension_ceiling(self):
+        at = multiplicity_function(
+            {(GaussRational(0), 2): 1, (GaussRational(0), 1): MAX_DIM - 2}
+        )
+        assert at.dim == MAX_DIM
+        assert len(at.blocks) == MAX_DIM - 1
+        with pytest.raises(ValueError, match=f"dimension {MAX_DIM + 1} exceeds the ceiling"):
+            multiplicity_function(
+                {(GaussRational(0), 2): 1, (GaussRational(0), 1): MAX_DIM - 1}
+            )
+
+    @pytest.mark.parametrize("size, mult", [(10**20, 1), (2, 10**20)])
+    def test_huge_datum_rejected_before_layout(self, size, mult):
+        # checked before the blocks are unrolled: no loop over 10**20 copies
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            multiplicity_function({(GaussRational(0), size): mult})
 
     def test_conjugate_normalization(self):
         lower = multiplicity_function({(GaussRational(1, -2), 1): 1})
@@ -77,13 +95,13 @@ class TestMultiplicityFunction:
 
 class TestJordanMatrix:
     def test_heis(self, heis):
-        assert build_jordan(heis).matrix == mat([[0, 1], [0, 0]])
+        assert build_jordan(heis) == mat([[0, 1], [0, 0]])
 
     def test_aff(self, aff):
-        assert build_jordan(aff).matrix == mat([[1]])
+        assert build_jordan(aff) == mat([[1]])
 
     def test_e2(self, e2):
-        assert build_jordan(e2).matrix == mat([[0, -1], [1, 0]])
+        assert build_jordan(e2) == mat([[0, -1], [1, 0]])
 
     def test_realified_jordan_block_of_size_two(self):
         a = multiplicity_function({(GaussRational(1, 2), 2): 1})
@@ -95,7 +113,7 @@ class TestJordanMatrix:
                 [0, 0, 2, 1],
             ]
         )
-        assert build_jordan(a).matrix == expected
+        assert build_jordan(a) == expected
 
     def test_kernel_membership(self, heis_r):
         assert in_kernel(heis_r, vec([1, 0, 5]))

@@ -96,7 +96,7 @@ def _generic_auts(draw, aleph):
         alpha = draw(st.sampled_from([1, -1]))
     else:
         alpha = 1
-    jmat = build_jordan(aleph).matrix
+    jmat = build_jordan(aleph)
     c0 = draw(nonzero)
     poly = tuple(tuple(c0 * x for x in row) for row in identity(aleph.dim))
     power = jmat
@@ -211,7 +211,7 @@ def test_quarter_turn_conjugation(data):
     g = group_element(aleph, [0] * aleph.dim, TAU / (4 * b))
     h = group_element(aleph, v, 0)
     conjugate = group_mul(aleph, group_mul(aleph, g, h), group_inverse(aleph, g))
-    jv = mat_vec(build_jordan(aleph).matrix, v)
+    jv = mat_vec(build_jordan(aleph), v)
     assert conjugate == group_element(aleph, [x / b for x in jv], 0)
 
 

@@ -1,7 +1,5 @@
 """Exact dense linear algebra over the tau field."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,7 @@ from almostabelian.linalg import (
     vec,
     vec_is_zero,
 )
-from almostabelian.scalars import TAU, as_tau
+from almostabelian.scalars import TAU
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -49,6 +47,16 @@ def test_solve_consistent_and_inconsistent():
     singular = mat([[1, 2], [2, 4]])
     assert solve(singular, vec([1, 0])) is None
     assert solve(singular, vec([1, 2])) is not None
+
+
+def test_shapes_must_agree():
+    a = mat([[1, 2], [3, 4]])
+    for u in (vec([1]), vec([1, 2, 3])):
+        with pytest.raises(ValueError):
+            mat_vec(a, u)
+    for b in (identity(1), identity(3)):
+        with pytest.raises(ValueError):
+            mat_mul(a, b)
 
 
 def test_inverse_known():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from almostabelian.errors import ExactnessUnavailable, UnsupportedLattice
-from almostabelian.expmap import exp_map, group_mul
+from almostabelian.expmap import exp_map, exp_rotation, group_mul
 from almostabelian.jordan import (
     algebra_element,
     commutator,
@@ -21,7 +21,6 @@ from almostabelian.reps import (
     ExpAtom,
     RepMatrix,
     algebra_rep,
-    algebra_rep_GI,
     build_P,
     decompose,
     group_rep_G,
@@ -31,7 +30,6 @@ from almostabelian.reps import (
     make_entry,
     quotient_chart,
     quotient_faithful_rep,
-    rep_exp_tj,
 )
 from almostabelian.scalars import TAU, GaussRational, TauScalar
 
@@ -49,12 +47,27 @@ def numeric_mul(aleph, v1, t1, v2, t2):
     return v1 + block_exp_numeric(aleph, t1) @ v2, t1 + t2
 
 
+def rep_exp_tj(aleph, t):
+    """e^{tJ} with its atoms kept: the lower-right d x d block of
+    group_rep_G at [0, t]."""
+    g = group_element(aleph, (0,) * aleph.dim, t)
+    return RepMatrix(tuple(row[1:] for row in group_rep_G(aleph, g).entries[1:]))
+
+
+def cos_entry(angle, exp_arg=0):
+    return exp_rotation(TauScalar(exp_arg), angle)[0]
+
+
+def sin_entry(angle, exp_arg=0):
+    return exp_rotation(TauScalar(exp_arg), angle)[1]
+
+
 class TestEntries:
     def test_zero_coefficient_collapses(self):
         assert make_entry(0, TAU) == ZERO
 
     def test_plain_scalar_passthrough(self):
-        assert make_entry(Fraction(3, 2)) == TauScalar(Fraction(3, 2))
+        assert make_entry(Fraction(3, 2), 0) == TauScalar(Fraction(3, 2))
 
     def test_exponential_survives(self):
         e = make_entry(1, TAU)
@@ -62,38 +75,35 @@ class TestEntries:
         assert str(e) == "exp(tau)"
 
     def test_cos_quarter_turns(self):
-        assert make_entry(1, 0, "cos", ZERO) == ONE
-        assert make_entry(1, 0, "cos", TAU / 4) == ZERO
-        assert make_entry(1, 0, "cos", TAU / 2) == -ONE
-        assert make_entry(1, 0, "cos", TAU * 3 / 4) == ZERO
-        assert make_entry(1, 0, "cos", TAU * 5) == ONE
+        assert cos_entry(ZERO) == ONE
+        assert cos_entry(TAU / 4) == ZERO
+        assert cos_entry(TAU / 2) == -ONE
+        assert cos_entry(TAU * 3 / 4) == ZERO
+        assert cos_entry(TAU * 5) == ONE
 
     def test_sin_quarter_turns(self):
-        assert make_entry(1, 0, "sin", ZERO) == ZERO
-        assert make_entry(1, 0, "sin", TAU / 4) == ONE
-        assert make_entry(1, 0, "sin", -TAU / 4) == -ONE
-        assert make_entry(1, 0, "sin", TAU * 7) == ZERO
+        assert sin_entry(ZERO) == ZERO
+        assert sin_entry(TAU / 4) == ONE
+        assert sin_entry(-TAU / 4) == -ONE
+        assert sin_entry(TAU * 7) == ZERO
 
     def test_third_turn_stays_symbolic(self):
-        e = make_entry(1, 0, "cos", TAU / 3)
+        e = cos_entry(TAU / 3)
         assert isinstance(e, ExpAtom)
         assert e.numeric() == pytest.approx(math.cos(2 * math.pi / 3))
 
     def test_parity_normalization(self):
-        assert make_entry(1, 0, "cos", -TAU / 3) == make_entry(1, 0, "cos", TAU / 3)
-        assert make_entry(1, 0, "sin", -TAU / 3) == -make_entry(1, 0, "sin", TAU / 3)
+        assert cos_entry(-TAU / 3) == cos_entry(TAU / 3)
+        assert sin_entry(-TAU / 3) == -sin_entry(TAU / 3)
 
     def test_numeric_value(self):
-        e = make_entry(Fraction(1, 2), TauScalar(1), "sin", TAU / 8)
+        e = sin_entry(TAU / 8, 1) * Fraction(1, 2)
         assert e.numeric() == pytest.approx(0.5 * math.e * math.sin(math.pi / 4))
 
     def test_string_forms(self):
         assert str(make_entry(Fraction(3, 2), TauScalar(2))) == "3/2*exp(2)"
-        assert str(make_entry(1, 0, "sin", TAU / 3)) == "sin(1/3*tau)"
-        assert (
-            str(make_entry(TAU / 2, TauScalar(1), "cos", TAU / 3))
-            == "(1/2*tau)*exp(1)*cos(1/3*tau)"
-        )
+        assert str(sin_entry(TAU / 3)) == "sin(1/3*tau)"
+        assert str(cos_entry(TAU / 3, 1) * (TAU / 2)) == "(1/2*tau)*exp(1)*cos(1/3*tau)"
 
 
 class TestRepMatrix:
@@ -200,12 +210,6 @@ class TestAlgebraRep:
             )
             assert lie == algebra_rep(aleph, commutator(aleph, x, y)).exact()
 
-    def test_gi_embedding_corner(self, heis):
-        x = algebra_element(heis, (Fraction(1, 2), 3), 2)
-        r = algebra_rep_GI(heis, x).exact()
-        assert r[3][3] == TauScalar(2)
-        assert r[3][0] == ZERO
-
 
 class TestGroupReps:
     def test_heis_frozen(self, heis):
@@ -267,7 +271,11 @@ class TestGroupReps:
             return group_rep_GI(heis, exp_map(heis, scaled)).numeric()
 
         derivative = (rep_at(eps) - rep_at(-eps)) / (2 * float(eps))
-        assert np.abs(derivative - algebra_rep_GI(heis, x).numeric()).max() < 1e-6
+        # the algebra representation plus the corner t
+        want = np.zeros((4, 4))
+        want[:3, :3] = algebra_rep(heis, x).numeric()
+        want[3, 3] = float(x.t)
+        assert np.abs(derivative - want).max() < 1e-6
 
     def test_simply_connected(self, heis, aff, e2, mix):
         assert is_simply_connected_G(heis)
@@ -362,10 +370,10 @@ class TestBuildP:
         with pytest.raises(UnsupportedLattice, match="normalize"):
             build_P(heis, n)
 
-    def test_bad_completion_size(self, e2_r2):
-        n = subgroup(e2_r2, ((0, 0, 1, 0), 0))
-        with pytest.raises(ValueError, match="completion"):
-            build_P(e2_r2, n, completion=[(ZERO, ONE, ZERO)] * 3)
+    def test_dependent_generators_rejected(self, e2_r2):
+        n = subgroup(e2_r2, ((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0))
+        with pytest.raises(ValueError, match="dependent"):
+            build_P(e2_r2, n)
 
 
 class TestQuotientRep:

@@ -121,6 +121,12 @@ class TestTauField:
         with pytest.raises(ValueError, match="division by zero"):
             parse_tau(bad)
 
+    def test_nesting_is_bounded(self):
+        assert parse_tau("(" * 100 + "1+tau" + ")" * 100) == 1 + TAU
+        for depth in (101, 1200):
+            with pytest.raises(ValueError, match="nests parentheses deeper than 100"):
+                parse_tau("(" * depth + "1" + ")" * depth)
+
     def test_float_is_evaluation_at_two_pi(self):
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12

@@ -3,6 +3,7 @@
 import pytest
 
 from almostabelian.autos import GenericAut, HeisAut
+from almostabelian.jordan import MAX_DIM
 from almostabelian.scalars import TAU, GaussRational
 from almostabelian.specfile import SpecError, parse_spec_file, parse_spec_text
 
@@ -135,6 +136,22 @@ class TestErrors:
     def test_aut_needs_alpha(self):
         with pytest.raises(SpecError, match="alpha"):
             parse_spec_text("block i 1 1\naut generic delta=1,0;0,1\n")
+
+    def test_deeply_nested_literal_line(self):
+        deep = "(" * 1200 + "1" + ")" * 1200
+        with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal nests"):
+            parse_spec_text(f"block 0 2 1\naut heis alpha={deep}\n")
+        with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal nests"):
+            parse_spec_text(f"block 0 2 1\nlattice gen {deep},0 0\n")
+
+    def test_dimension_ceiling_line(self):
+        # the running dimension 2 + 2 + (MAX_DIM - 3) first passes the
+        # ceiling on line 3
+        text = f"block 0 2 1\nblock i 1 1\nblock 0 1 {MAX_DIM - 3}\nblock 1 1 1\n"
+        with pytest.raises(SpecError, match=rf"<spec>:3: total dimension {MAX_DIM + 1} exceeds"):
+            parse_spec_text(text)
+        with pytest.raises(SpecError, match=r"<spec>:1: total dimension"):
+            parse_spec_text("block 0 99999999999999999999 1\n")
 
     def test_block_arity(self):
         with pytest.raises(SpecError, match=r":1:"):
