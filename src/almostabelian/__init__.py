@@ -98,7 +98,6 @@ __version__ = "0.1.0"
 # its names, so that exact work never pays for the float stack.
 _ORACLE_NAMES = (
     "OracleReport",
-    "ToleranceConfig",
     "antihermitian_probe",
     "dense_expm",
     "exp_crosscheck",

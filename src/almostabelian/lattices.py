@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .autos import GenericAut, apply_aut, compose, identity_aut
 from .expmap import torsion
-from .integers import bezout_row_reduce, det_int, is_unimodular
+from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
 from .jordan import (
     GroupElement,
     MultiplicityFunction,
@@ -34,7 +34,7 @@ from .linalg import (
     vec_add,
 )
 from .reps import quotient_faithful_rep
-from .scalars import TauScalar
+from .scalars import TauScalar, integer_rows
 
 ZERO = TauScalar(0)
 ONE = TauScalar(1)
@@ -343,13 +343,42 @@ def related_by_aut_check(n, m, delta_tilde, a) -> bool:
 
 
 def related_by_aut_search(n, m, bound: int = 1):
-    """Brute-force search for a relatedness certificate.
+    """Search for a relatedness certificate among the A that admit one.
 
-    Enumerates unimodular A with entries up to the bound, solving for a
-    near-identity restricted operator on the constrained columns.  A hit
-    always passes related_by_aut_check; no hit means only that nothing
-    was found within the bound, except that differing surviving times
-    are definitively unrelated.
+    Write V and U for the significant generator columns of n and m on the
+    constrained columns, and B for the constrained block of A (all of A at
+    time zero; otherwise the first row of A is (+-1, 0, ..) and B is A
+    without its first row and column), so that a certificate is an
+    invertible block upper triangular Delta with Delta V = U B.  Such a
+    Delta exists if and only if, on every graded tail (the kernel rows
+    from the start r0 of one grading block down to the last),
+    dim ker V_tail = dim ker U_tail and U_tail B x = 0 for each x in a
+    basis of ker V_tail.
+
+    Necessity: Delta vanishes left of each tail's first block, so
+    Delta_tail V_tail = U_tail B with Delta_tail and B invertible, and
+    ker V_tail = B^-1 ker U_tail.  Sufficiency, bottom-up: the conditions
+    give ker V_tail = ker (U B)_tail, so V and U B have the same row space
+    R_i on the tail of each block i.  The rows of V and of U B in block i
+    both span R_i / R_{i+1}, so an invertible diagonal block carries the
+    former onto the latter modulo R_{i+1} (both families have the same
+    reduced echelon form there), and the entries right of the block,
+    acting on the rows of V in R_{i+1}, make up the difference.
+
+    The conditions are linear in the entries of A with Q(tau) coefficients
+    and split into integer rows R; a nonzero surviving time adds the rows
+    a[0][j] = 0 for j >= 1.  The search walks the entries of A in
+    [-bound, bound], rows 1..k-1 outer and row 0 inner (a[0][0] in (1, -1)
+    when the first row is fixed), keeping at 0 every entry that vanishes on
+    the integer solution lattice of R, and returns the first A with
+    R vec(A) = 0 and det A = +-1, with the Delta that _solve_delta builds
+    for it; the answer passes related_by_aut_check.
+
+    None is a proof that the pair is unrelated when the ranks, the
+    surviving times up to sign, or the kernel dimensions on some tail
+    differ, or when the lattice forces a whole row or column of A to zero
+    (det A then vanishes on it).  Otherwise it means only that no A with
+    entries within the bound admits a Delta.
     """
     _same_group(n, m)
     aleph = n.aleph
@@ -365,31 +394,76 @@ def related_by_aut_search(n, m, bound: int = 1):
     s1 = m.generators[0].t
     if t1 != s1 and t1 != -s1:
         return None
+    fixed = not t1.is_zero
     boundaries = _block_boundaries(aleph)
     v_cols = _significant(n)
     u_cols = _significant(m)
-    constrained = list(range(k)) if t1.is_zero else list(range(1, k))
-    for a in _unimodular_candidates(k, bound, first_row_fixed=not t1.is_zero):
-        delta = _solve_delta(q, boundaries, v_cols, u_cols, a, constrained)
-        if delta is None:
-            continue
-        if related_by_aut_check(n, m, delta, a):
-            return delta, a
-    return None
+    constrained = list(range(1, k)) if fixed else list(range(k))
+    rows = _admissible_rows(k, q, boundaries, v_cols, u_cols, constrained)
+    if rows is None:
+        return None
+    a = next(_admissible_candidates(k, bound, rows, fixed), None)
+    if a is None:
+        return None
+    return _solve_delta(q, boundaries, v_cols, u_cols, a, constrained), a
 
 
-def _unimodular_candidates(k, bound, first_row_fixed):
+def _search_cells(k) -> list:
+    """The entries (i, j) of A in search order: rows 1..k-1, then row 0."""
+    return [(i, j) for i in (*range(1, k), 0) for j in range(k)]
+
+
+def _admissible_rows(k, q, boundaries, v_cols, u_cols, constrained):
+    """Integer rows R, over the entries of A in search order, whose
+    solutions are the A that admit a Delta; None when the kernel
+    dimensions of some tail differ (see related_by_aut_search)."""
+    cells = _search_cells(k)
+    conditions = []
+    for r0, _ in boundaries:
+        ker_v = nullspace(from_columns([v_cols[j][r0:] for j in constrained]))
+        u_tail = tuple(u_cols[j][r0:] for j in constrained)
+        if len(ker_v) != len(constrained) - rank(u_tail):
+            return None
+        for x in ker_v:
+            weight = dict(zip(constrained, x))
+            for r in range(r0, q):
+                conditions.append(
+                    [u_cols[i][r] * weight[j] if j in weight else ZERO for i, j in cells]
+                )
+    rows = integer_rows(conditions)
+    if 0 not in constrained:
+        # a surviving time fixes the first row of A to (+-1, 0, ..)
+        rows += [[int(cell == (0, j)) for cell in cells] for j in range(1, k)]
+    return rows
+
+
+def _admissible_candidates(k, bound, rows, first_row_fixed):
+    """Unimodular A with R vec(A) = 0 in search order, entries bounded."""
+    cells = _search_cells(k)
+    kernel = integer_kernel(rows) if rows else None
+    free = {
+        cell
+        for p, cell in enumerate(cells)
+        if kernel is None or any(x[p] for x in kernel)
+    }
+    if any(
+        free.isdisjoint((i, j) for j in range(k)) or free.isdisjoint((j, i) for j in range(k))
+        for i in range(k)
+    ):
+        return  # a row or column of A vanishes, and so does det A
     values = range(-bound, bound + 1)
-    if first_row_fixed:
-        first_rows = [(sign,) + (0,) * (k - 1) for sign in (1, -1)]
-    else:
-        first_rows = list(itertools.product(values, repeat=k))
-    for tail in itertools.product(values, repeat=k * (k - 1)):
-        rows_tail = [tail[i * k : (i + 1) * k] for i in range(k - 1)]
-        for first in first_rows:
-            a = [list(first)] + [list(r) for r in rows_tail]
-            if abs(det_int(a)) == 1:
-                yield tuple(tuple(row) for row in a)
+    choices = [
+        (0,) if cell not in free
+        else (1, -1) if first_row_fixed and cell == (0, 0)
+        else values
+        for cell in cells
+    ]
+    for entries in itertools.product(*choices):
+        if any(sum(c * x for c, x in zip(row, entries)) for row in rows):
+            continue
+        a = (entries[-k:],) + tuple(entries[i * k : (i + 1) * k] for i in range(k - 1))
+        if abs(det_int(a)) == 1:
+            yield a
 
 
 def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
@@ -398,7 +472,9 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     # grading block [r0, r1) share the unknown columns r0..q-1, so each
     # block is one system with V's rows restricted to those columns.
     # Delta is invertible iff every diagonal block is; a singular one is
-    # completed along null directions of its block's system
+    # completed along null directions of its block's system.  A admits a
+    # Delta (see related_by_aut_search), so every system is consistent and
+    # the null directions always suffice
     k = len(a)
     targets = [
         [
@@ -411,8 +487,6 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     for r0, r1 in boundaries:
         system = tuple(v_cols[j][r0:] for j in constrained)
         xs = solve_columns(system, [[t[r] for t in targets] for r in range(r0, r1)])
-        if xs is None:
-            return None
         for r, x in zip(range(r0, r1), xs):
             for c, value in enumerate(x, r0):
                 delta[r][c] = delta[r][c] + value
@@ -421,14 +495,11 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
             # complete as build_P does with pivot columns: the pivot columns
             # of [diag rows | null directions cut to the block] keep the
             # independent rows, and each dependent row takes a pivot null
-            # direction.  Every reachable row lies in their span, so with
-            # too few directions no choice of free entries will do
+            # direction
             m, null = r1 - r0, nullspace(system)
             pivots = pivot_columns(from_columns(diag + [z[:m] for z in null]))
             spare = [null[p - m] for p in pivots if p >= m]
             dependent = [i for i in range(m) if i not in pivots]
-            if len(spare) < len(dependent):
-                return None
             for i, z in zip(dependent, spare):
                 delta[r0 + i][r0:] = vec_add(delta[r0 + i][r0:], z)
     return tuple(tuple(row) for row in delta)

@@ -20,19 +20,14 @@ from .reps import algebra_rep
 DEFAULT_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Single tuning point for all oracle thresholds."""
-
-    expm_relative: float = 1e-12
-    crosscheck: float = 1e-9
-    antihermitian: float = 1e-8
-    hypothesis: float = 1e-10
-    collision_image: float = 1e-6
-    collision_domain: float = 1e-4
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# Oracle thresholds: dense-versus-closed-form agreement, the anti-Hermitian
+# part of a commutator, the drift allowed in a probe's hypotheses, and the
+# image and argument gaps that make a collision.
+CROSSCHECK_TOL = 1e-9
+ANTIHERMITIAN_TOL = 1e-8
+HYPOTHESIS_TOL = 1e-10
+COLLISION_IMAGE_TOL = 1e-6
+COLLISION_DOMAIN_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,6 @@ def exp_crosscheck(
     aleph: MultiplicityFunction,
     samples: int,
     seed: int = DEFAULT_SEED,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> OracleReport:
     """Closed-form exponential against the dense oracle on random data.
 
@@ -86,7 +80,7 @@ def exp_crosscheck(
         rhs = group_rep_numeric(aleph, phi_numeric(aleph, tf) @ vf, tf, "G")
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return OracleReport(
-        "exp_crosscheck", worst < tolerances.crosscheck, worst, f"samples={samples}"
+        "exp_crosscheck", worst < CROSSCHECK_TOL, worst, f"samples={samples}"
     )
 
 
@@ -121,7 +115,6 @@ def antihermitian_probe(
     trials: int,
     dim: int,
     seed: int = DEFAULT_SEED,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> OracleReport:
     """Anti-Hermitian pairs with vanishing double commutators commute.
 
@@ -138,14 +131,14 @@ def antihermitian_probe(
         n = int(rng.integers(2, dim + 1))
         x, y = _commuting_antihermitian_pair(rng, n)
         z = x @ y - y @ x
-        if not _hypotheses_hold(x, y, z, tolerances.hypothesis):
+        if not _hypotheses_hold(x, y, z, HYPOTHESIS_TOL):
             continue
         checked += 1
         anti = (z - z.conj().T) / 2
         worst = max(worst, float(np.linalg.norm(anti)))
     return OracleReport(
         "antihermitian_probe",
-        worst < tolerances.antihermitian,
+        worst < ANTIHERMITIAN_TOL,
         worst,
         f"checked={checked}/{trials}",
     )
@@ -167,7 +160,6 @@ def injectivity_probe(
     aleph: MultiplicityFunction,
     samples: int,
     seed: int = DEFAULT_SEED,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> OracleReport:
     """Injectivity of exp on samples, or an explicit collision pair.
 
@@ -192,9 +184,9 @@ def injectivity_probe(
             images[i, d] = t
         img_gap = _chebyshev_gaps(images)
         arg_gap = _chebyshev_gaps(args)
-        close = img_gap < tolerances.collision_image
+        close = img_gap < COLLISION_IMAGE_TOL
         np.fill_diagonal(close, False)
-        collided = close & (arg_gap > tolerances.collision_domain)
+        collided = close & (arg_gap > COLLISION_DOMAIN_TOL)
         worst = float(arg_gap[collided].max()) if collided.any() else 0.0
         return OracleReport(
             "injectivity_probe", not collided.any(), worst, f"samples={samples}"
@@ -208,8 +200,8 @@ def injectivity_probe(
     )
     domain_gap = float(np.max(np.abs(v1 - v2)))
     exhibited = (
-        image_gap < tolerances.collision_image
-        and domain_gap > tolerances.collision_domain
+        image_gap < COLLISION_IMAGE_TOL
+        and domain_gap > COLLISION_DOMAIN_TOL
     )
     return OracleReport(
         "injectivity_probe",

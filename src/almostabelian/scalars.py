@@ -463,6 +463,13 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(tau)|([+\-*/^()]))")
 # limit.
 _MAX_NESTING = 100
 
+# Highest numerator or denominator degree an operation in a literal may
+# produce, predicted from its operands before it runs.  The cost of an
+# operation grows faster than the square of its degree, so an unbounded
+# power or chain of operations costs seconds; str never writes an
+# operation above the degree of the value it prints.
+_MAX_DEGREE = 32
+
 
 def _tokenize(text: str):
     text = text.strip()
@@ -479,6 +486,11 @@ def _tokenize(text: str):
             tokens.append((m.group(3), None))
         pos = m.end()
     return tokens
+
+
+def _degrees(x: TauScalar) -> tuple:
+    """Degrees of the numerator and denominator of x."""
+    return len(x._num) - 1, len(x._den) - 1
 
 
 class _TauParser:
@@ -499,11 +511,19 @@ class _TauParser:
     def fail(self):
         raise ValueError(f"invalid TauScalar literal {self.text!r}")
 
+    def bound_degree(self, num: int, den: int):
+        if max(num, den) > _MAX_DEGREE:
+            raise ValueError(
+                f"TauScalar literal {self.text!r} exceeds degree {_MAX_DEGREE}"
+            )
+
     def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
+            (a, b), (c, d) = _degrees(value), _degrees(rhs)
+            self.bound_degree(max(a + d, c + b), b + d)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -512,7 +532,13 @@ class _TauParser:
         while self.peek() in ("*", "/"):
             op = self.take()[0]
             rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
+            (a, b), (c, d) = _degrees(value), _degrees(rhs)
+            if op == "*":
+                self.bound_degree(a + c, b + d)
+                value = value * rhs
+            else:
+                self.bound_degree(a + d, b + c)
+                value = value / rhs
         return value
 
     def unary(self):
@@ -531,6 +557,8 @@ class _TauParser:
                 self.take()
                 sign = -1
             kind, value = self.take() if self.peek() == "int" else self.fail()
+            a, b = _degrees(base)
+            self.bound_degree(value * a, value * b)
             return base ** (sign * value)
         return base
 

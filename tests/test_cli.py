@@ -324,6 +324,14 @@ class TestInvalidInput:
         assert main(["--spec", str(path), "aut", "validate"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: TauScalar literal nests")
 
+    def test_high_degree_literal(self, specs, tmp_path, capsys):
+        assert main(["--spec", specs["heis"], "exp", "1,0", "(1+tau)^33"]) == 2
+        assert "exceeds degree 32" in capsys.readouterr().err
+        path = tmp_path / "degree.spec"
+        path.write_text("block 0 2 1\naut heis alpha=(1+tau)^64\n")
+        assert main(["--spec", str(path), "aut", "validate"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: TauScalar literal")
+
     def test_noncentral_lattice(self, specs, capsys):
         assert main(["--spec", specs["noncentral"], "reduce"]) == 2
         assert f"{specs['noncentral']}:2: generator" in capsys.readouterr().err

@@ -34,7 +34,7 @@ from almostabelian.jordan import (
 )
 from almostabelian.linalg import identity, is_invertible, mat, mat_mul, vec
 from almostabelian.numeric import block_exp_numeric, phi_numeric
-from almostabelian.oracle import DEFAULT_TOLERANCES
+from almostabelian.oracle import CROSSCHECK_TOL
 from almostabelian.scalars import TAU, GaussRational, TauScalar, as_tau
 
 SEED = 0x5EED
@@ -157,7 +157,7 @@ class TestQuarterTurn:
     def test_matches_numeric(self, e2, e2_r2, quarters):
         rot2 = multiplicity_function({(GaussRational(0, 1), 2): 1})
         t = TAU * quarters / 4
-        tol = DEFAULT_TOLERANCES.crosscheck
+        tol = CROSSCHECK_TOL
         for aleph in (e2, e2_r2, rot2):
             for exact, numeric in (
                 (phi_matrix(t, aleph), phi_matrix(t, aleph, mode="numeric")),

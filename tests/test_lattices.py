@@ -1,13 +1,21 @@
 """Discrete central subgroups: reduction, relatedness, quotient reps."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from almostabelian import lattices
 from almostabelian.autos import InnerAut, apply_aut, validate_aut
-from almostabelian.jordan import group_element
+from almostabelian.expmap import torsion
+from almostabelian.integers import det_int
+from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.lattices import (
+    _block_boundaries,
+    _significant,
     has_faithful_quotient_rep,
     is_economic,
     lattice_equal,
@@ -19,13 +27,33 @@ from almostabelian.lattices import (
     subgroup_from_data,
     validate_subgroup,
 )
-from almostabelian.scalars import TAU, TauScalar
+from almostabelian.linalg import (
+    from_columns,
+    identity,
+    is_invertible,
+    nullspace,
+    pivot_columns,
+    solve_columns,
+    vec_add,
+)
+from almostabelian.scalars import TAU, GaussRational, TauScalar
 
 SEED = 0x5EED
+ZERO = TauScalar(0)
 
 
 def sub(aleph, *gens):
     return subgroup_from_data(aleph, gens)
+
+
+@pytest.fixture
+def no_candidates(monkeypatch):
+    """Fail the test if the relatedness search tries a candidate A."""
+
+    def refuse(a):
+        raise AssertionError("the search tried a candidate")
+
+    monkeypatch.setattr(lattices, "det_int", refuse)
 
 
 def rand_fraction(rng, span=4, den=3):
@@ -260,6 +288,172 @@ class TestRelated:
         found = related_by_aut_search(sub(e2), sub(e2))
         assert found is not None
         assert related_by_aut_check(sub(e2), sub(e2), *found)
+
+    def test_reference_pair_is_a_proof(self, no_candidates):
+        # M's abelian projections carry the irrational relation (-1, -tau, 1),
+        # so the lattice of admissible A forces A's last column to zero and
+        # the search ends before it tries a single candidate
+        n = sub(HEIS_R2, ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0), ((1, 0, 0, 0), 0))
+        m = sub(HEIS_R2, ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0), ((1, 0, 1, TAU), 0))
+        for bound in range(1, 6):
+            assert related_by_aut_search(n, m, bound=bound) is None
+
+    def test_unequal_tail_kernels_unrelated(self, heis_r, no_candidates):
+        # on the tail of the size-1 block, N's generator vanishes and M's
+        # does not: no block upper triangular Delta gives it that component
+        n = sub(heis_r, ((1, 0, 0), 0))
+        m = sub(heis_r, ((1, 0, 1), 0))
+        assert related_by_aut_search(n, m, bound=2) is None
+
+    def test_rank_three_first_row_is_fixed(self, e2_r2):
+        # with a nonzero surviving time, A's first row is (+-1, 0, 0); the
+        # box would reach first rows with other nonzero entries sooner
+        n = sub(e2_r2, ((0, 0, 0, 0), TAU), ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0))
+        m = sub(e2_r2, ((0, 0, 1, 1), TAU), ((0, 0, 1, 0), 0), ((0, 0, 1, 1), 0))
+        found = related_by_aut_search(n, m, bound=1)
+        assert found[1][0] == (1, 0, 0)
+        assert found == _box_search(n, m, 1)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_search_agrees_with_the_box(self, data):
+        n, m, image = data.draw(lattice_pairs())
+        bound = data.draw(st.integers(min_value=0, max_value=2))
+        found = related_by_aut_search(n, m, bound=bound)
+        assert found == _box_search(n, m, bound)
+        if found is not None:
+            assert related_by_aut_check(n, m, *found)
+        if image and bound == 2:
+            assert found is not None
+
+
+# ---------------------------------------------------------------------------
+# the relatedness search as a test oracle: the whole box, one Q(tau) solve
+# per unimodular candidate
+
+
+def _box_search(n, m, bound):
+    """The first unimodular A in the box, rows 1..k-1 outer and row 0
+    inner, whose solved Delta passes related_by_aut_check (equal ranks at
+    least one and surviving times equal up to sign assumed)."""
+    aleph = n.aleph
+    q, k = len(aleph.kernel_coordinates), n.rank
+    fixed = not n.generators[0].t.is_zero
+    constrained = list(range(1, k)) if fixed else list(range(k))
+    boundaries, v_cols, u_cols = _block_boundaries(aleph), _significant(n), _significant(m)
+    values = range(-bound, bound + 1)
+    if fixed:
+        first_rows = [(sign,) + (0,) * (k - 1) for sign in (1, -1)]
+    else:
+        first_rows = list(itertools.product(values, repeat=k))
+    for tail in itertools.product(values, repeat=k * (k - 1)):
+        for first in first_rows:
+            a = (first,) + tuple(tail[i * k : (i + 1) * k] for i in range(k - 1))
+            if abs(det_int(a)) != 1:
+                continue
+            delta = _box_delta(q, boundaries, v_cols, u_cols, a, constrained)
+            if delta is not None and related_by_aut_check(n, m, delta, a):
+                return delta, a
+    return None
+
+
+def _box_delta(q, boundaries, v_cols, u_cols, a, constrained):
+    """(id + X) V = U A on the constrained columns, X block upper triangular
+    with free entries at zero, a singular diagonal block completed along
+    null directions of its system; None when no such Delta exists."""
+    k = len(a)
+    targets = [
+        [
+            sum((u_cols[i][r] * a[i][j] for i in range(k)), ZERO) - v_cols[j][r]
+            for r in range(q)
+        ]
+        for j in constrained
+    ]
+    delta = [list(row) for row in identity(q)]
+    for r0, r1 in boundaries:
+        system = tuple(v_cols[j][r0:] for j in constrained)
+        xs = solve_columns(system, [[t[r] for t in targets] for r in range(r0, r1)])
+        if xs is None:
+            return None
+        for r, x in zip(range(r0, r1), xs):
+            for c, value in enumerate(x, r0):
+                delta[r][c] = delta[r][c] + value
+        diag = [tuple(row[r0:r1]) for row in delta[r0:r1]]
+        if not is_invertible(tuple(diag)):
+            size, null = r1 - r0, nullspace(system)
+            pivots = pivot_columns(from_columns(diag + [z[:size] for z in null]))
+            spare = [null[p - size] for p in pivots if p >= size]
+            dependent = [i for i in range(size) if i not in pivots]
+            if len(spare) < len(dependent):
+                return None
+            for i, z in zip(dependent, spare):
+                delta[r0 + i][r0:] = vec_add(delta[r0 + i][r0:], z)
+    return tuple(tuple(row) for row in delta)
+
+
+HEIS_R2 = multiplicity_function({(GaussRational(0), 2): 1, (GaussRational(0), 1): 2})
+SEARCH_GROUPS = (
+    multiplicity_function({(GaussRational(0), 2): 1, (GaussRational(0), 1): 1}),
+    HEIS_R2,
+    multiplicity_function({(GaussRational(0, 1), 1): 1, (GaussRational(0), 1): 2}),
+    multiplicity_function(
+        {(GaussRational(0, 1), 1): 1, (GaussRational(0), 2): 1, (GaussRational(0), 1): 1}
+    ),
+)
+KERNEL_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), TAU, -TAU / 2])
+UNIMODULAR_2 = [
+    c for c in itertools.product(itertools.product(range(-1, 3), repeat=2), repeat=2)
+    if abs(det_int(c)) == 1
+]
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Economic lattices N, M of equal rank k <= 2 and surviving times equal
+    up to sign, M half the time the image of N under a block upper
+    triangular Delta on ker J and an integer A with entries in [-2, 2];
+    returns (N, M, whether M is such an image)."""
+    aleph = draw(st.sampled_from(SEARCH_GROUPS))
+    coords = aleph.kernel_coordinates
+    q = len(coords)
+    tor = torsion(aleph)
+    t1 = ZERO if tor.is_trivial or draw(st.booleans()) else tor.t0
+    k = draw(st.integers(min_value=1, max_value=2))
+    cols = [[draw(KERNEL_ENTRIES) for _ in range(q)] for _ in range(k)]
+    other = [[draw(KERNEL_ENTRIES) for _ in range(q)] for _ in range(k)]
+    image = draw(st.booleans())
+    if image:
+        delta = [[0] * q for _ in range(q)]
+        for r0, r1 in _block_boundaries(aleph):
+            for r in range(r0, r1):
+                for c in range(r0, q):
+                    delta[r][c] = draw(st.integers(min_value=-1, max_value=2))
+            assume(det_int([row[r0:r1] for row in delta[r0:r1]]) != 0)
+        # U = Delta V A^-1 on the constrained columns
+        constrained = list(range(1, k)) if t1 else list(range(k))
+        if len(constrained) == 2:
+            a_inverse = draw(st.sampled_from(UNIMODULAR_2))
+        else:
+            a_inverse = ((draw(st.sampled_from([1, -1])),),)
+        moved = [[sum(delta[r][c] * cols[j][c] for c in range(q)) for r in range(q)]
+                 for j in constrained]
+        for jj, j in enumerate(constrained):
+            other[j] = [sum(moved[ii][r] * a_inverse[ii][jj] for ii in range(len(constrained)))
+                        for r in range(q)]
+    s1 = t1 if draw(st.booleans()) else -t1
+
+    def lattice(vectors, first_time):
+        gens = []
+        for j, v in enumerate(vectors):
+            full = [0] * aleph.dim
+            for i, x in zip(coords, v):
+                full[i] = x
+            gens.append((tuple(full), first_time if j == 0 else 0))
+        out = subgroup_from_data(aleph, gens)
+        assume(validate_subgroup(aleph, out) == ())
+        return out
+
+    return lattice(cols, t1), lattice(other, s1), image
 
 
 class TestFaithfulQuotient:

@@ -16,10 +16,6 @@ import almostabelian
 PACKAGE = Path(almostabelian.__file__).parent
 TESTS = Path(__file__).parent
 
-# Public names allowed to have no caller yet: the integer kernel is kept
-# for the exact relatedness decision, which will call it.
-UNCALLED = {("integers", "integer_kernel")}
-
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
@@ -57,7 +53,7 @@ def test_every_public_name_has_a_caller():
                 continue
             if name not in _names_used(n for n in tree.body if n is not node):
                 uncalled.add((module, name))
-    assert uncalled == UNCALLED
+    assert uncalled == set()
 
 
 def _unused_imports(path) -> list:

@@ -127,6 +127,26 @@ class TestTauField:
             with pytest.raises(ValueError, match="nests parentheses deeper than 100"):
                 parse_tau("(" * depth + "1" + ")" * depth)
 
+    def test_degree_is_bounded(self):
+        assert parse_tau("tau^32") == TAU**32
+        assert parse_tau("1/tau^32") == TAU**-32
+        assert parse_tau("(tau^16+1)*(tau^16-1)") == TAU**32 - 1
+        assert parse_tau("(tau^16+1)/(tau^16+2)+1/(tau^16+3)") == (
+            (TAU**16 + 1) / (TAU**16 + 2) + 1 / (TAU**16 + 3)
+        )
+        for bad in (
+            "tau^33",
+            "tau^-33",
+            "(1+tau)^200",
+            "(tau^16+1)*(tau^17+1)",
+            "1/(tau^17+1)/(tau^16+1)",
+            "(tau^16+1)/(tau^16+2)+1/(tau^17+3)",
+            "((1+tau)^64+1)/((2-tau)^64+3)",
+            "((1+tau)/(2-tau))^128",
+        ):
+            with pytest.raises(ValueError, match="exceeds degree 32"):
+                parse_tau(bad)
+
     def test_float_is_evaluation_at_two_pi(self):
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12

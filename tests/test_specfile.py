@@ -144,6 +144,12 @@ class TestErrors:
         with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal nests"):
             parse_spec_text(f"block 0 2 1\nlattice gen {deep},0 0\n")
 
+    def test_high_degree_literal_line(self):
+        with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal .* exceeds degree 32"):
+            parse_spec_text("block 0 2 1\naut heis alpha=(1+tau)^64\n")
+        with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal .* exceeds degree 32"):
+            parse_spec_text("block 0 2 1\nlattice gen tau^33,0 0\n")
+
     def test_dimension_ceiling_line(self):
         # the running dimension 2 + 2 + (MAX_DIM - 3) first passes the
         # ceiling on line 3
