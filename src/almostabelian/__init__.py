@@ -9,6 +9,7 @@ quotients, all over the field Q(tau) with tau standing for 2*pi.
 """
 
 from .autos import (
+    Automorphism,
     GenericAut,
     HeisAut,
     InnerAut,

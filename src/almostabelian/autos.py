@@ -1,13 +1,14 @@
 """Automorphisms of almost Abelian groups: validation, action, composition.
 
-Two parameter families cover every datum.  The generic family (Delta,
-gamma, alpha) requires Delta J = alpha J Delta exactly and acts through
-the integrated exponential; the central extensions of the Heisenberg
-group admit a strictly larger ten-parameter family whose action is
-polynomial.  Inner automorphisms keep their defining group element and
-act by exact conjugation.  An automorphism of a simply connected group is
-determined by its differential, so composition and inversion multiply or
-invert (d+1) x (d+1) differentials and read the result back.
+An automorphism of a simply connected group is determined by its
+differential, so every datum but an inner one is an Automorphism holding
+its (d+1) x (d+1) differential, and composition and inversion multiply or
+invert differentials.  The group picks the rules and the action: the
+central extensions of the Heisenberg group take the ten-parameter family
+(GenericAut's data are among it) and its polynomial action, every other
+group the generic family (Delta, gamma, alpha) with Delta J = alpha J
+Delta and the integrated exponential.  Inner automorphisms keep their
+defining group element and act by exact conjugation.
 """
 
 from __future__ import annotations
@@ -49,98 +50,81 @@ ONE = TauScalar(1)
 
 
 @dataclass(frozen=True)
-class GenericAut:
-    """Automorphism datum (Delta, gamma, alpha) for a non-Heisenberg group.
+class Automorphism:
+    """An automorphism stored as its differential, the (d+1) x (d+1)
+    matrix [[Delta, gamma], [b, alpha]] in the coordinates (v..., t).
 
-    delta is a d x d matrix, gamma a d-vector, alpha a nonzero scalar.
-    Validity against a given multiplicity function is checked separately
-    by validate_aut.
+    The constructor checks the shape only; validate_aut checks validity
+    on a given group.  alpha may be zero: on a Heisenberg extension the
+    time row (0, beta2, 0..., alpha) may swap y and t.
     """
 
-    delta: Matrix
-    gamma: Vector
-    alpha: TauScalar
+    matrix: Matrix
 
-    def __init__(self, delta, gamma, alpha):
-        object.__setattr__(
-            self, "delta", tuple(vec(row) for row in delta)
-        )
-        object.__setattr__(self, "gamma", vec(gamma))
-        object.__setattr__(self, "alpha", as_tau(alpha))
-        if self.alpha.is_zero:
-            raise InvalidAutomorphism("alpha must be nonzero")
-        if any(len(row) != len(self.delta) for row in self.delta):
-            raise InvalidAutomorphism("delta must be a square matrix")
-        if len(self.gamma) != len(self.delta):
-            raise InvalidAutomorphism("gamma length must match delta size")
+    def __init__(self, matrix):
+        matrix = tuple(vec(row) for row in matrix)
+        if not matrix or any(len(row) != len(matrix) for row in matrix):
+            raise InvalidAutomorphism("the differential must be a square matrix")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
-        return len(self.delta)
+        return len(self.matrix) - 1
+
+    @property
+    def delta(self) -> Matrix:
+        return tuple(row[:-1] for row in self.matrix[:-1])
+
+    @property
+    def gamma(self) -> Vector:
+        return tuple(row[-1] for row in self.matrix[:-1])
+
+    @property
+    def alpha(self) -> TauScalar:
+        return self.matrix[-1][-1]
 
 
-@dataclass(frozen=True)
-class HeisAut:
-    """Ten-parameter automorphism datum for Heisenberg central extensions.
+def GenericAut(delta, gamma, alpha) -> Automorphism:
+    """The automorphism with differential [[Delta, gamma], [0, alpha]]:
+    delta is a d x d matrix, gamma a d-vector, alpha a nonzero scalar.
+    """
+    alpha = as_tau(alpha)
+    if alpha.is_zero:
+        raise InvalidAutomorphism("alpha must be nonzero")
+    delta, gamma = tuple(vec(row) for row in delta), vec(gamma)
+    if any(len(row) != len(delta) for row in delta):
+        raise InvalidAutomorphism("delta must be a square matrix")
+    if len(gamma) != len(delta):
+        raise InvalidAutomorphism("gamma length must match delta size")
+    rows = tuple(row + (g,) for row, g in zip(delta, gamma))
+    return Automorphism(rows + ((ZERO,) * len(delta) + (alpha,),))
+
+
+def HeisAut(
+    alpha, beta2=0, gamma1=0, gamma2=0, delta12=0, delta22=1, phi01=(), eta=(), rho=(), phi11=()
+) -> Automorphism:
+    """The ten-parameter automorphism datum of a Heisenberg central
+    extension.
 
     Coordinates are (x, y, w..., t) with x the derived direction and y its
-    partner in the size-two block.  The action is polynomial, hence always
-    exact.  The invariant alpha*delta22 - beta2*gamma2 must be nonzero and
-    phi11 invertible.
+    partner in the size-two block.  The differential's corner holds the
+    invariant alpha*delta22 - beta2*gamma2, which must be nonzero, and
+    phi11 must be invertible (validate_aut).
     """
-
-    alpha: TauScalar
-    beta2: TauScalar
-    gamma1: TauScalar
-    gamma2: TauScalar
-    delta12: TauScalar
-    delta22: TauScalar
-    phi01: Vector
-    eta: Vector
-    rho: Vector
-    phi11: Matrix
-
-    def __init__(
-        self,
-        alpha,
-        beta2=0,
-        gamma1=0,
-        gamma2=0,
-        delta12=0,
-        delta22=1,
-        phi01=(),
-        eta=(),
-        rho=(),
-        phi11=(),
-    ):
-        for name, value in (
-            ("alpha", alpha),
-            ("beta2", beta2),
-            ("gamma1", gamma1),
-            ("gamma2", gamma2),
-            ("delta12", delta12),
-            ("delta22", delta22),
-        ):
-            object.__setattr__(self, name, as_tau(value))
-        object.__setattr__(self, "phi01", vec(phi01))
-        object.__setattr__(self, "eta", vec(eta))
-        object.__setattr__(self, "rho", vec(rho))
-        object.__setattr__(
-            self, "phi11", tuple(vec(row) for row in phi11)
-        )
-        sizes = {len(self.phi01), len(self.eta), len(self.rho), len(self.phi11)}
-        if sizes != {len(self.phi01)}:
-            raise InvalidAutomorphism(
-                "phi01, eta, rho, and phi11 must share one size"
-            )
-
-    @property
-    def invariant(self) -> TauScalar:
-        return self.alpha * self.delta22 - self.beta2 * self.gamma2
-
-    @property
-    def dim(self) -> int:
-        return 2 + len(self.phi01)
+    alpha, beta2, gamma1, gamma2, delta12, delta22 = map(
+        as_tau, (alpha, beta2, gamma1, gamma2, delta12, delta22)
+    )
+    phi01, eta, rho = vec(phi01), vec(eta), vec(rho)
+    phi11 = tuple(vec(row) for row in phi11)
+    if {len(phi01), len(eta), len(rho), len(phi11)} != {len(phi01)}:
+        raise InvalidAutomorphism("phi01, eta, rho, and phi11 must share one size")
+    zeros = (ZERO,) * len(phi01)
+    return Automorphism((
+        (alpha * delta22 - beta2 * gamma2, delta12, *phi01, gamma1),
+        (ZERO, delta22, *zeros, gamma2),
+        *((ZERO, e, *row, r) for e, row, r in zip(eta, phi11, rho)),
+        (ZERO, beta2, *zeros, alpha),
+    ))
 
 
 @dataclass(frozen=True)
@@ -178,20 +162,31 @@ def is_heisenberg_extension(aleph: MultiplicityFunction) -> bool:
     return seen_core
 
 
+def _off_pattern(d: int):
+    """Cells of a (d+1) x (d+1) differential that vanish in the
+    ten-parameter family, coordinates (x, y, w..., t)."""
+    yield from ((i, 0) for i in range(1, d + 1))
+    yield from ((i, j) for i in (1, d) for j in range(2, d))
+
+
 def _misfit(aleph: MultiplicityFunction, phi):
     """Why the datum cannot act on the group at all, or None: an inner
-    automorphism of another group, a ten-parameter datum off a Heisenberg
-    extension, or a datum of another dimension."""
+    automorphism of another group, a datum of another dimension, or a
+    differential outside the group's family.  Only zeros are read: off a
+    Heisenberg extension the time row must be (0, ..., 0, alpha) with
+    alpha nonzero, and on one the ten-parameter zero pattern must hold."""
     if isinstance(phi, InnerAut):
         if phi.aleph != aleph:
             return "inner automorphism belongs to a different group"
         return None
-    if not isinstance(phi, (GenericAut, HeisAut)):
-        raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
-    if isinstance(phi, HeisAut) and not is_heisenberg_extension(aleph):
-        return "ten-parameter automorphisms require a Heisenberg central extension datum"
     if phi.dim != aleph.dim:
         return "dimension mismatch"
+    m, d = phi.matrix, phi.dim
+    if not is_heisenberg_extension(aleph):
+        if m[d][d].is_zero or not all(c.is_zero for c in m[d][:d]):
+            return "ten-parameter automorphisms require a Heisenberg central extension datum"
+    elif not all(m[i][j].is_zero for i, j in _off_pattern(d)):
+        return "not the differential of a ten-parameter datum"
     return None
 
 
@@ -199,20 +194,41 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
     """Exact validity check; returns a tuple of violation descriptions.
 
     An empty tuple means the datum defines an automorphism of the group
-    of aleph.
+    of aleph.  The rules depend on the group.  Off a Heisenberg extension
+    the differential is [[Delta, gamma], [0, alpha]] with Delta J =
+    alpha J Delta, Delta invertible and alpha an admissible dilation.  On
+    one, it is a ten-parameter differential whose corner is the nonzero
+    invariant alpha*delta22 - beta2*gamma2 and whose phi11 is invertible.
+
+    The second rule contains the first there.  J e_y = e_x and J kills
+    every other coordinate, so Delta J = alpha J Delta reads Delta e_x =
+    alpha Delta[y][y] e_x on e_y and 0 = alpha Delta[y][j] e_x on every
+    other e_j.  Hence Delta[y][j] = 0 for j != y, Delta[w][x] = 0 and
+    Delta[x][x] = alpha * Delta[y][y]; with the generic time row (0, ...,
+    0, alpha) that is the ten-parameter pattern with beta2 = 0, whose
+    invariant is alpha*delta22, the corner.  So every valid generic datum
+    is a ten-parameter datum with the same differential, on that set the
+    two sets of rules are equivalent (Delta is invertible iff the corner,
+    delta22 and phi11 are), and since a differential determines its
+    automorphism, the generic integral and the ten-parameter polynomial
+    are one map there.
     """
     if misfit := _misfit(aleph, phi):
         return (misfit,)
     if isinstance(phi, InnerAut):
         return ()
-    if isinstance(phi, HeisAut):
-        violations = []
-        if phi.invariant.is_zero:
+    m, d = phi.matrix, phi.dim
+    violations = []
+    if is_heisenberg_extension(aleph):
+        invariant = m[d][d] * m[1][1] - m[d][1] * m[1][d]
+        if m[0][0] != invariant:
+            violations.append("the corner must equal alpha*delta22 - beta2*gamma2")
+        if invariant.is_zero:
             violations.append("alpha*delta22 - beta2*gamma2 must be nonzero")
-        if phi.phi11 and not is_invertible(phi.phi11):
+        phi11 = tuple(row[2:d] for row in m[2:d])
+        if phi11 and not is_invertible(phi11):
             violations.append("phi11 is singular")
         return tuple(violations)
-    violations = []
     jmat = build_jordan(aleph)
     lhs = mat_mul(phi.delta, jmat)
     rhs = tuple(
@@ -230,9 +246,8 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
     return tuple(violations)
 
 
-def identity_aut(aleph: MultiplicityFunction) -> GenericAut:
-    d = aleph.dim
-    return GenericAut(identity(d), (0,) * d, 1)
+def identity_aut(aleph: MultiplicityFunction) -> Automorphism:
+    return Automorphism(identity(aleph.dim + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +257,14 @@ def identity_aut(aleph: MultiplicityFunction) -> GenericAut:
 def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "exact"):
     """Image of g under the automorphism, exact or floating point.
 
-    Exact mode raises ExactnessUnavailable when the integrated exponential
-    in the generic action has no closed form at alpha*t; the polynomial
-    Heisenberg action is always exact.  Both modes raise
-    InvalidAutomorphism for a datum that cannot act on the group at all:
-    an inner automorphism of another group, a ten-parameter datum on a
-    group that is not a Heisenberg extension, or a datum of another
-    dimension.
+    The group picks the action: the ten-parameter polynomial on a
+    Heisenberg extension, which is always exact, and the integrated
+    exponential elsewhere, for which exact mode raises
+    ExactnessUnavailable when it has no closed form at alpha*t.  Inner
+    automorphisms act by conjugation.  Both modes raise
+    InvalidAutomorphism for a datum that cannot act on the group at all
+    (see _misfit): an inner automorphism of another group, a datum of
+    another dimension, or a differential outside the group's family.
     """
     if misfit := _misfit(aleph, phi):
         raise InvalidAutomorphism(misfit)
@@ -259,8 +275,8 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
         return apply_aut_numeric(aleph, phi, v, t)
     if isinstance(phi, InnerAut):
         return _apply_inner(aleph, phi, g)
-    if isinstance(phi, HeisAut):
-        v, t = heis_action(_heis_differential(phi), g.v, g.t)
+    if is_heisenberg_extension(aleph):
+        v, t = heis_action(phi.matrix, g.v, g.t)
         return group_element(aleph, v, t)
     scaled_t = g.t * phi.alpha
     integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
@@ -319,44 +335,13 @@ def heis_action(m, v, t) -> tuple:
 # differentials, composition and inversion
 
 
-def inner_as_generic(aleph: MultiplicityFunction, phi: InnerAut) -> GenericAut:
+def inner_as_generic(aleph: MultiplicityFunction, phi: InnerAut) -> Automorphism:
     """Generic form (Delta, gamma, alpha) = (e^{sJ}, -J u, 1) of an inner
     automorphism; exact only where e^{sJ} has a closed form."""
     delta = block_exp(phi.s, aleph)
     jmat = build_jordan(aleph)
     gamma = tuple(-c for c in mat_vec(jmat, phi.u))
     return GenericAut(delta, gamma, 1)
-
-
-def _heis_differential(phi: HeisAut) -> Matrix:
-    """Differential in the package coordinate order (x, y, w..., t)."""
-    zeros = (ZERO,) * len(phi.phi01)
-    return (
-        (phi.invariant, phi.delta12, *phi.phi01, phi.gamma1),
-        (ZERO, phi.delta22, *zeros, phi.gamma2),
-        *((ZERO, e, *row, r) for e, row, r in zip(phi.eta, phi.phi11, phi.rho)),
-        (ZERO, phi.beta2, *zeros, phi.alpha),
-    )
-
-
-def _heis_from_differential(matrix: Matrix) -> HeisAut:
-    """The ten-parameter datum with this differential.
-
-    Raises InvalidAutomorphism when the matrix is not of that form: a
-    nonzero entry off the family's pattern, or a corner other than the
-    invariant alpha*delta22 - beta2*gamma2.
-    """
-    d = len(matrix) - 1
-    w = matrix[2:d]
-    phi = HeisAut(
-        matrix[d][d], beta2=matrix[d][1], gamma1=matrix[0][d],
-        gamma2=matrix[1][d], delta12=matrix[0][1], delta22=matrix[1][1],
-        phi01=matrix[0][2:d], eta=[row[1] for row in w],
-        rho=[row[d] for row in w], phi11=[row[2:d] for row in w],
-    )
-    if _heis_differential(phi) != matrix:
-        raise InvalidAutomorphism("not the differential of a ten-parameter datum")
-    return phi
 
 
 def differential(aleph: MultiplicityFunction, phi) -> Matrix:
@@ -366,32 +351,16 @@ def differential(aleph: MultiplicityFunction, phi) -> Matrix:
     """
     if isinstance(phi, InnerAut):
         phi = inner_as_generic(aleph, phi)
-    if isinstance(phi, HeisAut):
-        return _heis_differential(phi)
-    if isinstance(phi, GenericAut):
-        rows = tuple(row + (g,) for row, g in zip(phi.delta, phi.gamma))
-        return rows + ((ZERO,) * phi.dim + (phi.alpha,),)
-    raise TypeError(f"not an automorphism datum: {type(phi).__name__}")
-
-
-def _from_differential(matrix: Matrix, *phis):
-    """The automorphism with this differential, in the widest family
-    among phis: ten-parameter if any of them is, generic otherwise."""
-    if any(isinstance(phi, HeisAut) for phi in phis):
-        return _heis_from_differential(matrix)
-    d = len(matrix) - 1
-    rows = matrix[:d]
-    return GenericAut([r[:d] for r in rows], [r[d] for r in rows], matrix[d][d])
+    return phi.matrix
 
 
 def compose(phi1, phi2):
     """Automorphism phi1 after phi2: the product of the differentials.
 
     Two inner automorphisms compose into the inner automorphism of the
-    product element.  Otherwise the result is generic, or ten-parameter
-    when either factor is; an inner factor is expanded on its own group,
-    and the other factor must fit that group.  Factors of different
-    dimensions raise InvalidAutomorphism.
+    product element.  Otherwise an inner factor is expanded on its own
+    group, and the other factor must fit that group.  Factors of
+    different dimensions raise InvalidAutomorphism.
     """
     if isinstance(phi1, InnerAut) and isinstance(phi2, InnerAut):
         if phi1.aleph != phi2.aleph:
@@ -408,13 +377,12 @@ def compose(phi1, phi2):
     m1, m2 = differential(aleph, phi1), differential(aleph, phi2)
     if len(m1) != len(m2):
         raise InvalidAutomorphism("dimension mismatch")
-    return _from_differential(mat_mul(m1, m2), phi1, phi2)
+    return Automorphism(mat_mul(m1, m2))
 
 
 def invert(phi):
-    """Inverse automorphism within the same family: the inverse of the
-    differential, or the inner automorphism of the inverse element."""
+    """Inverse automorphism: the inverse of the differential, or the inner
+    automorphism of the inverse element."""
     if isinstance(phi, InnerAut):
         return inner_aut(phi.aleph, group_inverse(phi.aleph, phi.element))
-    return _from_differential(inverse(differential(None, phi)), phi)
-
+    return Automorphism(inverse(phi.matrix))

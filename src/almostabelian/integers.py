@@ -54,8 +54,9 @@ def is_unimodular(a) -> bool:
     return det_int(a) in (1, -1)
 
 
-def hermite_columns(mat):
-    """Column Hermite reduction (H, V, r) of an integer matrix.
+def hermite_columns(mat, n: int):
+    """Column Hermite reduction (H, V, r) of an integer matrix with n
+    columns (n is the shape, so a matrix with no rows has one too).
 
     V is unimodular and mat @ V = H is in column echelon form: each column
     j < r has a positive pivot in a row strictly below the pivot of column
@@ -64,8 +65,6 @@ def hermite_columns(mat):
     operations (H. Cohen, GTM 138, Section 2.4); entries left of a pivot are
     not reduced.  Matrices are lists of rows.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
     h = [[int(x) for x in row] for row in mat]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -100,22 +99,28 @@ def bezout_row_reduce(ns):
     Returns (g, A) with A a k x k unimodular matrix (list of rows) such that
     row . A = (g, 0, ..., 0) and g = gcd(ns) >= 0.
     """
-    h, a, r = hermite_columns([ns])
+    h, a, r = hermite_columns([ns], len(ns))
     return (h[0][0] if r else 0), a
 
 
-def integer_kernel(mat):
-    """Basis of {x in Z^n : mat @ x = 0} (a saturated sublattice of Z^n)."""
-    return kernel_complement_split(mat)[1]
+def integer_kernel(mat, n: int):
+    """Basis of {x in Z^n : mat @ x = 0} (a saturated sublattice of Z^n);
+    all of Z^n when mat has no rows.
+
+    >>> integer_kernel([], 2)
+    [[1, 0], [0, 1]]
+    """
+    return kernel_complement_split(mat, n)[1]
 
 
-def kernel_complement_split(mat):
-    """Split Z^n = complement + kernel for the integer matrix's kernel.
+def kernel_complement_split(mat, n: int):
+    """Split Z^n = complement + kernel for the kernel of the integer
+    matrix with n columns.
 
     Returns (complement_cols, kernel_cols): together the columns form a basis
     of Z^n (a unimodular matrix), and kernel_cols is a basis of the kernel of
     mat.
     """
-    _, v, r = hermite_columns(mat)
+    _, v, r = hermite_columns(mat, n)
     cols = [list(col) for col in zip(*v)]
     return cols[:r], cols[r:]

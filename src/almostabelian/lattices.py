@@ -440,12 +440,8 @@ def _admissible_rows(k, q, boundaries, v_cols, u_cols, constrained):
 def _admissible_candidates(k, bound, rows, first_row_fixed):
     """Unimodular A with R vec(A) = 0 in search order, entries bounded."""
     cells = _search_cells(k)
-    kernel = integer_kernel(rows) if rows else None
-    free = {
-        cell
-        for p, cell in enumerate(cells)
-        if kernel is None or any(x[p] for x in kernel)
-    }
+    kernel = integer_kernel(rows, len(cells))
+    free = {cell for p, cell in enumerate(cells) if any(x[p] for x in kernel)}
     if any(
         free.isdisjoint((i, j) for j in range(k)) or free.isdisjoint((j, i) for j in range(k))
         for i in range(k)

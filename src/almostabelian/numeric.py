@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .autos import HeisAut, InnerAut, differential, heis_action
+from .autos import InnerAut, heis_action, is_heisenberg_extension
 from .expmap import ExpAtom, write_exp_block
 from .jordan import Block, MultiplicityFunction, block_matrix
 from .reps import write_group_rep, write_quotient_cells
@@ -97,17 +97,18 @@ def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
 
 
 def apply_aut_numeric(aleph: MultiplicityFunction, phi, v: np.ndarray, t: float):
-    """Floating-point action on coordinate data (v, t)."""
+    """Floating-point action on coordinate data (v, t); the group picks
+    the action as in autos.apply_aut."""
     v = np.asarray(v, dtype=float)
     if isinstance(phi, InnerAut):
         u, s = _vector(phi.u), float(phi.s)
         moved = u + block_exp_numeric(aleph, s) @ v - block_exp_numeric(aleph, t) @ u
         return moved, t
-    m = _matrix(differential(aleph, phi), aleph.dim + 1)
-    if isinstance(phi, HeisAut):
+    d = aleph.dim
+    m = _matrix(phi.matrix, d + 1)
+    if is_heisenberg_extension(aleph):
         moved, s = heis_action(m, v, t)
         return np.array(moved), s
-    d = aleph.dim
     s = m[d, d] * t
     moved = t * (phi_numeric(aleph, s) @ m[:d, d]) + m[:d, :d] @ v
     return moved, s
@@ -159,20 +160,24 @@ def quotient_rep_numeric(rep, v: np.ndarray, t: float) -> np.ndarray:
 # connected subgroups
 
 
-def membership_numeric(aleph, spec, g, tol: float) -> bool:
+# Largest defect norm at which a float membership test still answers yes.
+MEMBERSHIP_TOL = 1e-9
+
+
+def membership_numeric(aleph, spec, g) -> bool:
     """Float membership test: the defect of g against the subgroup's
-    slope, least-squares projected onto its basis."""
+    slope, least-squares projected onto its basis, within MEMBERSHIP_TOL."""
     v = _vector(g.v)
     t = float(g.t)
     if spec.case == 1:
-        if abs(t) > tol:
+        if abs(t) > MEMBERSHIP_TOL:
             return False
         defect = v
     else:
         v0 = _vector(spec.v0)
         defect = v - t * (phi_numeric(aleph, t) @ v0)
     if not spec.basis:
-        return bool(np.linalg.norm(defect) <= tol)
+        return bool(np.linalg.norm(defect) <= MEMBERSHIP_TOL)
     w = _matrix(spec.basis, len(v)).T
     coeffs, *_ = np.linalg.lstsq(w, defect, rcond=None)
-    return bool(np.linalg.norm(w @ coeffs - defect) <= tol)
+    return bool(np.linalg.norm(w @ coeffs - defect) <= MEMBERSHIP_TOL)

@@ -470,6 +470,12 @@ _MAX_NESTING = 100
 # operation above the degree of the value it prints.
 _MAX_DEGREE = 32
 
+# Largest bit length a numerator or denominator of a coefficient may reach
+# in a literal.  A power is predicted before it runs, as |exponent| times
+# its base's bit length (3^10000000 would take seconds); every other
+# operation is checked after it runs, so a chain of them stays bounded too.
+_MAX_BITS = 2**12
+
 
 def _tokenize(text: str):
     text = text.strip()
@@ -491,6 +497,12 @@ def _tokenize(text: str):
 def _degrees(x: TauScalar) -> tuple:
     """Degrees of the numerator and denominator of x."""
     return len(x._num) - 1, len(x._den) - 1
+
+
+def _bits(x: TauScalar) -> int:
+    """Largest bit length of a numerator or denominator among x's
+    coefficients."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in x._num + x._den)
 
 
 class _TauParser:
@@ -517,6 +529,16 @@ class _TauParser:
                 f"TauScalar literal {self.text!r} exceeds degree {_MAX_DEGREE}"
             )
 
+    def bound_bits(self, bits: int):
+        if bits > _MAX_BITS:
+            raise ValueError(
+                f"TauScalar literal {self.text!r} exceeds {_MAX_BITS} bits in a coefficient"
+            )
+
+    def checked(self, value: TauScalar) -> TauScalar:
+        self.bound_bits(_bits(value))
+        return value
+
     def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
@@ -524,7 +546,7 @@ class _TauParser:
             rhs = self.term()
             (a, b), (c, d) = _degrees(value), _degrees(rhs)
             self.bound_degree(max(a + d, c + b), b + d)
-            value = value + rhs if op == "+" else value - rhs
+            value = self.checked(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self):
@@ -535,10 +557,10 @@ class _TauParser:
             (a, b), (c, d) = _degrees(value), _degrees(rhs)
             if op == "*":
                 self.bound_degree(a + c, b + d)
-                value = value * rhs
+                value = self.checked(value * rhs)
             else:
                 self.bound_degree(a + d, b + c)
-                value = value / rhs
+                value = self.checked(value / rhs)
         return value
 
     def unary(self):
@@ -559,7 +581,8 @@ class _TauParser:
             kind, value = self.take() if self.peek() == "int" else self.fail()
             a, b = _degrees(base)
             self.bound_degree(value * a, value * b)
-            return base ** (sign * value)
+            self.bound_bits(value * _bits(base))
+            return self.checked(base ** (sign * value))
         return base
 
     def atom(self):

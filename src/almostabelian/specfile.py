@@ -19,7 +19,7 @@ errors carry the offending line number.
 from dataclasses import dataclass
 from pathlib import Path
 
-from .autos import GenericAut, HeisAut
+from .autos import GenericAut, HeisAut, is_heisenberg_extension
 from .errors import DegenerateDatum, InvalidAutomorphism
 from .expmap import torsion
 from .jordan import MAX_DIM, MultiplicityFunction, multiplicity_function
@@ -206,6 +206,8 @@ def _assemble_aut(aleph, line, fail):
             if not gamma:
                 gamma = (TauScalar(0),) * aleph.dim
             return GenericAut(delta, gamma, parse_tau(kv["alpha"]))
+        if not is_heisenberg_extension(aleph):
+            fail(lineno, "ten-parameter automorphisms require a Heisenberg central extension datum")
         args = {"alpha": parse_tau(kv["alpha"])}
         for key in ("beta2", "gamma1", "gamma2", "delta12", "delta22"):
             if key in kv:

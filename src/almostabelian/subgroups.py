@@ -101,7 +101,6 @@ def membership(
     spec: ConnectedSubgroupSpec,
     g: GroupElement,
     mode: str = "exact",
-    tol: float = 1e-9,
 ) -> bool:
     """Whether the group element lies in the connected subgroup.
 
@@ -112,7 +111,7 @@ def membership(
     if numeric_mode(mode):
         from .numeric import membership_numeric
 
-        return membership_numeric(aleph, spec, g, tol)
+        return membership_numeric(aleph, spec, g)
     if spec.case == 1:
         return g.t.is_zero and in_span(spec.basis, g.v)
     correction = apply_exp_integral(aleph, g.t, spec.v0)
@@ -175,10 +174,6 @@ def split_lattice_through(
     split.
     """
     gens = subgroup.generators
-    k = len(gens)
-    empty = DiscreteCentralSubgroup(aleph, ())
-    if k == 0:
-        return empty, empty
     tor = torsion(aleph)
     multiples = subgroup.time_multiples
     if spec.case == 2 and not tor.is_trivial:
@@ -198,10 +193,7 @@ def split_lattice_through(
             conditions.append(row)
     if spec.case == 1 and any(multiples):
         conditions.append([as_tau(m) for m in multiples])
-    int_rows = integer_rows(conditions)
-    if not int_rows:
-        return subgroup, empty
-    complement_cols, kernel_cols = kernel_complement_split(int_rows)
+    complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), len(gens))
     inside = DiscreteCentralSubgroup(
         aleph, tuple(integer_combination(aleph, gens, c) for c in kernel_cols)
     )

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from almostabelian.autos import (
+    Automorphism,
     GenericAut,
     HeisAut,
     InnerAut,
@@ -21,15 +24,16 @@ from almostabelian.autos import (
     validate_aut,
 )
 from almostabelian.errors import InvalidAutomorphism
-from almostabelian.expmap import group_inverse, group_mul
+from almostabelian.expmap import apply_exp_integral, group_inverse, group_mul
 from almostabelian.jordan import (
     algebra_element,
+    build_jordan,
     commutator,
     group_element,
     multiplicity_function,
 )
 from almostabelian.lattices import preserves_lattice, subgroup_from_data
-from almostabelian.linalg import identity, mat_mul, mat_vec, vec
+from almostabelian.linalg import identity, is_invertible, mat, mat_mul, mat_vec, vec
 from almostabelian.numeric import apply_aut_numeric
 from almostabelian.scalars import TAU, GaussRational, TauScalar
 
@@ -39,10 +43,6 @@ ZERO = TauScalar(0)
 ONE = TauScalar(1)
 
 FLIP = GenericAut(((1, 0), (0, -1)), (0, 0), -1)
-
-# the ten-parameter identity on heis x R: composing with it rewrites a
-# generic datum as the beta2 = 0 member of the ten-parameter family
-HEIS_R_IDENTITY = HeisAut(alpha=1, phi01=(0,), eta=(0,), rho=(0,), phi11=((1,),))
 
 
 def rand_fraction(rng, span=4, den=3):
@@ -78,9 +78,9 @@ class TestValidation:
         for aleph in (e2, heis, mix):
             assert validate_aut(aleph, identity_aut(aleph)) == ()
 
-    def test_singular_delta(self, heis):
+    def test_singular_delta(self, e2):
         bad = GenericAut(((0, 0), (0, 0)), (0, 0), 1)
-        assert any("singular" in line for line in validate_aut(heis, bad))
+        assert any("singular" in line for line in validate_aut(e2, bad))
 
     def test_dilation_violation(self, e2):
         # alpha = 2 solves no Delta relation on a rotation, and even with a
@@ -89,8 +89,27 @@ class TestValidation:
         assert any("dilation" in line for line in validate_aut(e2, bad))
 
     def test_heis_on_wrong_datum(self, e2):
-        phi = HeisAut(alpha=1)
+        # beta2 = 1 puts a nonzero entry into the time row, which only a
+        # Heisenberg extension admits; HeisAut(alpha=1) alone is the
+        # identity differential, an automorphism of every group
+        phi = HeisAut(alpha=1, beta2=1)
         assert any("Heisenberg" in line for line in validate_aut(e2, phi))
+        assert validate_aut(e2, HeisAut(alpha=1)) == ()
+
+    def test_heis_corner_must_be_the_invariant(self, heis):
+        phi = GenericAut(((2, 0), (0, 1)), (0, 0), 1)
+        assert validate_aut(heis, phi) == (
+            "the corner must equal alpha*delta22 - beta2*gamma2",
+        )
+
+    def test_zero_alpha_composite(self, heis):
+        # y and t swap: the product of two valid ten-parameter data has
+        # time row (0, 1, 0), so alpha = 0 is a valid automorphism here
+        both = compose(HeisAut(alpha=1, beta2=1), HeisAut(alpha=1, gamma2=-1))
+        assert both.alpha == ZERO
+        assert validate_aut(heis, both) == ()
+        g = group_element(heis, (1, 2), 3)
+        assert apply_aut(heis, invert(both), apply_aut(heis, both, g)) == g
 
     def test_heis_invariant_zero(self, heis):
         phi = HeisAut(alpha=1, delta22=0, beta2=0, gamma2=1)
@@ -149,7 +168,35 @@ class TestFit:
             with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
                 compose(*pair)
         with pytest.raises(InvalidAutomorphism, match="Heisenberg"):
-            compose(inner, HeisAut(alpha=1))
+            compose(inner, HeisAut(alpha=1, beta2=1))
+
+    def test_ten_parameter_zero_pattern(self, heis_r):
+        # coordinates (x, y, w, t): the family leaves column x zero below
+        # the corner, and rows y and t zero on w
+        off_pattern = {(1, 0), (2, 0), (3, 0), (1, 2), (3, 2)}
+        g = group_element(heis_r, (1, 2, 3), 1)
+        for i in range(4):
+            for j in range(4):
+                m = [[int(r == c) for c in range(4)] for r in range(4)]
+                m[i][j] += 1
+                phi = Automorphism(m)
+                if (i, j) in off_pattern:
+                    assert validate_aut(heis_r, phi) == (
+                        "not the differential of a ten-parameter datum",
+                    )
+                    with pytest.raises(InvalidAutomorphism, match="ten-parameter datum"):
+                        apply_aut(heis_r, phi, g)
+                else:
+                    assert "ten-parameter" not in " ".join(validate_aut(heis_r, phi))
+
+    def test_time_row_off_heisenberg(self, e2_r2):
+        # off a Heisenberg extension the time row is (0, ..., 0, alpha),
+        # alpha nonzero
+        for j in range(5):
+            m = [[int(r == c) for c in range(5)] for r in range(5)]
+            m[4][j] = 0 if j == 4 else 1
+            with pytest.raises(InvalidAutomorphism, match="Heisenberg"):
+                apply_aut(e2_r2, Automorphism(m), group_element(e2_r2, (1, 2, 3, 4), 0))
 
     def test_compose_dimensions_must_agree(self):
         wide = GenericAut(identity(3), (0, 0, 0), 1)
@@ -163,7 +210,7 @@ class TestApply:
     def test_heis_on_wrong_datum_rejected(self, e2, heis_r, mode):
         g = group_element(e2, (1, 1), 1)
         with pytest.raises(InvalidAutomorphism, match="Heisenberg"):
-            apply_aut(e2, HeisAut(alpha=1), g, mode=mode)
+            apply_aut(e2, HeisAut(alpha=1, beta2=1), g, mode=mode)
         g = group_element(heis_r, (1, 1, 1), 1)
         with pytest.raises(InvalidAutomorphism, match="dimension mismatch"):
             apply_aut(heis_r, HeisAut(alpha=1), g, mode=mode)
@@ -342,7 +389,7 @@ class TestComposeInvert:
             phi01=(0,), eta=(1,), rho=(0,), phi11=((1,),),
         )
         both = compose(phi1, phi2)
-        assert isinstance(both, HeisAut)
+        assert validate_aut(heis_r, both) == ()
         for _ in range(25):
             coords = [rand_fraction(rng) for _ in range(4)]
             g = group_element(heis_r, coords[:3], coords[3])
@@ -362,7 +409,7 @@ class TestComposeInvert:
         generic = GenericAut(((6, 1), (0, 2)), (1, -1), 3)
         heis_phi = HeisAut(alpha=1, beta2=1, delta22=1)
         both = compose(generic, heis_phi)
-        assert isinstance(both, HeisAut)
+        assert validate_aut(heis, both) == ()
         g = group_element(heis, (1, 2), 3)
         assert apply_aut(heis, both, g) == apply_aut(
             heis, generic, apply_aut(heis, heis_phi, g)
@@ -403,38 +450,68 @@ class TestComposeInvert:
             assert apply_aut(heis, composed, h) == apply_aut(heis, expected, h)
 
 
+HEIS_EXTENSIONS = [
+    multiplicity_function({(GaussRational(0), 2): 1, **({(GaussRational(0), 1): k} if k else {})})
+    for k in range(3)
+]
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def generic_on_heis(draw):
+    """heis x R^k for k <= 2, a valid generic datum on it and an element.
+
+    Delta J = alpha J Delta holds exactly for Delta = [[alpha*a22, *],
+    [0, a22, 0], [0, *, P]] in coordinates (x, y, w...); Delta is
+    invertible iff a22 and P are.
+    """
+    aleph = draw(st.sampled_from(HEIS_EXTENSIONS))
+    k = aleph.dim - 2
+    alpha, a22 = draw(nonzero), draw(nonzero)
+    p11 = mat([[draw(small) for _ in range(k)] for _ in range(k)])
+    assume(is_invertible(p11))
+    delta = (
+        (alpha * a22, *(draw(small) for _ in range(k + 1))),
+        (0, a22, *(0,) * k),
+        *((0, draw(small), *row) for row in p11),
+    )
+    gamma = [draw(small) for _ in range(k + 2)]
+    g = group_element(aleph, [draw(small) for _ in range(k + 2)], draw(small))
+    return aleph, GenericAut(delta, gamma, alpha), g
+
+
 class TestEmbedding:
-    def test_beta2_zero_recovers_generic_action(self, heis_r):
-        # random generic data on the Heisenberg extension agree with their
-        # ten-parameter embedding on a thousand elements
-        rng = random.Random(SEED)
-        checked = 0
-        while checked < 1000:
-            a22 = rand_fraction(rng)
-            alpha = rand_fraction(rng)
-            p11 = rand_fraction(rng)
-            if a22 == 0 or alpha == 0 or p11 == 0:
-                continue
-            delta = (
-                (alpha * a22, rand_fraction(rng), rand_fraction(rng)),
-                (0, a22, 0),
-                (0, rand_fraction(rng), p11),
-            )
-            gamma = tuple(rand_fraction(rng) for _ in range(3))
-            generic = GenericAut(delta, gamma, alpha)
-            assert validate_aut(heis_r, generic) == ()
-            embedded = compose(HEIS_R_IDENTITY, generic)
-            assert embedded.beta2 == ZERO
-            assert validate_aut(heis_r, embedded) == ()
-            coords = [rand_fraction(rng) for _ in range(4)]
-            g = group_element(heis_r, coords[:3], coords[3])
-            assert apply_aut(heis_r, generic, g) == apply_aut(heis_r, embedded, g)
-            checked += 10
+    """On a Heisenberg extension the group applies the ten-parameter
+    polynomial to every datum.  The generic integral it replaced there,
+    Delta v + t phi(alpha t J) gamma, is the reference."""
+
+    @given(generic_on_heis())
+    @settings(max_examples=60)
+    def test_beta2_zero_recovers_generic_action(self, case):
+        aleph, phi, g = case
+        jmat = build_jordan(aleph)
+        alpha_j_delta = tuple(tuple(phi.alpha * e for e in row) for row in mat_mul(jmat, phi.delta))
+        assert mat_mul(phi.delta, jmat) == alpha_j_delta
+        assert validate_aut(aleph, phi) == ()
+        s = phi.alpha * g.t
+        integral = apply_exp_integral(aleph, s, phi.gamma)
+        v = tuple(a + b / phi.alpha for a, b in zip(mat_vec(phi.delta, g.v), integral))
+        assert apply_aut(aleph, phi, g) == group_element(aleph, v, s)
+        fv, ft = apply_aut(aleph, phi, g, mode="numeric")
+        want = np.array([float(c) for c in v + (s,)])
+        got = np.append(fv, ft)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_bad_pattern_rejected(self, heis):
-        skew = GenericAut(((1, 0), (1, 1)), (0, 0), 1)
-        with pytest.raises(InvalidAutomorphism):
-            compose(HeisAut(alpha=1), skew)
+        # compose multiplies differentials and keeps whatever comes out;
+        # the group rejects an off-pattern product when it is asked to act
+        skew = compose(HeisAut(alpha=1), GenericAut(((1, 0), (1, 1)), (0, 0), 1))
+        message = "not the differential of a ten-parameter datum"
+        assert validate_aut(heis, skew) == (message,)
+        for mode in ("exact", "numeric"):
+            with pytest.raises(InvalidAutomorphism, match=message):
+                apply_aut(heis, skew, group_element(heis, (1, 2), 3), mode=mode)
 
 
 class TestDifferential:

@@ -332,6 +332,14 @@ class TestInvalidInput:
         assert main(["--spec", str(path), "aut", "validate"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: TauScalar literal")
 
+    def test_large_literal(self, specs, tmp_path, capsys):
+        assert main(["--spec", specs["heis"], "exp", "1,0", "3^10000000"]) == 2
+        assert "exceeds 4096 bits in a coefficient" in capsys.readouterr().err
+        path = tmp_path / "bits.spec"
+        path.write_text("block 0 2 1\naut heis alpha=1 gamma1=(2^2000)*(2^2000)*(2^2000)\n")
+        assert main(["--spec", str(path), "aut", "validate"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: TauScalar literal")
+
     def test_noncentral_lattice(self, specs, capsys):
         assert main(["--spec", specs["noncentral"], "reduce"]) == 2
         assert f"{specs['noncentral']}:2: generator" in capsys.readouterr().err
@@ -345,11 +353,32 @@ class TestInvalidInput:
         ],
     )
     def test_heis_aut_on_wrong_datum(self, specs, capsys, mode, name, v, error):
+        # a ten-parameter line off a Heisenberg extension is refused where
+        # the spec is read (exit 2, with its line); a datum of the wrong
+        # dimension is the automorphism's violation (aut validate exits 1)
         path = specs[name]
+        at_load = name == "heis_aut_e2"
+        prefix = f"error: {path}:2: " if at_load else "error: "
         assert main(["--spec", path, "--mode", mode, "aut", "apply", v, "1"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {error}")
-        assert main(["--spec", path, "aut", "validate"]) == 1
-        assert error in capsys.readouterr().out
+        assert capsys.readouterr().err.startswith(prefix + error)
+        assert main(["--spec", path, "aut", "validate"]) == (2 if at_load else 1)
+        out = capsys.readouterr()
+        assert error in (out.err if at_load else out.out)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["exp", "1,1", "1"], ["aut", "validate"], ["aut", "apply", "1,1", "1"],
+         ["aut", "preserves"], ["reduce"]],
+    )
+    def test_heis_aut_off_heisenberg_rejected_at_load(self, specs, capsys, command):
+        # on E(2) `aut heis alpha=1` would be the identity differential, so
+        # the ten-parameter form is refused where the spec is read
+        path = specs["heis_aut_e2"]
+        assert main(["--spec", path, *command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: ten-parameter automorphisms require a Heisenberg "
+            "central extension datum\n"
+        )
 
     @pytest.mark.parametrize("mode", ["exact", "numeric"])
     @pytest.mark.parametrize("action", [["apply", "1,1", "1"], ["preserves"]])

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +64,7 @@ def test_det_multiplicative(a, b):
 @given(int_matrices(3, 4))
 @settings(max_examples=60)
 def test_hermite_columns(m):
-    h, v, r = hermite_columns(m)
+    h, v, r = hermite_columns(m, 4)
     assert is_unimodular(v)
     assert mat_mul_int(m, v) == h
     # column echelon form: pivots positive and strictly descending, every
@@ -84,7 +85,7 @@ def test_hermite_columns(m):
 @given(int_matrices(2, 4))
 @settings(max_examples=60)
 def test_integer_kernel(m):
-    kern = integer_kernel(m)
+    kern = integer_kernel(m, 4)
     assert len(kern) == 4 - rank(mat(m))
     for col in kern:
         image = [sum(m[i][j] * col[j] for j in range(4)) for i in range(2)]
@@ -94,10 +95,19 @@ def test_integer_kernel(m):
 @given(int_matrices(2, 4))
 @settings(max_examples=60)
 def test_kernel_complement_split(m):
-    image_part, kernel_part = kernel_complement_split(m)
+    image_part, kernel_part = kernel_complement_split(m, 4)
     combined = [list(row) for row in zip(*(image_part + kernel_part))]
     assert is_unimodular(combined)
     assert len(kernel_part) == 4 - rank(mat(m))
     for col in kernel_part:
         image = [sum(m[i][j] * col[j] for j in range(4)) for i in range(2)]
         assert all(x == 0 for x in image)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_empty_system(n):
+    # no equations: the kernel is all of Z^n, the complement is trivial
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert integer_kernel([], n) == unit
+    assert kernel_complement_split([], n) == ([], unit)
+    assert hermite_columns([], n) == ([], unit, 0)

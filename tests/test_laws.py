@@ -128,7 +128,8 @@ def _heis_auts(draw, aleph):
         rho=draw(vectors(n)),
         phi11=phi11,
     )
-    assume(not phi.invariant.is_zero)
+    # the corner holds the invariant alpha*delta22 - beta2*gamma2
+    assume(not phi.matrix[0][0].is_zero)
     return phi
 
 

@@ -147,6 +147,25 @@ class TestTauField:
             with pytest.raises(ValueError, match="exceeds degree 32"):
                 parse_tau(bad)
 
+    def test_coefficient_size_is_bounded(self):
+        # a power is predicted as |exponent| * the base's bit length (3 has
+        # 2 bits); every other operation is checked on its result
+        assert parse_tau("3^2048") == TauScalar(3**2048)
+        assert parse_tau("3^-2048") == TauScalar(Fraction(1, 3**2048))
+        assert parse_tau("(2^2000)*(2^2000)") == TauScalar(2**4000)
+        for bad in (
+            "3^2049",
+            "3^10000000",
+            "(1/3)^-2049",
+            "(2^2000)*(2^2000)*(2^2000)",
+            "(2^2000)*(2^2000)*(2^2000)/3",
+            "2^2000*tau/(2^2000+2^2100*tau)*(2^2000)*(2^2000)",
+            "(3^2000+tau)^2",
+            "1/(2^4096+tau)",
+        ):
+            with pytest.raises(ValueError, match="exceeds 4096 bits in a coefficient"):
+                parse_tau(bad)
+
     def test_float_is_evaluation_at_two_pi(self):
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12

@@ -2,7 +2,7 @@
 
 import pytest
 
-from almostabelian.autos import GenericAut, HeisAut
+from almostabelian.autos import HeisAut, identity_aut
 from almostabelian.jordan import MAX_DIM
 from almostabelian.scalars import TAU, GaussRational
 from almostabelian.specfile import SpecError, parse_spec_file, parse_spec_text
@@ -29,7 +29,7 @@ class TestParse:
         assert spec.lattice.generators[1].t == TAU
         assert spec.subgroup.case == 1
         assert spec.subgroup.basis[0][3] == TAU
-        assert isinstance(spec.aut, GenericAut)
+        assert spec.aut == identity_aut(spec.aleph)
 
     def test_sections_optional(self):
         spec = parse_spec_text("block 0 2 1\n")
@@ -50,8 +50,8 @@ class TestParse:
 
     def test_heis_aut(self):
         spec = parse_spec_text("block 0 2 1\naut heis alpha=2 beta2=tau phi11=\n")
-        assert isinstance(spec.aut, HeisAut)
-        assert spec.aut.beta2 == TAU
+        assert spec.aut == HeisAut(alpha=2, beta2=TAU)
+        assert spec.aut.matrix[2][1] == TAU
 
     def test_alpha_is_a_scalar_literal(self):
         spec = parse_spec_text("block 0 2 1\naut heis alpha=1+tau beta2=tau\n")
@@ -137,6 +137,13 @@ class TestErrors:
         with pytest.raises(SpecError, match="alpha"):
             parse_spec_text("block i 1 1\naut generic delta=1,0;0,1\n")
 
+    @pytest.mark.parametrize("blocks", ["block i 1 1", "block 0 3 1\nblock 0 1 1"])
+    def test_heis_aut_needs_heisenberg_extension(self, blocks):
+        # on E(2), `aut heis alpha=1` would be the identity differential
+        line = blocks.count("\n") + 2
+        with pytest.raises(SpecError, match=rf"<spec>:{line}: ten-parameter automorphisms require"):
+            parse_spec_text(f"{blocks}\naut heis alpha=1\n")
+
     def test_deeply_nested_literal_line(self):
         deep = "(" * 1200 + "1" + ")" * 1200
         with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal nests"):
@@ -149,6 +156,12 @@ class TestErrors:
             parse_spec_text("block 0 2 1\naut heis alpha=(1+tau)^64\n")
         with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal .* exceeds degree 32"):
             parse_spec_text("block 0 2 1\nlattice gen tau^33,0 0\n")
+
+    def test_large_literal_line(self):
+        with pytest.raises(SpecError, match=r"<spec>:2: TauScalar literal .* exceeds 4096 bits"):
+            parse_spec_text("block 0 2 1\naut heis alpha=3^10000000\n")
+        with pytest.raises(SpecError, match=r"<spec>:3: TauScalar literal .* exceeds 4096 bits"):
+            parse_spec_text("block 0 2 1\nblock 0 1 1\nlattice gen 0,0,7^1500 0\n")
 
     def test_dimension_ceiling_line(self):
         # the running dimension 2 + 2 + (MAX_DIM - 3) first passes the
