@@ -1,8 +1,9 @@
 """Batch front-end: read a spec file, run one analysis, print a report.
 
 Exit codes: 0 for a true/ok decision, 1 for false/violation, 2 for
-input errors.  --machine switches to key=value output; exact scalars
-print in the literal grammar and re-parse to equal values.
+input errors, 3 for an internal error (a fault of this program).
+--machine switches to key=value output; exact scalars print in the
+literal grammar and re-parse to equal values.
 """
 
 import argparse
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

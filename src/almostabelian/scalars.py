@@ -385,6 +385,60 @@ def integer_rows(rows) -> list:
     return out
 
 
+def cleared_rows(rows) -> list:
+    """Each row over Q(tau) times a nonzero scalar of its own, so that its
+    entries are polynomials in Z[tau] with no common integer factor.
+
+    A polynomial is a tuple of ints, low degree first, with a nonzero last
+    coefficient; zero is ().  Scaling rows keeps the row space, so linalg
+    eliminates these instead of TauScalars.
+
+    >>> cleared_rows([[TAU / 2, TauScalar(1) / (TAU + 1), TauScalar(0)]])
+    [[(0, 1, 1), (2,), ()]]
+    """
+    out = []
+    for row in rows:
+        dens = []
+        for x in row:
+            if x._den != _PONE and x._den not in dens:
+                dens.append(x._den)
+        polys = []
+        for x in row:
+            p = x._num
+            for q in dens:
+                if q != x._den:
+                    p = _pmul(p, q)
+            polys.append(p)
+        scale = math.lcm(*(c.denominator for p in polys for c in p))
+        ints = [
+            () if _pis_zero(p) else tuple(c.numerator * (scale // c.denominator) for c in p)
+            for p in polys
+        ]
+        content = math.gcd(*(c for p in ints for c in p))
+        if content > 1:
+            ints = [tuple(c // content for c in p) for p in ints]
+        out.append(ints)
+    return out
+
+
+def zpoly_ratio(num: tuple, den: tuple) -> TauScalar:
+    """The TauScalar num / den of two polynomials in Z[tau], den nonzero,
+    in the form of ``cleared_rows``.
+
+    A rational quotient is stored as Fraction(num, den) directly; any other
+    goes through the normalizing constructor.
+
+    >>> zpoly_ratio((2,), (-4,)), zpoly_ratio((0, 2), (4, 2))
+    (TauScalar('-1/2'), TauScalar('(tau)/(2+tau)'))
+    """
+    if len(den) == 1 and len(num) <= 1:
+        x = object.__new__(TauScalar)
+        object.__setattr__(x, "_num", (Fraction(num[0], den[0]),) if num else _PZERO)
+        object.__setattr__(x, "_den", _PONE)
+        return x
+    return TauScalar(num or 0, den)
+
+
 # ---------------------------------------------------------------------------
 # the real embedding tau = 2*pi, by exact rational enclosures
 

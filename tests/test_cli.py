@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import almostabelian
+from almostabelian import cli
 from almostabelian.cli import main
 from almostabelian.integers import det_int
 from almostabelian.scalars import TAU, parse_tau
@@ -293,6 +294,16 @@ class TestErrors:
     def test_missing_section(self, specs, capsys):
         assert main(["--spec", specs["aff"], "reduce"]) == 2
         assert "lattice" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, specs, capsys, monkeypatch):
+        def broken(spec, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        assert main(["--spec", specs["e2"], "analyze"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestInvalidInput:

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over the tau field."""
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostabelian import linalg
 from almostabelian.linalg import (
     from_columns,
     identity,
@@ -22,7 +26,7 @@ from almostabelian.linalg import (
     vec,
     vec_is_zero,
 )
-from almostabelian.scalars import TAU
+from almostabelian.scalars import TAU, TauScalar
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -144,3 +148,127 @@ def test_solve_round_trip(a, xs):
     y = solve(a, b)
     assert y is not None
     assert mat_vec(a, y) == b
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against field elimination
+
+
+def _field_rref(rows):
+    """Reference: Gauss-Jordan elimination over the field Q(tau), one
+    TauScalar operation per cell update."""
+    one = TauScalar(1)
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not work[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = one / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(nrows):
+            if i != r and not work[i][c].is_zero:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work], pivots
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _results(a, b):
+    return (
+        linalg._rref(a),
+        _outcome(inverse, a),
+        solve(a, b),
+        nullspace(a),
+    )
+
+
+small_int = st.integers(-3, 3)
+nonzero_int = small_int.filter(bool)
+tau_entries = st.one_of(
+    st.just(TauScalar(0)),
+    entries.map(TauScalar),
+    st.builds(lambda a, b: a + b * TAU, small_int, nonzero_int),
+    st.builds(
+        lambda a, b, c, d: (a + b * TAU) / (c + d * TAU),
+        small_int, small_int, small_int, nonzero_int,
+    ),
+    small_int.map(lambda k: 1 / (TAU - k)),
+)
+
+
+@st.composite
+def deficient_tau_systems(draw):
+    """An n x m matrix over Q(tau), 0 <= n <= 5, 1 <= m <= 6, whose last
+    rows are combinations of its first, and a right-hand side that is
+    consistent or drawn at random."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    free = draw(st.integers(min(n, 1), n))
+    rows = [draw(st.lists(tau_entries, min_size=m, max_size=m)) for _ in range(free)]
+    for _ in range(n - free):
+        coefs = draw(st.lists(tau_entries, min_size=free, max_size=free))
+        combo = [sum((c * row[j] for c, row in zip(coefs, rows)), TauScalar(0)) for j in range(m)]
+        rows.append(combo)
+    order = draw(st.permutations(range(n)))
+    a = tuple(tuple(rows[i]) for i in order)
+    if draw(st.booleans()):
+        b = mat_vec(a, vec(draw(st.lists(tau_entries, min_size=m, max_size=m)))) if a else ()
+    else:
+        b = vec(draw(st.lists(tau_entries, min_size=n, max_size=n)))
+    return a, b
+
+
+@given(deficient_tau_systems())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_field_elimination(system):
+    a, b = system
+    with mock.patch.object(linalg, "_rref", _field_rref):
+        expected = _results(a, b)
+    assert _results(a, b) == expected
+
+
+def test_kernel_does_no_tau_arithmetic(monkeypatch):
+    a = mat([[TAU, 1, 2 - TAU], [1 / (TAU + 1), TAU / 3, 0], [TAU, 1, 2 - TAU]])
+    square = mat([[TAU, 1, 0], [1 / (TAU + 1), TAU / 3, 2], [0, 1, 2 - TAU]])
+    b = vec([1, TAU, 1])
+
+    def forbidden(*args):
+        raise AssertionError("TauScalar arithmetic inside elimination")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__",
+        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    ):
+        monkeypatch.setattr(TauScalar, name, forbidden)
+    assert rank(a) == 2
+    assert pivot_columns(a) == [0, 1]
+    assert solve(a, b) is not None
+    assert len(inverse(square)) == 3
+    assert len(nullspace(a)) == 1
+
+
+def _tau_linear(n, seed):
+    """A seeded n x n matrix with entries a + b*tau, a and b nonzero."""
+    rng = random.Random(seed)
+    pick = lambda: rng.choice((-1, 1)) * rng.randint(1, 5)  # noqa: E731
+    return tuple(tuple(pick() + pick() * TAU for _ in range(n)) for _ in range(n))
+
+
+def test_tau_linear_inverse_round_trip():
+    a = _tau_linear(10, seed=1)
+    assert inverse(inverse(a)) == a
+    b = _tau_linear(6, seed=2)
+    assert mat_mul(b, inverse(b)) == identity(6)
