@@ -5,16 +5,15 @@ TauScalar.  Every linear system in the package is posed by its caller and
 row-reduced here, by one kernel: fraction-free Gauss-Jordan elimination
 over the integer polynomials Z[tau] (Bareiss), which builds no TauScalar
 until its result.  Its entries are minors of the input, so they grow
-only as fast as determinants do: an n x n inverse with entries a + b*tau
-costs four to six times more each time n grows by two, and takes about
-0.2 s at n = 10 on a shared 2-vCPU virtual machine.
+only as fast as determinants do, and the polynomial arithmetic is that of
+``scalars``, whose Z[tau] gcd reduces each result entry: an n x n inverse
+with entries a + b*tau costs two to four times more each time n grows by
+two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
-from .scalars import TauScalar, as_tau, cleared_rows, zpoly_ratio
+from .scalars import TauScalar, _zdiv, _zmul, _zsub, as_tau, cleared_rows, zpoly_ratio
 
 Vector = tuple
 Matrix = tuple
@@ -68,7 +67,7 @@ def vec_is_zero(u: Vector) -> bool:
 
 
 def mat_vec(a: Matrix, u: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, u, strict=True)), _ZERO) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, u, strict=True) if x and y), _ZERO) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -81,42 +80,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
-
-
-def _zmul(a, b):
-    """Product in Z[tau], in the form of ``scalars.cleared_rows``."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _zsub(a, b):
-    if not b:
-        return a
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _zdiv(a, b):
-    """Quotient a / b in Z[tau] of a division known to be exact."""
-    if len(b) == 1:
-        return a if b[0] == 1 else tuple(x // b[0] for x in a)
-    rem = list(a)
-    db, lead = len(b) - 1, b[-1]
-    quot = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        q = rem[k] // lead
-        if q:
-            quot[k - db] = q
-            for j in range(db + 1):
-                rem[k - db + j] -= q * b[j]
-    return tuple(quot)
 
 
 def _rref(rows):

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -109,37 +110,175 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
-def _pdivmod(a, b):
-    if _pis_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
+# ---------------------------------------------------------------------------
+# integer polynomials Z[tau]: tuples of ints, low degree first, with a
+# nonzero last coefficient; zero is ().  The package's only polynomial
+# division and gcd; linalg eliminates with this arithmetic too.
+
+
+def _zmul(a, b):
+    """Product in Z[tau]."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _zsub(a, b):
+    if not b:
+        return a
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zdiv(a, b):
+    """Quotient a / b in Z[tau], b nonzero, or None if b does not divide a."""
+    if len(b) == 1:
+        d = b[0]
+        if d == 1:
+            return a
+        quot = []
+        for x in a:
+            q, r = divmod(x, d)
+            if r:
+                return None
+            quot.append(q)
+        return tuple(quot)
+    if len(a) < len(b):
+        return None if a else ()
     rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if len(a) - 1 < db:
-        return _PZERO, _ptrim(a)
-    quot = [Fraction(0)] * (len(a) - db)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k] / lb
-        if c != 0:
-            quot[k - db] = c
-            for j in range(db + 1):
-                rem[k - db + j] -= c * b[j]
-    return _ptrim(quot), _ptrim(rem)
+        q, r = divmod(rem[k], lead)
+        if r:
+            return None
+        if q:
+            quot[k - db] = q
+            for j in range(db):
+                rem[k - db + j] -= q * b[j]
+    return None if any(rem[:db]) else tuple(quot)
 
 
-def _pgcd(a, b):
-    while not _pis_zero(b):
-        a, b = b, _pdivmod(a, b)[1]
-    if _pis_zero(a):
-        return _PONE
-    lead = a[-1]
-    return tuple(c / lead for c in a)
+def _primitive(a):
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(x // g for x in a)
+
+
+def _zprem(a, b):
+    """Pseudo-remainder of a by b: the remainder of lead(b)^k * a, for the
+    least k that keeps each step of the division in Z[tau]."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(rem) > db:
+        c = rem.pop()
+        shift = len(rem) - db
+        rem = [lead * x for x in rem]
+        for j in range(db):
+            rem[shift + j] -= c * b[j]
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(rem)
+
+
+def _zprs(a, b):
+    """The primitive remainder sequence of non-constant a and b, both
+    primitive with a positive leading coefficient (D. E. Knuth, TAOCP
+    vol. 2, 4.6.1): its last term is their gcd.  Each remainder is made
+    primitive, which keeps its coefficients from growing exponentially."""
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _zprem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return (1,)
+        a, b = b, _primitive(r)
+
+
+def _zeval(a, xi):
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _balanced_digits(n, xi):
+    """The polynomial whose value at xi is n, with coefficients in
+    (-xi/2, xi/2]."""
+    out = []
+    while n:
+        d = n % xi
+        if d > xi // 2:
+            d -= xi
+        out.append(d)
+        n = (n - d) // xi
+    return tuple(out)
+
+
+def _zgcd(a, b):
+    """Greatest common divisor of nonzero a and b in Z[tau], leading
+    coefficient positive.
+
+    Heuristic first (B. W. Char, K. O. Geddes and G. H. Gonnet, "GCDHEU",
+    J. Symbolic Comput. 7, 1989): the integer gcd of the primitive parts'
+    values at a point xi >= 2*min(|a|, |b|) + 2, |.| the largest
+    coefficient, read back in balanced base-xi digits.  A candidate is
+    accepted only if its primitive part divides both exactly, and then it
+    is the gcd (K. O. Geddes, S. R. Czapor and G. Labahn, Algorithms for
+    Computer Algebra, Thm 7.7).  After a few rejected points the primitive
+    remainder sequence decides.
+
+    >>> _zgcd((-2, 0, 2), (2, 4, 2))
+    (2, 2)
+    """
+    content = math.gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return (content,)
+    a, b = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        # the roots of whichever of a, b has the smaller largest coefficient
+        # m lie below 1 + m < xi (Cauchy's bound), so the gcd is not 0
+        h = _primitive(_balanced_digits(math.gcd(_zeval(a, xi), _zeval(b, xi)), xi))
+        if _zdiv(a, h) is not None and _zdiv(b, h) is not None:
+            break
+        xi = xi * 73794 // 27011  # about (1 + sqrt 3) xi, as in GCDHEU
+    else:
+        h = _zprs(a, b)
+    return h if content == 1 else tuple(content * x for x in h)
+
+
+def _normal_form(num, den):
+    """Stored form of num / den, both in Z[tau], den nonzero: divided by
+    their gcd, as Fraction coefficients with the denominator monic."""
+    if not num:
+        return _PZERO, _PONE
+    if len(den) == 1:
+        return tuple(Fraction(c, den[0]) for c in num), _PONE
+    g = _zgcd(num, den)
+    if len(g) > 1:
+        num, den = _zdiv(num, g), _zdiv(den, g)
+    lead = den[-1]
+    return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
 
 
 class TauScalar:
     """Element of the rational function field Q(tau), tau a formal 2*pi.
 
-    Stored as a reduced fraction of polynomials with the denominator monic,
-    so equal values have equal representations (and equal hashes).
+    Stored as a fraction of polynomials with Fraction coefficients, reduced
+    by the gcd of its numerator and denominator cleared to Z[tau] (``_zgcd``),
+    with the denominator monic, so equal values have equal representations
+    (and equal hashes).
 
     >>> x = TAU / 2 + 1
     >>> str(x)
@@ -157,17 +296,11 @@ class TauScalar:
         pd = self._coerce_poly(den)
         if _pis_zero(pd):
             raise ZeroDivisionError("TauScalar denominator is zero")
-        if _pis_zero(pn):
-            pn, pd = _PZERO, _PONE
-        else:
-            g = _pgcd(pn, pd)
-            if g != _PONE:
-                pn = _pdivmod(pn, g)[0]
-                pd = _pdivmod(pd, g)[0]
-            lead = pd[-1]
-            if lead != 1:
-                pn = tuple(c / lead for c in pn)
-                pd = tuple(c / lead for c in pd)
+        scale = math.lcm(*(c.denominator for c in pn + pd))
+        pn, pd = _normal_form(
+            () if _pis_zero(pn) else tuple(c.numerator * (scale // c.denominator) for c in pn),
+            tuple(c.numerator * (scale // c.denominator) for c in pd),
+        )
         object.__setattr__(self, "_num", pn)
         object.__setattr__(self, "_den", pd)
 
@@ -389,9 +522,8 @@ def cleared_rows(rows) -> list:
     """Each row over Q(tau) times a nonzero scalar of its own, so that its
     entries are polynomials in Z[tau] with no common integer factor.
 
-    A polynomial is a tuple of ints, low degree first, with a nonzero last
-    coefficient; zero is ().  Scaling rows keeps the row space, so linalg
-    eliminates these instead of TauScalars.
+    Scaling rows keeps the row space, so linalg eliminates these instead
+    of TauScalars.
 
     >>> cleared_rows([[TAU / 2, TauScalar(1) / (TAU + 1), TauScalar(0)]])
     [[(0, 1, 1), (2,), ()]]
@@ -422,21 +554,19 @@ def cleared_rows(rows) -> list:
 
 
 def zpoly_ratio(num: tuple, den: tuple) -> TauScalar:
-    """The TauScalar num / den of two polynomials in Z[tau], den nonzero,
-    in the form of ``cleared_rows``.
+    """The TauScalar num / den of two polynomials in Z[tau], den nonzero.
 
-    A rational quotient is stored as Fraction(num, den) directly; any other
-    goes through the normalizing constructor.
+    The constructor's normalizer takes them as they are: their Z[tau] gcd
+    divides both, and no coefficient becomes a Fraction before that.
 
     >>> zpoly_ratio((2,), (-4,)), zpoly_ratio((0, 2), (4, 2))
     (TauScalar('-1/2'), TauScalar('(tau)/(2+tau)'))
     """
-    if len(den) == 1 and len(num) <= 1:
-        x = object.__new__(TauScalar)
-        object.__setattr__(x, "_num", (Fraction(num[0], den[0]),) if num else _PZERO)
-        object.__setattr__(x, "_den", _PONE)
-        return x
-    return TauScalar(num or 0, den)
+    x = object.__new__(TauScalar)
+    num, den = _normal_form(num, den)
+    object.__setattr__(x, "_num", num)
+    object.__setattr__(x, "_den", den)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Exact dense linear algebra over the tau field."""
 
+import ast
 import random
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almostabelian import linalg
+from almostabelian import linalg, scalars
 from almostabelian.linalg import (
     from_columns,
     identity,
@@ -258,6 +261,29 @@ def test_kernel_does_no_tau_arithmetic(monkeypatch):
     assert solve(a, b) is not None
     assert len(inverse(square)) == 3
     assert len(nullspace(a)) == 1
+
+
+def test_one_polynomial_arithmetic():
+    # linalg eliminates with the Z[tau] arithmetic of scalars; no other
+    # module defines a polynomial helper (named _p* or _z* in scalars), and
+    # outside scalars only integers, over Z, divides with a remainder
+    for name in ("_zmul", "_zsub", "_zdiv"):
+        assert getattr(linalg, name) is getattr(scalars, name)
+    helper = re.compile(r"^_[pz][a-z]+$")
+    helpers, dividers = {}, set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and helper.match(node.name):
+                helpers.setdefault(path.stem, []).append(node.name)
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv)
+            ) or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod"):
+                dividers.add(path.stem)
+    assert helpers == {}
+    assert dividers <= {"integers"}
 
 
 def _tau_linear(n, seed):

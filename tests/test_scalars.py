@@ -1,7 +1,9 @@
 """Exact scalar tower: rationals, the formal circle constant, Gaussian rationals."""
 
 import math
+import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from almostabelian import scalars
 from almostabelian.scalars import (
     TAU,
     GaussRational,
@@ -27,6 +30,13 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 # 2*pi truncated after 30 decimals: tau - R30 is about 5.8e-33
 R30 = Fraction("6.283185307179586476925286766559")
+
+
+def _at(x, r):
+    """The value of x at tau = r, from its stored form."""
+    return sum(c * r**k for k, c in enumerate(x._num)) / sum(
+        c * r**k for k, c in enumerate(x._den)
+    )
 
 
 def taus(max_degree=2):
@@ -170,6 +180,30 @@ class TestTauField:
         x = parse_tau("1+1/2*tau")
         assert abs(float(x) - (1 + 3.141592653589793)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ("3^1200*tau^16+1", "5^800*tau^16+7", "7^800*tau^16+1", "3^1199*tau^15+7"),
+            (
+                "3^1200*tau^16+tau+1",
+                "5^800*tau^16+tau+7",
+                "7^800*tau^16+tau+1",
+                "3^1199*tau^15+tau+7",
+            ),
+        ],
+    )
+    def test_large_coefficient_sum_parses_fast(self, parts):
+        # degree <= 32 and coefficients < 4096 bits, inside both parser
+        # bounds; a gcd over Fraction coefficients took 74 s on the first
+        a, b, c, d = map(parse_tau, parts)
+        text = "({})/({})+(({})/({}))".format(*parts)
+        started = time.perf_counter()
+        x = parse_tau(text)
+        assert time.perf_counter() - started < 1.0
+        assert x == a / b + c / d
+        for r in (Fraction(1, 3), Fraction(-7, 2)):
+            assert _at(x, r) == _at(a, r) / _at(b, r) + _at(c, r) / _at(d, r)
+
 
 class TestRealEmbedding:
     def test_floor_near_an_integer(self):
@@ -237,6 +271,108 @@ class TestRealEmbedding:
             if f.name != "scalars.py" and pattern.search(f.read_text())
         ]
         assert readers == []
+
+
+# The Euclidean gcd over Fraction coefficients that normalized TauScalars
+# before the Z[tau] gcd: the oracle the stored form is checked against.
+
+
+def _euclid_divmod(a, b):
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    rem = list(a)
+    while len(rem) >= len(b) and any(rem):
+        c = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = c
+        for j, y in enumerate(b):
+            rem[len(rem) - len(b) + j] -= c * y
+        rem.pop()
+    return quot, rem
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd over Q of nonzero polynomials."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while any(b):
+        rem = _euclid_divmod(a, b)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    return tuple(c / a[-1] for c in a)
+
+
+def _oracle_form(num, den):
+    """(num, den) over their Euclid gcd, the denominator monic."""
+    num, den = [tuple(Fraction(c) for c in p) for p in (num, den)]
+    if not any(num):
+        return (Fraction(0),), (Fraction(1),)
+    g = _euclid_gcd(num, den)
+    num, den = _euclid_divmod(num, g)[0], _euclid_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def _zpoly(rng, degree, bits):
+    coefs = [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(degree)]
+    return tuple(coefs) + (rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1),)
+
+
+def _planted_pairs(count, seed):
+    """Pairs (a, b) in Z[tau], degree <= 6 each with coefficients up to
+    2^200, times a common factor of degree <= 3; constants and units
+    (+-1) on either side every few draws."""
+    rng = random.Random(seed)
+    for i in range(count):
+        bits = rng.choice((1, 3, 30, 200))
+        a = _zpoly(rng, rng.randint(0, 6), bits)
+        b = _zpoly(rng, rng.randint(0, 6), bits)
+        if i % 7 == 0:
+            b = (rng.choice((-1, 1)),)
+        elif i % 7 == 1:
+            a = (rng.choice((-1, 1)) * rng.getrandbits(bits) or 1,)
+        common = _zpoly(rng, rng.randint(0, 3), rng.choice((1, 3, 30, 200)))
+        if i % 5 != 0:
+            a, b = scalars._zmul(a, common), scalars._zmul(b, common)
+        yield a, b
+
+
+def _monic(p):
+    return tuple(Fraction(c, p[-1]) for c in p)
+
+
+class TestZGcd:
+    def test_stored_form_matches_euclid(self):
+        rng = random.Random(7)
+        for a, b in _planted_pairs(150, seed=16):
+            scale = Fraction(rng.choice((1, 3, 2**64 + 1)), rng.choice((1, 10, 3**40)))
+            num = tuple(scale * c for c in a)
+            den = tuple(Fraction(c, rng.choice((1, 2, 3**40))) if len(b) > 1 else c for c in b)
+            x = TauScalar(num, den)
+            assert (x._num, x._den) == _oracle_form(num, den), (num, den)
+
+    def test_gcd_matches_euclid(self):
+        for a, b in _planted_pairs(150, seed=17):
+            g = scalars._zgcd(a, b)
+            assert g[-1] > 0
+            assert math.gcd(*g) == math.gcd(math.gcd(*a), math.gcd(*b))
+            assert _monic(g) == _euclid_gcd(a, b)
+
+    def test_remainder_sequence_matches_euclid(self):
+        # the fallback, called directly: the heuristic decides every pair
+        # drawn here before it would run
+        for a, b in _planted_pairs(150, seed=18):
+            if len(a) > 1 and len(b) > 1:
+                a, b = scalars._primitive(a), scalars._primitive(b)
+                g = scalars._zprs(a, b)
+                assert g[-1] > 0 and math.gcd(*g) == 1
+                assert _monic(g) == _euclid_gcd(a, b)
+
+    def test_trial_division(self):
+        a, b = (1, 2, 3), (-1, 0, 5)
+        assert scalars._zdiv(scalars._zmul(a, b), b) == a
+        assert scalars._zdiv(scalars._zmul(a, b), (2,)) is None
+        assert scalars._zdiv((1, 2, 3), (1, 1)) is None
+        assert scalars._zdiv((2, 0, 2), (1, 1)) is None
+        assert scalars._zdiv((), (1, 1)) == ()
+        assert scalars._zdiv((1,), (1, 1)) is None
 
 
 class TestGaussRational:
