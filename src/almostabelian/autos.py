@@ -42,6 +42,7 @@ from .linalg import (
     vec,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from .scalars import TauScalar, as_tau
 
@@ -291,13 +292,7 @@ def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:
     # g h g^{-1} = [u + e^{sJ} v - e^{tJ} u, t]
     moved = vec_add(
         phi.u,
-        tuple(
-            a - b
-            for a, b in zip(
-                apply_exp_tj(aleph, phi.s, g.v),
-                apply_exp_tj(aleph, g.t, phi.u),
-            )
-        ),
+        vec_sub(apply_exp_tj(aleph, phi.s, g.v), apply_exp_tj(aleph, g.t, phi.u)),
     )
     return group_element(aleph, moved, g.t)
 

@@ -36,6 +36,7 @@ from .jordan import (
     in_kernel,
     kernel_basis,
     numeric_mode,
+    write_blocks,
 )
 from .linalg import (
     Matrix,
@@ -44,7 +45,12 @@ from .linalg import (
     inverse,
     mat,
     mat_mul,
+    mat_vec,
+    unit_vec,
     vec,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
 )
 from .scalars import TAU, GaussRational, TauScalar, as_tau, rat_gcd
 
@@ -307,27 +313,18 @@ def _phi_block(block: Block, t: TauScalar):
 def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn) -> Matrix:
     d = aleph.dim
     rows = [[ZERO] * d for _ in range(d)]
-    for block in aleph.blocks:
-        o = block.offset
-        for i, row in enumerate(block_fn(block, t)):
-            rows[o + i][o : o + block.width] = row
+    write_blocks(rows, aleph, lambda block: block_fn(block, t))
     return mat(rows)
 
 
 def _apply_blockwise(aleph: MultiplicityFunction, t: TauScalar, v: Vector, block_fn) -> Vector:
     """Apply the blockwise matrix to v, skipping blocks where v vanishes."""
-    out = [ZERO] * len(v)
+    out = list(v)
     for block in aleph.blocks:
-        chunk = [as_tau(v[i]) for i in block.coords]
-        if all(x.is_zero for x in chunk):
-            continue
-        for i, row in enumerate(block_fn(block, t)):
-            acc = ZERO
-            for c, x in zip(row, chunk):
-                if not c.is_zero:
-                    acc = acc + c * x
-            out[block.offset + i] = acc
-    return vec(out)
+        cells = slice(block.offset, block.offset + block.width)
+        if not vec_is_zero(v[cells]):
+            out[cells] = mat_vec(block_fn(block, t), v[cells])
+    return tuple(out)
 
 
 def apply_exp_tj(aleph: MultiplicityFunction, t, v) -> Vector:
@@ -343,7 +340,7 @@ def apply_phi_tj(aleph: MultiplicityFunction, t, v) -> Vector:
 def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
     """Exact ((e^{sJ} - id)/J) v = s*phi(sJ) v, the displacement integral."""
     s = as_tau(s)
-    return vec([s * x for x in apply_phi_tj(aleph, s, v)])
+    return vec_scale(s, apply_phi_tj(aleph, s, v))
 
 
 def group_mul(
@@ -366,9 +363,7 @@ def group_mul(
         vh, th = element_numeric(h)
         return vg + block_exp_numeric(aleph, tg) @ vh, tg + th
     moved = apply_exp_tj(aleph, g.t, h.v)
-    return GroupElement(
-        tuple(a + b for a, b in zip(g.v, moved)), g.t + h.t
-    )
+    return GroupElement(vec_add(g.v, moved), g.t + h.t)
 
 
 def group_inverse(
@@ -507,16 +502,13 @@ def e2_witness(aleph: MultiplicityFunction) -> E2Witness:
         eig = block.eigenvalue
         if eig.re == 0 and eig.im != 0:
             b = eig.im
-            d = aleph.dim
-            collision = [ZERO] * d
-            collision[block.offset] = ONE
             return E2Witness(
                 block_index=index,
                 block=block,
                 coordinates=(block.offset, block.offset + 1),
                 restriction=tuple(row[:2] for row in block_matrix(block)[:2]),
                 collision_time=TAU / as_tau(b),
-                collision_vector=vec(collision),
+                collision_vector=unit_vec(aleph.dim, block.offset),
             )
     raise NoWitness("the group is exponential; no rotation block to exhibit")
 

@@ -27,8 +27,11 @@ from .linalg import (
     mat,
     mat_vec,
     row_space_basis,
+    unit_vec,
     vec,
     vec_is_zero,
+    vec_scale,
+    vec_sub,
     zero_vec,
 )
 from .scalars import GaussRational, TauScalar, as_tau
@@ -196,16 +199,24 @@ def block_matrix(block: Block) -> Matrix:
     return mat(rows)
 
 
+def write_blocks(grid, aleph: MultiplicityFunction, block_rows) -> None:
+    """Write each block's rows block_rows(block) onto the diagonal of grid,
+    at the block's offset.  grid is a nested list or a numpy array and
+    block_rows gives exact or float rows to match: this is the one place
+    per-block matrices are copied into a whole one."""
+    for block in aleph.blocks:
+        o = block.offset
+        for i, row in enumerate(block_rows(block)):
+            grid[o + i][o : o + block.width] = row
+
+
 @lru_cache(maxsize=None)
 def build_jordan(aleph: MultiplicityFunction) -> Matrix:
     """The block-diagonal real Jordan matrix J of the datum, assembled from
     the blocks' own matrices in the layout of aleph.blocks."""
     d = aleph.dim
     rows = [[TauScalar(0)] * d for _ in range(d)]
-    for block in aleph.blocks:
-        o = block.offset
-        for i, row in enumerate(block_matrix(block)):
-            rows[o + i][o : o + block.width] = row
+    write_blocks(rows, aleph, block_matrix)
     return mat(rows)
 
 
@@ -266,13 +277,7 @@ def in_kernel(aleph: MultiplicityFunction, v) -> bool:
 
 def kernel_basis(aleph: MultiplicityFunction) -> tuple:
     """Standard basis vectors spanning ker J."""
-    d = aleph.dim
-    out = []
-    for i in aleph.kernel_coordinates:
-        e = [TauScalar(0)] * d
-        e[i] = TauScalar(1)
-        out.append(tuple(e))
-    return tuple(out)
+    return tuple(unit_vec(aleph.dim, i) for i in aleph.kernel_coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +296,9 @@ def commutator(
     '(-1, 0 | 0)'
     """
     j = build_jordan(aleph)
-    left = vec([x.t * c for c in mat_vec(j, y.v)])
-    right = vec([y.t * c for c in mat_vec(j, x.v)])
-    return AlgebraElement(
-        tuple(a - b for a, b in zip(left, right)), TauScalar(0)
-    )
+    left = vec_scale(x.t, mat_vec(j, y.v))
+    right = vec_scale(y.t, mat_vec(j, x.v))
+    return AlgebraElement(vec_sub(left, right), TauScalar(0))
 
 
 def derived_algebra_basis(aleph: MultiplicityFunction) -> tuple:

@@ -26,18 +26,20 @@ from .linalg import (
     from_columns,
     identity,
     is_invertible,
+    mat_vec,
     nullspace,
     pivot_columns,
     rank,
     solve_columns,
     vec,
     vec_add,
+    vec_sub,
+    zero_vec,
 )
 from .reps import quotient_faithful_rep
 from .scalars import TauScalar, integer_rows
 
 ZERO = TauScalar(0)
-ONE = TauScalar(1)
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,9 @@ def integer_combination(aleph, gens, coeffs) -> GroupElement:
 
     Central generators commute, so this is the product of their powers.
     """
-    d = aleph.dim
-    v = [ZERO] * d
-    t = ZERO
-    for c, g in zip(coeffs, gens):
-        if c:
-            for i in range(d):
-                v[i] = v[i] + c * g.v[i]
-            t = t + c * g.t
-    return group_element(aleph, v, t)
+    cols = [tuple(g.v) + (g.t,) for g in gens]
+    point = mat_vec(from_columns(cols), vec(coeffs)) if cols else zero_vec(aleph.dim + 1)
+    return group_element(aleph, point[:-1], point[-1])
 
 
 def is_economic(subgroup) -> bool:
@@ -326,20 +322,12 @@ def related_by_aut_check(n, m, delta_tilde, a) -> bool:
         if abs(a[0][0]) != 1 or any(a[0][j] != 0 for j in range(1, k)):
             return False
     v_cols = _significant(n)
-    u_cols = _significant(m)
+    u = from_columns(_significant(m))
     constrained = range(k) if t1.is_zero else range(1, k)
-    for j in constrained:
-        lhs = [
-            sum((delta_tilde[r][c] * v_cols[j][c] for c in range(q)), ZERO)
-            for r in range(q)
-        ]
-        rhs = [
-            sum((u_cols[i][r] * a[i][j] for i in range(k)), ZERO)
-            for r in range(q)
-        ]
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        mat_vec(delta_tilde, v_cols[j]) == mat_vec(u, vec(row[j] for row in a))
+        for j in constrained
+    )
 
 
 def related_by_aut_search(n, m, bound: int = 1):
@@ -471,14 +459,8 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     # completed along null directions of its block's system.  A admits a
     # Delta (see related_by_aut_search), so every system is consistent and
     # the null directions always suffice
-    k = len(a)
-    targets = [
-        [
-            sum((u_cols[i][r] * a[i][j] for i in range(k)), ZERO) - v_cols[j][r]
-            for r in range(q)
-        ]
-        for j in constrained
-    ]
+    u = from_columns(u_cols)
+    targets = [vec_sub(mat_vec(u, vec(row[j] for row in a)), v_cols[j]) for j in constrained]
     delta = [list(row) for row in identity(q)]
     for r0, r1 in boundaries:
         system = tuple(v_cols[j][r0:] for j in constrained)
@@ -574,7 +556,7 @@ def _kernel_shear(aleph, subgroup):
     if ls is None:
         raise ValueError("separation criterion violated during shear solve")
     d = aleph.dim
-    delta = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+    delta = [list(row) for row in identity(d)]
     for r, row in zip(deep, ls):
         for c, value in zip(abelian, row):
             delta[r][c] = -value

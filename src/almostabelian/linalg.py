@@ -1,14 +1,17 @@
 """Dense exact linear algebra over the field Q(tau).
 
 Matrices are tuples of row tuples, vectors are tuples; every entry is a
-TauScalar.  Every linear system in the package is posed by its caller and
-row-reduced here, by one kernel: fraction-free Gauss-Jordan elimination
+TauScalar.  The package's vector sums, matrix products and linear
+combinations are the ones here.  Every linear system in the package is
+posed by its caller and row-reduced here, by one kernel, the package's
+only elimination over Q(tau): fraction-free Gauss-Jordan elimination
 over the integer polynomials Z[tau] (Bareiss), which builds no TauScalar
 until its result.  Its entries are minors of the input, so they grow
 only as fast as determinants do, and the polynomial arithmetic is that of
 ``scalars``, whose Z[tau] gcd reduces each result entry: an n x n inverse
 with entries a + b*tau costs two to four times more each time n grows by
 two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
+Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
 """
 
 from __future__ import annotations
@@ -159,22 +162,6 @@ def row_space_basis(vectors) -> list:
     return [rows[i] for i in range(len(pivots))]
 
 
-def echelon_residual(echelon, target) -> Vector:
-    """What is left of target after elimination by row_space_basis rows.
-
-    The residual is linear in target and vanishes exactly when target
-    lies in the span of the rows.
-    """
-    out = list(target)
-    for row in echelon:
-        p = next(i for i, x in enumerate(row) if not x.is_zero)
-        c = out[p]
-        if not c.is_zero:
-            for i in range(len(out)):
-                out[i] = out[i] - c * row[i]
-    return vec(out)
-
-
 def in_span(vectors, target) -> bool:
     """Whether target lies in the span of the given vectors."""
     vectors = list(vectors)
@@ -254,12 +241,7 @@ def span_intersection(vectors_a, vectors_b) -> list:
     vb = [vec(v) for v in vectors_b]
     if not va or not vb:
         return []
+    a = from_columns(va)
     stacked = from_columns(va + [vec_scale(-1, v) for v in vb])
-    out = []
-    for rel in nullspace(stacked):
-        combo = zero_vec(len(va[0]))
-        for c, v in zip(rel[: len(va)], va):
-            combo = vec_add(combo, vec_scale(c, v))
-        if not vec_is_zero(combo):
-            out.append(combo)
-    return row_space_basis(out)
+    combos = [mat_vec(a, rel[: len(va)]) for rel in nullspace(stacked)]
+    return row_space_basis([c for c in combos if not vec_is_zero(c)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autos import InnerAut, heis_action, is_heisenberg_extension
 from .expmap import ExpAtom, write_exp_block
-from .jordan import Block, MultiplicityFunction, block_matrix
+from .jordan import Block, MultiplicityFunction, block_matrix, write_blocks
 from .reps import write_group_rep, write_quotient_cells
 
 
@@ -86,9 +86,7 @@ def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
     series for small arguments, otherwise (e^{tJ_b} - id)(tJ_b)^{-1}."""
     d = aleph.dim
     out = np.zeros((d, d))
-    for block in aleph.blocks:
-        o, w = block.offset, block.width
-        out[o : o + w, o : o + w] = _phi_block_numeric(block, t)
+    write_blocks(out, aleph, lambda block: _phi_block_numeric(block, t))
     return out
 
 

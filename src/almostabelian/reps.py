@@ -27,11 +27,13 @@ from .linalg import (
     Matrix,
     from_columns,
     inverse,
+    mat_mul,
     mat_vec,
     pivot_columns,
     solve,
     unit_vec,
     vec,
+    vec_sub,
 )
 from .scalars import TAU, TauScalar, as_tau, tau_floor
 
@@ -93,17 +95,7 @@ class RepMatrix:
         """Exact matrix product; defined only when both factors are exact."""
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
-        a = self.exact()
-        b = other.exact()
-        n = self.dimension
-        rows = tuple(
-            tuple(
-                sum((a[i][l] * b[l][j] for l in range(n)), ZERO)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return RepMatrix(rows)
+        return RepMatrix(mat_mul(self.exact(), other.exact()))
 
     def row_strings(self) -> list:
         return [" ".join(str(e) for e in row) for row in self.entries]
@@ -246,15 +238,9 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     # are independent, where the lattice coordinates are read off
     pivots = pivot_columns(tuple(cols))
     point = tuple(g.v) + (g.t,)
-    system = tuple(tuple(col[i] for col in cols) for i in pivots)
-    coords = solve(system, vec(point[i] for i in pivots))
-    shift = [ZERO] * len(point)
-    for col, coord in zip(cols, coords):
-        n = tau_floor(coord)
-        if n:
-            for i, c in enumerate(col):
-                shift[i] = shift[i] + n * c
-    reduced = tuple(point[i] - shift[i] for i in range(len(point)))
+    lattice = from_columns(cols)
+    coords = solve(tuple(lattice[i] for i in pivots), vec(point[i] for i in pivots))
+    reduced = vec_sub(point, mat_vec(lattice, vec(tau_floor(c) for c in coords)))
     return group_element(aleph, reduced[:-1], reduced[-1])
 
 

@@ -56,13 +56,11 @@ def rat_gcd(a: Fraction, b: Fraction) -> Fraction:
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise ValueError("rat_gcd(0, 0) is undefined")
-    from math import gcd, lcm
-
     if a == 0:
         return abs(b)
     if b == 0:
         return abs(a)
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
+    return Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +496,20 @@ def integer_rows(rows) -> list:
     """Expand linear rows over Q(tau) into equivalent integer rows.
 
     tau is transcendental, so a linear condition with rational unknowns
-    splits into one rational condition per tau power after clearing the
-    polynomial denominators.
+    splits into one rational condition per tau power once the row is
+    cleared into Z[tau] (``cleared_rows``).  Each nonzero power row is
+    divided by its content, so every returned row is primitive.
 
     >>> integer_rows([[TAU, 1 + TAU / 2]])
     [[0, 1], [2, 1]]
     """
     out = []
-    for row in rows:
-        den = TauScalar(1)
-        for c in row:
-            den = den * TauScalar(c._den)
-        nums = [(c * den)._num for c in row]
-        for power in range(max(map(len, nums))):
-            fracs = [p[power] if power < len(p) else Fraction(0) for p in nums]
-            if any(fracs):
-                scale = math.lcm(*(f.denominator for f in fracs))
-                out.append([int(f * scale) for f in fracs])
+    for row in cleared_rows(rows):
+        for power in range(max(map(len, row), default=0)):
+            ints = [p[power] if power < len(p) else 0 for p in row]
+            content = math.gcd(*ints)
+            if content:
+                out.append([c // content for c in ints])
     return out
 
 

@@ -24,15 +24,20 @@ from .jordan import (
 )
 from .lattices import DiscreteCentralSubgroup, integer_combination
 from .linalg import (
-    echelon_residual,
+    from_columns,
+    identity,
     in_span,
+    mat_mul,
     mat_vec,
+    nullspace,
     row_space_basis,
     span_intersection,
     vec,
+    vec_is_zero,
+    vec_scale,
     vec_sub,
 )
-from .scalars import TauScalar, as_tau, integer_rows
+from .scalars import TauScalar, integer_rows
 
 ZERO = TauScalar(0)
 ONE = TauScalar(1)
@@ -178,21 +183,16 @@ def split_lattice_through(
     multiples = subgroup.time_multiples
     if spec.case == 2 and not tor.is_trivial:
         slope = _kernel_projection(aleph, spec.v0)
-        targets = [
-            vec_sub(g.v, vec((m * tor.t0) * x for x in slope))
-            for g, m in zip(gens, multiples)
-        ]
+        targets = [vec_sub(g.v, vec_scale(m * tor.t0, slope)) for g, m in zip(gens, multiples)]
     else:
         targets = [g.v for g in gens]
-    echelon = row_space_basis(spec.basis)
-    residuals = [echelon_residual(echelon, z) for z in targets]
-    conditions = []
-    for coord in range(aleph.dim):
-        row = [r[coord] for r in residuals]
-        if not all(x.is_zero for x in row):
-            conditions.append(row)
+    # the combination lies in W exactly when every normal of W kills it
+    normals = nullspace(spec.basis) if spec.basis else identity(aleph.dim)
+    conditions = [
+        row for row in mat_mul(normals, from_columns(targets)) if not vec_is_zero(row)
+    ]
     if spec.case == 1 and any(multiples):
-        conditions.append([as_tau(m) for m in multiples])
+        conditions.append(vec(multiples))
     complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), len(gens))
     inside = DiscreteCentralSubgroup(
         aleph, tuple(integer_combination(aleph, gens, c) for c in kernel_cols)

@@ -286,6 +286,57 @@ def test_one_polynomial_arithmetic():
     assert dividers <= {"integers"}
 
 
+def _eliminates(func) -> bool:
+    """Whether the function updates an indexed entry by subtracting a
+    product, x[i] = x[i] - c * y[i] or x[i] -= c * y[i]: one step of row
+    elimination."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript):
+            value = node.value
+            if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub):
+                if isinstance(value.right, ast.BinOp) and isinstance(value.right.op, ast.Mult):
+                    return True
+        if (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Mult)
+        ):
+            return True
+    return False
+
+
+def test_linear_algebra_has_one_home():
+    # outside linalg no module sums a generator of products from ZERO by
+    # hand, no function is named after a residual, and only integers, over
+    # Z, eliminates rows beside linalg's kernel (scalars' polynomial
+    # division, in its _z* helpers, has the same shape on coefficients)
+    polynomial = re.compile(r"^_[pz][a-z]+$")
+    sums, residuals, eliminators = set(), set(), set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "sum"
+                and len(node.args) == 2
+                and isinstance(node.args[0], ast.GeneratorExp)
+                and "ZERO" in getattr(node.args[1], "id", "")
+                and path.stem != "linalg"
+            ):
+                sums.add(path.stem)
+            if isinstance(node, ast.FunctionDef):
+                if "residual" in node.name:
+                    residuals.add((path.stem, node.name))
+                if _eliminates(node) and path.stem not in ("linalg", "integers"):
+                    if not (path.stem == "scalars" and polynomial.match(node.name)):
+                        eliminators.add((path.stem, node.name))
+    assert sums == set()
+    assert residuals == set()
+    assert eliminators == set()
+
+
 def _tau_linear(n, seed):
     """A seeded n x n matrix with entries a + b*tau, a and b nonzero."""
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
-"""The package's import graph: module-level imports are acyclic, and only
-the float stack (numeric, oracle) is imported inside functions, so that
-exact work never loads numpy or scipy."""
+"""The package's import graph: module-level imports are acyclic, and
+nothing but the float stack (numeric, oracle) is imported inside
+functions, so that exact work never loads numpy or scipy and every other
+dependency is visible at the top of its module."""
 
 import ast
 import graphlib
@@ -21,16 +22,29 @@ def _package_imports(node):
     return [alias.name for alias in node.names]
 
 
+def _any_imports(node):
+    """Names of the modules any import statement loads: package modules by
+    their own name, others by their full dotted name."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return _package_imports(node)
+
+
 def _imports():
-    """module -> (module-level targets, function-level targets)."""
+    """module -> (module-level package targets, function-level targets of
+    any kind)."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         top = {id(node) for node in tree.body}
         module_level, function_level = set(), set()
         for node in ast.walk(tree):
-            targets = _package_imports(node)
-            (module_level if id(node) in top else function_level).update(targets)
+            if id(node) in top:
+                module_level.update(_package_imports(node))
+            else:
+                function_level.update(_any_imports(node))
         out[path.stem] = (module_level, function_level)
     return out
 

@@ -262,6 +262,21 @@ class TestRealEmbedding:
         rows = integer_rows([[TAU, 1 + TAU / 2], [1 / (TAU + 1), as_tau(0)]])
         assert rows == [[0, 1], [2, 1], [1, 0]]
 
+    def test_integer_rows_share_a_repeated_denominator(self):
+        # the row is cleared by (tau + 1) once, not by its square
+        assert integer_rows([[1 / (TAU + 1), 1 / (TAU + 1)]]) == [[1, 1]]
+
+    def test_integer_rows_are_primitive(self):
+        rows = integer_rows(
+            [
+                [TAU, 1 + TAU / 2, as_tau(0)],
+                [1 / (TAU + 1), as_tau(0), TAU / 4],
+                [2 * TAU / 3, 4 / (TAU + 1), as_tau(6)],
+                [TAU**2 / (TAU - 1), 1 + TAU, 2 / (TAU**2 + 1)],
+            ]
+        )
+        assert rows and all(math.gcd(*row) == 1 for row in rows)
+
     def test_storage_is_private_to_scalars(self):
         package = Path(__file__).resolve().parents[1] / "src" / "almostabelian"
         pattern = re.compile(r"\.(_?num|_?den)\b")

@@ -6,11 +6,26 @@ from fractions import Fraction
 import pytest
 
 from almostabelian.errors import ExactnessUnavailable, NotCentral
-from almostabelian.expmap import central_log, group_inverse, group_mul
+from almostabelian.expmap import central_log, group_inverse, group_mul, torsion
+from almostabelian.integers import integer_kernel
 from almostabelian.jordan import group_element
-from almostabelian.lattices import DiscreteCentralSubgroup, lattice_equal, subgroup_from_data
-from almostabelian.linalg import from_columns, in_span, solve, vec, vec_is_zero
-from almostabelian.scalars import TAU, TauScalar
+from almostabelian.lattices import (
+    DiscreteCentralSubgroup,
+    integer_combination,
+    lattice_equal,
+    subgroup_from_data,
+    validate_subgroup,
+)
+from almostabelian.linalg import (
+    from_columns,
+    in_span,
+    row_space_basis,
+    solve,
+    span_intersection,
+    vec,
+    vec_is_zero,
+)
+from almostabelian.scalars import TAU, TauScalar, integer_rows
 from almostabelian.subgroups import (
     ConnectedSubgroupSpec,
     bbar,
@@ -320,3 +335,136 @@ class TestClosed:
             for row in left:
                 assert in_span(h_dirs, row)
                 assert in_span(logs, row)
+
+
+# The construction split_lattice_through used before it asked the normals
+# of W: eliminate each target by an echelon basis of W and read one
+# condition per coordinate of the residual.  Kept here as the oracle.
+
+
+def _echelon_residual(echelon, target):
+    out = list(target)
+    for row in echelon:
+        p = next(i for i, x in enumerate(row) if not x.is_zero)
+        c = out[p]
+        if not c.is_zero:
+            for i in range(len(out)):
+                out[i] = out[i] - c * row[i]
+    return out
+
+
+def _oracle_inside(aleph, spec, n):
+    gens = n.generators
+    tor = torsion(aleph)
+    multiples = n.time_multiples
+    if spec.case == 2 and not tor.is_trivial:
+        kernel = set(aleph.kernel_coordinates)
+        slope = [x if i in kernel else TauScalar(0) for i, x in enumerate(spec.v0)]
+        targets = [
+            [x - m * tor.t0 * y for x, y in zip(g.v, slope)] for g, m in zip(gens, multiples)
+        ]
+    else:
+        targets = [list(g.v) for g in gens]
+    echelon = row_space_basis(spec.basis)
+    residuals = [_echelon_residual(echelon, z) for z in targets]
+    conditions = [
+        [r[coord] for r in residuals]
+        for coord in range(aleph.dim)
+        if not all(r[coord].is_zero for r in residuals)
+    ]
+    if spec.case == 1 and any(multiples):
+        conditions.append([TauScalar(m) for m in multiples])
+    kernel_cols = integer_kernel(integer_rows(conditions), len(gens))
+    return DiscreteCentralSubgroup(
+        aleph, tuple(integer_combination(aleph, gens, c) for c in kernel_cols)
+    )
+
+
+def _oracle_closed(aleph, spec, n):
+    left = bbar(aleph, _oracle_inside(aleph, spec, n).generators)
+    h_dirs = [vec(tuple(w) + (0,)) for w in spec.basis]
+    if spec.case == 2:
+        h_dirs.append(vec(tuple(spec.v0) + (1,)))
+    logs = [vec(tuple(g.v) + (g.t,)) for g in n.generators]
+    return list(left) == list(span_intersection(h_dirs, logs))
+
+
+def _scalar(rng):
+    """A small rational, half the time plus a rational multiple of tau."""
+    x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    if rng.random() < 0.5:
+        return x + Fraction(rng.randint(-2, 2), rng.randint(1, 2)) * TAU
+    return TauScalar(x)
+
+
+def _kernel_vector(rng, aleph):
+    v = [TauScalar(0)] * aleph.dim
+    for i in aleph.kernel_coordinates:
+        v[i] = _scalar(rng)
+    return v
+
+
+def _random_case(rng, aleph, partner):
+    """A lattice on aleph and a J-invariant subspace, with a slope a third
+    of the time.  Subspace vectors are often lattice vectors, and the slope
+    often follows one generator, so that some lattice points lie in H.
+    partner(rng) gives the non-kernel vectors the subspace may add."""
+    tor = torsion(aleph)
+    while True:
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            t = 0 if tor.is_trivial else rng.randint(-2, 2) * tor.t0
+            gens.append((_kernel_vector(rng, aleph), t))
+        n = subgroup_from_data(aleph, gens)
+        if validate_subgroup(aleph, n) == ():
+            break
+    basis = []
+    for _ in range(rng.randint(0, 2)):
+        if gens and rng.random() < 0.6:
+            m = [rng.randint(-2, 2) for _ in gens]
+            g = integer_combination(aleph, n.generators, m)
+            basis.append(list(g.v))
+        else:
+            basis.append(_kernel_vector(rng, aleph))
+    basis.extend(partner(rng))
+    basis = [w for w in basis if not vec_is_zero(vec(w))]
+    v0 = None
+    if rng.random() < 1 / 3:
+        if gens and not tor.is_trivial and rng.random() < 0.5:
+            v, t = gens[0]
+            v0 = [x / t for x in v] if t else _kernel_vector(rng, aleph)
+        else:
+            v0 = [_scalar(rng) for _ in range(aleph.dim)]
+    spec = ConnectedSubgroupSpec(aleph, basis, v0)
+    assert validate_subspace(aleph, spec.basis) == ()
+    return spec, n
+
+
+def _e2_r2_partner(rng):
+    # the rotation plane, or nothing: W is invariant either way
+    return [(1, 0, 0, 0), (0, 1, 0, 0)] if rng.random() < 0.3 else []
+
+
+def _heis_r_partner(rng):
+    # e0 = J e1 must come with any vector that has an e1 component
+    if rng.random() < 0.3:
+        return [(1, 0, 0), (_scalar(rng), 1, _scalar(rng))]
+    return []
+
+
+@pytest.mark.parametrize("name, partner", [("e2_r2", _e2_r2_partner), ("heis_r", _heis_r_partner)])
+def test_split_agrees_with_residual_oracle(request, name, partner):
+    aleph = request.getfixturevalue(name)
+    rng = random.Random(SEED)
+    hits = 0
+    for _ in range(60):
+        spec, n = _random_case(rng, aleph, partner)
+        inside, comp = split_lattice_through(aleph, spec, n)
+        assert lattice_equal(inside, _oracle_inside(aleph, spec, n))
+        assert lattice_equal(
+            DiscreteCentralSubgroup(aleph, inside.generators + comp.generators), n
+        )
+        assert is_quotient_subgroup_closed(aleph, spec, n) == _oracle_closed(aleph, spec, n)
+        hits += 0 < inside.rank < n.rank
+    # the draws reach proper, nontrivial splits, not only the extremes
+    assert hits >= 5
