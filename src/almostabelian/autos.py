@@ -277,8 +277,9 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
     if isinstance(phi, InnerAut):
         return _apply_inner(aleph, phi, g)
     if is_heisenberg_extension(aleph):
-        v, t = heis_action(phi.matrix, g.v, g.t)
-        return group_element(aleph, v, t)
+        *moved, s = mat_vec(phi.matrix, (*g.v, g.t))
+        moved[0] += heis_action(phi.matrix, g.v[1], g.t)
+        return group_element(aleph, moved, s)
     scaled_t = g.t * phi.alpha
     integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
     moved = vec_add(
@@ -297,33 +298,15 @@ def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:
     return group_element(aleph, moved, g.t)
 
 
-def heis_action(m, v, t) -> tuple:
-    """The ten-parameter action on coordinates (v, t) = (x, y, w..., t),
-    read off the automorphism's differential m.
-
-    The image is m (v, t) plus one quadratic term in x.  m, v and t may
-    hold exact scalars or floats: this is the one place the polynomial is
-    written.  Returns the image as (v, t).
+def heis_action(m, y, t):
+    """The quadratic term of the ten-parameter action: the image of (v, t)
+    = (x, y, w..., t) is the differential m times (v, t), plus this term in
+    x.  m, y and t may hold exact scalars or floats: this is the one place
+    the term is written.
     """
-    d = len(v)
-    x, y = v[0], v[1]
+    d = len(m) - 1
     alpha, beta2, gamma2, delta22 = m[d][d], m[d][1], m[1][d], m[1][1]
-    new_x = (
-        m[0][0] * x
-        + m[0][1] * y
-        + m[0][d] * t
-        + beta2 * gamma2 * t * y
-        + alpha * gamma2 * t * t / 2
-        + delta22 * beta2 * y * y / 2
-    )
-    new_w = []
-    for i in range(2, d):
-        new_x = new_x + m[0][i] * v[i]
-        acc = m[i][1] * y + m[i][d] * t
-        for j in range(2, d):
-            acc = acc + m[i][j] * v[j]
-        new_w.append(acc)
-    return (new_x, delta22 * y + gamma2 * t, *new_w), beta2 * y + alpha * t
+    return beta2 * gamma2 * t * y + alpha * gamma2 * t * t / 2 + delta22 * beta2 * y * y / 2
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class Block:
     def width(self) -> int:
         return 2 * self.size if self.realified else self.size
 
-    @property
-    def coords(self) -> range:
-        return range(self.offset, self.offset + self.width)
-
 
 class MultiplicityFunction:
     """Finitely supported map (eigenvalue, size) -> multiplicity.
@@ -146,10 +142,6 @@ class MultiplicityFunction:
     @property
     def is_nilpotent(self) -> bool:
         return all(eig.is_zero for eig, _, _ in self.entries)
-
-    @property
-    def spectrum(self) -> tuple:
-        return tuple(eig for eig, _, _ in self.entries)
 
     @property
     def kernel_coordinates(self) -> tuple:

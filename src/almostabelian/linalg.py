@@ -12,6 +12,15 @@ only as fast as determinants do, and the polynomial arithmetic is that of
 with entries a + b*tau costs two to four times more each time n grows by
 two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
 Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
+
+A matrix with no rows reads as 0 x 0, an open fault: ``nullspace(())``
+is empty, not a basis of Q(tau)^n, and ``solve_columns`` on no equations
+returns zero-length solutions.  Two callers handle the 0 x n case:
+``subgroups.split_lattice_through`` (normals ``identity(d)`` when W = 0)
+and ``lattices._solve_delta`` (adds each solution entry by entry).
+
+>>> nullspace(())
+[]
 """
 
 from __future__ import annotations

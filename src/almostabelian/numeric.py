@@ -105,8 +105,9 @@ def apply_aut_numeric(aleph: MultiplicityFunction, phi, v: np.ndarray, t: float)
     d = aleph.dim
     m = _matrix(phi.matrix, d + 1)
     if is_heisenberg_extension(aleph):
-        moved, s = heis_action(m, v, t)
-        return np.array(moved), s
+        image = m @ np.append(v, t)
+        image[0] += heis_action(m, v[1], t)
+        return image[:d], image[d]
     s = m[d, d] * t
     moved = t * (phi_numeric(aleph, s) @ m[:d, d]) + m[:d, :d] @ v
     return moved, s

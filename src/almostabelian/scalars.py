@@ -64,64 +64,32 @@ def rat_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q, coefficient tuples low degree -> high degree
+# dense polynomials: coefficient tuples, low degree first, with a nonzero
+# last coefficient; zero is ().  Sum, difference and product use only + - *
+# on coefficients: one arithmetic over Z (Z[tau]) and over Q (a TauScalar's
+# Fraction coefficients).  Division and gcd, the package's only ones, work
+# over Z[tau]; linalg eliminates with this arithmetic too.
 
-
-def _ptrim(c):
-    c = tuple(c)
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-_PZERO = (Fraction(0),)
 _PONE = (Fraction(1),)
 
 
-def _pis_zero(a):
-    return len(a) == 1 and a[0] == 0
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
-    )
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if _pis_zero(a) or _pis_zero(b):
-        return _PZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-# ---------------------------------------------------------------------------
-# integer polynomials Z[tau]: tuples of ints, low degree first, with a
-# nonzero last coefficient; zero is ().  The package's only polynomial
-# division and gcd; linalg eliminates with this arithmetic too.
-
-
 def _zmul(a, b):
-    """Product in Z[tau]."""
+    """Product of two polynomials."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return tuple(out)
+
+
+def _zadd(a, b):
+    if not b:
+        return a
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
     return tuple(out)
 
 
@@ -260,7 +228,7 @@ def _normal_form(num, den):
     """Stored form of num / den, both in Z[tau], den nonzero: divided by
     their gcd, as Fraction coefficients with the denominator monic."""
     if not num:
-        return _PZERO, _PONE
+        return (), _PONE
     if len(den) == 1:
         return tuple(Fraction(c, den[0]) for c in num), _PONE
     g = _zgcd(num, den)
@@ -292,11 +260,11 @@ class TauScalar:
             raise TypeError("use arithmetic operators to combine TauScalars")
         pn = self._coerce_poly(num)
         pd = self._coerce_poly(den)
-        if _pis_zero(pd):
+        if not pd:
             raise ZeroDivisionError("TauScalar denominator is zero")
         scale = math.lcm(*(c.denominator for c in pn + pd))
         pn, pd = _normal_form(
-            () if _pis_zero(pn) else tuple(c.numerator * (scale // c.denominator) for c in pn),
+            tuple(c.numerator * (scale // c.denominator) for c in pn),
             tuple(c.numerator * (scale // c.denominator) for c in pd),
         )
         object.__setattr__(self, "_num", pn)
@@ -305,10 +273,13 @@ class TauScalar:
     @staticmethod
     def _coerce_poly(value):
         if isinstance(value, (int, Fraction)):
-            return _ptrim((Fraction(value),))
-        if isinstance(value, (tuple, list)):
-            return _ptrim(tuple(Fraction(c) for c in value)) or _PZERO
-        raise TypeError(f"cannot build TauScalar from {type(value).__name__}")
+            value = (value,)
+        elif not isinstance(value, (tuple, list)):
+            raise TypeError(f"cannot build TauScalar from {type(value).__name__}")
+        out = [Fraction(c) for c in value]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def __setattr__(self, name, value):
         raise AttributeError("TauScalar is immutable")
@@ -317,25 +288,25 @@ class TauScalar:
 
     @property
     def is_zero(self) -> bool:
-        return _pis_zero(self._num)
+        return not self._num
 
     @property
     def is_rational(self) -> bool:
-        return len(self._num) == 1 and self._den == _PONE
+        return len(self._num) < 2 and self._den == _PONE
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self._num[0]
+        return self._num[0] if self._num else Fraction(0)
 
     @property
     def is_integer(self) -> bool:
-        return self.is_rational and self._num[0].denominator == 1
+        return self.is_rational and self.as_rational().denominator == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return self._num[0].numerator
+        return self.as_rational().numerator
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -343,7 +314,7 @@ class TauScalar:
     def __float__(self) -> float:
         """The real value at tau = 2*pi, correctly rounded."""
         if self.is_rational:
-            return float(self._num[0])
+            return float(self.as_rational())
         for lo, hi in _enclosures(self):
             if float(lo) == float(hi):
                 return float(lo)
@@ -373,14 +344,14 @@ class TauScalar:
         if o is None:
             return NotImplemented
         return TauScalar(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
-            _pmul(self._den, o._den),
+            _zadd(_zmul(self._num, o._den), _zmul(o._num, self._den)),
+            _zmul(self._den, o._den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TauScalar(_pneg(self._num), self._den)
+        return TauScalar(tuple(-c for c in self._num), self._den)
 
     def __pos__(self):
         return self
@@ -401,7 +372,7 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TauScalar(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        return TauScalar(_zmul(self._num, o._num), _zmul(self._den, o._den))
 
     __rmul__ = __mul__
 
@@ -411,7 +382,7 @@ class TauScalar:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("TauScalar division by zero")
-        return TauScalar(_pmul(self._num, o._den), _pmul(self._den, o._num))
+        return TauScalar(_zmul(self._num, o._den), _zmul(self._den, o._num))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -442,7 +413,7 @@ class TauScalar:
 
     def __hash__(self):
         if self.is_rational:
-            return hash(self._num[0])
+            return hash(self.as_rational())
         return hash((self._num, self._den))
 
     # -- printing
@@ -534,13 +505,10 @@ def cleared_rows(rows) -> list:
             p = x._num
             for q in dens:
                 if q != x._den:
-                    p = _pmul(p, q)
+                    p = _zmul(p, q)
             polys.append(p)
         scale = math.lcm(*(c.denominator for p in polys for c in p))
-        ints = [
-            () if _pis_zero(p) else tuple(c.numerator * (scale // c.denominator) for c in p)
-            for p in polys
-        ]
+        ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in polys]
         content = math.gcd(*(c for p in ints for c in p))
         if content > 1:
             ints = [tuple(c // content for c in p) for p in ints]
@@ -674,8 +642,9 @@ def _tokenize(text: str):
 
 
 def _degrees(x: TauScalar) -> tuple:
-    """Degrees of the numerator and denominator of x."""
-    return len(x._num) - 1, len(x._den) - 1
+    """Degrees of the numerator and denominator of x, zero read as
+    degree 0."""
+    return max(len(x._num) - 1, 0), len(x._den) - 1
 
 
 def _bits(x: TauScalar) -> int:

@@ -270,6 +270,21 @@ def test_one_polynomial_arithmetic():
     for name in ("_zmul", "_zsub", "_zdiv"):
         assert getattr(linalg, name) is getattr(scalars, name)
     helper = re.compile(r"^_[pz][a-z]+$")
+    # TauScalar's methods and cleared_rows add, subtract and multiply their
+    # Fraction coefficient tuples with the same ring helpers
+    tree = ast.parse(Path(scalars.__file__).read_text())
+    users = [
+        node
+        for node in tree.body
+        if getattr(node, "name", None) in ("TauScalar", "cleared_rows")
+    ]
+    reached = {
+        node.id
+        for user in users
+        for node in ast.walk(user)
+        if isinstance(node, ast.Name) and helper.match(node.id)
+    }
+    assert {"_zadd", "_zmul"} <= reached <= {"_zadd", "_zsub", "_zmul"}
     helpers, dividers = {}, set()
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         if path.name == "scalars.py":

@@ -1,8 +1,10 @@
-"""The package's public surface: every public name has a caller, and every
-import is used.
+"""The package's public surface: every public name has a caller, every
+public member a reader, and every import is used.
 
 A public top-level function or class is referenced by some package module
-besides its own definition, or is exported from the package.  No file in
+besides its own definition, or is exported from the package.  A public
+method or property of a package class is read, as an attribute of that
+name, somewhere in the package, the tests or the benchmark.  No file in
 the package or in the tests imports a name it never uses.  References are
 read from the syntax tree, so a name mentioned only in a docstring or a
 doctest does not count.
@@ -15,6 +17,7 @@ import almostabelian
 
 PACKAGE = Path(almostabelian.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _parse(path):
@@ -54,6 +57,28 @@ def test_every_public_name_has_a_caller():
             if name not in _names_used(n for n in tree.body if n is not node):
                 uncalled.add((module, name))
     assert uncalled == set()
+
+
+def test_every_public_member_has_a_reader():
+    # attributes are matched by name, whatever object they are read from
+    paths = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = {
+        (module, cls.name, member.name)
+        for module, tree in MODULES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    }
+    assert unread == set()
 
 
 def _unused_imports(path) -> list:

@@ -24,6 +24,7 @@ from almostabelian.scalars import (
     rat_gcd,
     tau_enclosure,
     tau_floor,
+    zpoly_ratio,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -32,11 +33,14 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 R30 = Fraction("6.283185307179586476925286766559")
 
 
+def _value(p, r):
+    """The value at r of a coefficient tuple, low degree first."""
+    return sum(c * r**k for k, c in enumerate(p))
+
+
 def _at(x, r):
     """The value of x at tau = r, from its stored form."""
-    return sum(c * r**k for k, c in enumerate(x._num)) / sum(
-        c * r**k for k, c in enumerate(x._den)
-    )
+    return _value(x._num, r) / _value(x._den, r)
 
 
 def taus(max_degree=2):
@@ -205,6 +209,27 @@ class TestTauField:
             assert _at(x, r) == _at(a, r) / _at(b, r) + _at(c, r) / _at(d, r)
 
 
+ZEROS = {
+    "TauScalar(0)": lambda: TauScalar(0),
+    "TauScalar((0, 0))": lambda: TauScalar((0, 0)),
+    "TAU - TAU": lambda: TAU - TAU,
+    "0 * TAU": lambda: 0 * TAU,
+    "-TauScalar(0)": lambda: -TauScalar(0),
+    'parse_tau("0")': lambda: parse_tau("0"),
+    "zpoly_ratio((), (3,))": lambda: zpoly_ratio((), (3,)),
+}
+
+
+@pytest.mark.parametrize("make", ZEROS.values(), ids=ZEROS.keys())
+def test_zero_every_way_it_is_made(make):
+    x = make()
+    assert (x._num, x._den) == ((), (1,))
+    assert not x and x.is_rational and x.is_integer
+    assert x.as_rational() == 0 and x.as_integer() == 0 and float(x) == 0.0
+    assert hash(x) == hash(0) and str(x) == "0" and x.leading_sign() == 0 and x == 0
+    assert parse_tau(str(x)) == x
+
+
 class TestRealEmbedding:
     def test_floor_near_an_integer(self):
         # Horner's rule in floats cancels to 0.0 here, so a floor taken
@@ -319,7 +344,7 @@ def _oracle_form(num, den):
     """(num, den) over their Euclid gcd, the denominator monic."""
     num, den = [tuple(Fraction(c) for c in p) for p in (num, den)]
     if not any(num):
-        return (Fraction(0),), (Fraction(1),)
+        return (), (Fraction(1),)
     g = _euclid_gcd(num, den)
     num, den = _euclid_divmod(num, g)[0], _euclid_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
@@ -388,6 +413,48 @@ class TestZGcd:
         assert scalars._zdiv((2, 0, 2), (1, 1)) is None
         assert scalars._zdiv((), (1, 1)) == ()
         assert scalars._zdiv((1,), (1, 1)) is None
+
+
+def _fraction_polys(count, seed):
+    """Fraction coefficient tuples of degree < 5 with a nonzero last
+    coefficient, zero () every few draws."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 6 == 0:
+            yield ()
+            continue
+        coefs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+        yield (*coefs, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
+
+
+class TestRingHelpers:
+    # the sum, difference and product serve Z[tau] and the Fraction
+    # coefficients a TauScalar stores alike
+
+    def test_fraction_coefficients_match_evaluation(self):
+        points = (Fraction(-3, 2), Fraction(1, 3), Fraction(5))
+        polys = list(_fraction_polys(60, seed=18))
+        # equal operands cancel every term in a difference
+        for a, b in [*zip(polys, polys[1:] + polys[:1]), *zip(polys, polys)]:
+            for op, f in (
+                (scalars._zadd, lambda x, y: x + y),
+                (scalars._zsub, lambda x, y: x - y),
+                (scalars._zmul, lambda x, y: x * y),
+            ):
+                c = op(a, b)
+                assert c == () or c[-1] != 0, (op, a, b)
+                for r in points:
+                    assert _value(c, r) == f(_value(a, r), _value(b, r)), (op, a, b)
+
+    def test_zero_operands_and_cancellation(self):
+        half = Fraction(1, 2)
+        assert scalars._zadd((1, 2), (1, -2)) == (2,)
+        assert scalars._zsub((1, half), (0, half)) == (1,)
+        assert scalars._zadd((half, 1), (-half, -1)) == ()
+        assert scalars._zsub((half,), (half,)) == ()
+        assert scalars._zadd((), (half,)) == scalars._zsub((half,), ()) == (half,)
+        assert scalars._zsub((), (half, 1)) == (-half, -1)
+        assert scalars._zmul((), (half,)) == scalars._zmul((half,), ()) == ()
 
 
 class TestGaussRational:
