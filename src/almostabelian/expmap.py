@@ -150,20 +150,13 @@ class ExpAtom:
     trig is one of "one", "cos", "sin".  Instances are only created through
     make_entry and exp_rotation, which guarantee coeff != 0 and that no
     exact collapse applies, so structural equality of atoms is meaningful.
+    numeric.entry_numeric evaluates one in floats.
     """
 
     coeff: TauScalar
     exp_arg: TauScalar
     trig: str = "one"
     trig_arg: TauScalar = ZERO
-
-    def numeric(self) -> float:
-        value = float(self.coeff) * math.exp(float(self.exp_arg))
-        if self.trig == "cos":
-            value *= math.cos(float(self.trig_arg))
-        elif self.trig == "sin":
-            value *= math.sin(float(self.trig_arg))
-        return value
 
     def __mul__(self, scalar):
         """The atom scaled by an exact scalar; ZERO when the scalar is 0."""
@@ -385,13 +378,13 @@ def group_inverse(
     return GroupElement(tuple(-x for x in moved), -g.t)
 
 
-def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):
+def block_exp(t, aleph: MultiplicityFunction) -> Matrix:
     """The full matrix e^{tJ}.
 
-    Exact mode covers nilpotent blocks at any time and rotation blocks
-    (purely imaginary eigenvalue) at quarter turns, in particular all t
-    in T; other blocks only at t = 0.  Numeric mode feeds float factors
-    into the same layout.
+    Exact for nilpotent blocks at any time and rotation blocks (purely
+    imaginary eigenvalue) at quarter turns, in particular all t in T;
+    other blocks only at t = 0.  numeric.block_exp_numeric feeds float
+    factors into the same layout.
 
     >>> from .jordan import multiplicity_function
     >>> from .scalars import GaussRational as G
@@ -402,24 +395,17 @@ def block_exp(t, aleph: MultiplicityFunction, mode: str = "exact"):
     >>> [[str(x) for x in row] for row in block_exp(TAU / 4, e2)]
     [['0', '-1'], ['1', '0']]
     """
-    if numeric_mode(mode):
-        from .numeric import block_exp_numeric
-
-        return block_exp_numeric(aleph, float(t))
     return _assemble(aleph, as_tau(t), _exp_block)
 
 
-def phi_matrix(t, aleph: MultiplicityFunction, mode: str = "exact"):
+def phi_matrix(t, aleph: MultiplicityFunction) -> Matrix:
     """The full matrix phi(tJ) = (e^{tJ} - id)/(tJ), with phi(0) = id.
 
     On ker J the value is the identity for every t; at a nonzero t in T
     the whole matrix collapses to the projection onto ker J (zero on the
-    rotation blocks, identity on the kernel coordinates).
+    rotation blocks, identity on the kernel coordinates).  Its float form
+    is numeric.phi_numeric.
     """
-    if numeric_mode(mode):
-        from .numeric import phi_numeric
-
-        return phi_numeric(aleph, float(t))
     return _assemble(aleph, as_tau(t), _phi_block)
 
 
@@ -528,96 +514,50 @@ class DilationGroup(enum.Enum):
         return self.value
 
 
-def _spectrum_symmetric(aleph: MultiplicityFunction) -> bool:
-    table = {(eig, size): mult for eig, size, mult in aleph.entries}
-    for (eig, size), mult in table.items():
-        mirror = GaussRational(-eig.re, eig.im)
-        if table.get((mirror, size), 0) != mult:
-            return False
-    return True
-
-
 def dilation_group(aleph: MultiplicityFunction) -> DilationGroup:
-    """All nonzero reals for nilpotent J; {1, -1} for a negation-symmetric
-    spectrum; {1} otherwise."""
+    """All nonzero reals for nilpotent J; {1, -1} when each a + ib has its
+    mirror -a + ib with the same sizes and multiplicities; {1} otherwise."""
     if aleph.is_nilpotent:
         return DilationGroup.ALL_NONZERO
-    if _spectrum_symmetric(aleph):
+    table = {(eig, size): mult for eig, size, mult in aleph.entries}
+    if all(table.get((GaussRational(-e.re, e.im), n)) == m for (e, n), m in table.items()):
         return DilationGroup.PLUS_MINUS_ONE
     return DilationGroup.TRIVIAL
 
 
 def dilation_contains(aleph: MultiplicityFunction, alpha) -> bool:
     alpha = as_tau(alpha)
-    if alpha.is_zero:
-        return False
     group = dilation_group(aleph)
     if group is DilationGroup.ALL_NONZERO:
-        return True
-    if group is DilationGroup.PLUS_MINUS_ONE:
-        return alpha == ONE or alpha == -ONE
-    return alpha == ONE
+        return not alpha.is_zero
+    return alpha == ONE or (group is DilationGroup.PLUS_MINUS_ONE and alpha == -ONE)
 
 
 def dilation_conjugator(aleph: MultiplicityFunction, alpha) -> Matrix:
     """An invertible Delta with Delta J = alpha J Delta, for alpha in Dil.
 
-    For nilpotent J each block gets diag(alpha^{n-1}, ..., alpha, 1); for
-    alpha = -1 a signed block (anti)diagonal pairs each eigenvalue with its
-    negation, with diag(1, -1) cells reversing every rotation.
+    One rule per block: the k-th block of an (eigenvalue, size) pair maps
+    onto the k-th block of its mirror, and cell k of a size-n block carries
+    alpha^(n-1-k), times diag(1, alpha) on a realified block.  The mirror
+    of a + ib is -a + ib for alpha = -1 and the block itself otherwise;
+    only alpha = +-1 reaches a realified block, as Dil is within {1, -1}
+    unless J is nilpotent.
     """
     alpha = as_tau(alpha)
     if not dilation_contains(aleph, alpha):
         raise ValueError(f"{alpha} is not in the dilation group {dilation_group(aleph)}")
-    d = aleph.dim
-    if alpha == ONE:
-        return identity(d)
-    if aleph.is_nilpotent:
-        rows = [[ZERO] * d for _ in range(d)]
-        for block in aleph.blocks:
-            for k in range(block.size):
-                rows[block.offset + k][block.offset + k] = alpha ** (
-                    block.size - 1 - k
-                )
-        return mat(rows)
-    return _flip_matrix(aleph)
-
-
-def _block_flip_cells(block: Block):
-    """Signed (anti-commuting) diagonal for one block: cell k of a size-n
-    block carries the scalar (-1)^(n-1-k), times diag(1, -1) if realified."""
-    n = block.size
-    rows = [[ZERO] * block.width for _ in range(block.width)]
-    for k in range(n):
-        sign = ONE if (n - 1 - k) % 2 == 0 else -ONE
-        if block.realified:
-            rows[2 * k][2 * k] = sign
-            rows[2 * k + 1][2 * k + 1] = -sign
-        else:
-            rows[k][k] = sign
-    return rows
-
-
-def _flip_matrix(aleph: MultiplicityFunction) -> Matrix:
-    d = aleph.dim
-    rows = [[ZERO] * d for _ in range(d)]
     by_key: dict = {}
     for block in aleph.blocks:
         by_key.setdefault((block.eigenvalue, block.size), []).append(block)
-
-    def place(target: Block, source: Block):
-        sub = _block_flip_cells(source)
-        for i in range(source.width):
-            for j in range(source.width):
-                rows[target.offset + i][source.offset + j] = sub[i][j]
-
-    for (eig, size), blocks in by_key.items():
-        if eig.re == 0:
-            for b in blocks:
-                place(b, b)
-        elif eig.re > 0:
-            partners = by_key[(GaussRational(-eig.re, eig.im), size)]
-            for b_pos, b_neg in zip(blocks, partners):
-                place(b_neg, b_pos)
-                place(b_pos, b_neg)
+    d = aleph.dim
+    rows = [[ZERO] * d for _ in range(d)]
+    for (eig, n), blocks in by_key.items():
+        mirror = (GaussRational(-eig.re, eig.im), n) if alpha == -ONE else (eig, n)
+        for source, target in zip(blocks, by_key[mirror]):
+            for k in range(n):
+                power = alpha ** (n - 1 - k)
+                cells = (power, power * alpha) if source.realified else (power,)
+                for i, x in enumerate(cells):
+                    at = len(cells) * k + i
+                    rows[target.offset + at][source.offset + at] = x
     return mat(rows)

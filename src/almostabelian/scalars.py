@@ -351,7 +351,7 @@ class TauScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return TauScalar(tuple(-c for c in self._num), self._den)
+        return _stored(tuple(-c for c in self._num), self._den)
 
     def __pos__(self):
         return self
@@ -360,7 +360,10 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return TauScalar(
+            _zsub(_zmul(self._num, o._den), _zmul(o._num, self._den)),
+            _zmul(self._den, o._den),
+        )
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -426,6 +429,14 @@ class TauScalar:
 
     def __repr__(self):
         return f"TauScalar({str(self)!r})"
+
+
+def _stored(num, den) -> TauScalar:
+    """The TauScalar whose stored form is already (num, den)."""
+    x = object.__new__(TauScalar)
+    object.__setattr__(x, "_num", num)
+    object.__setattr__(x, "_den", den)
+    return x
 
 
 def _poly_str(coefs) -> str:
@@ -525,11 +536,7 @@ def zpoly_ratio(num: tuple, den: tuple) -> TauScalar:
     >>> zpoly_ratio((2,), (-4,)), zpoly_ratio((0, 2), (4, 2))
     (TauScalar('-1/2'), TauScalar('(tau)/(2+tau)'))
     """
-    x = object.__new__(TauScalar)
-    num, den = _normal_form(num, den)
-    object.__setattr__(x, "_num", num)
-    object.__setattr__(x, "_den", den)
-    return x
+    return _stored(*_normal_form(num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ import pytest
 import almostabelian
 from almostabelian import cli
 from almostabelian.cli import main
+from almostabelian.expmap import exp_map, group_mul
 from almostabelian.integers import det_int
-from almostabelian.scalars import TAU, parse_tau
+from almostabelian.jordan import algebra_element, group_element, multiplicity_function
+from almostabelian.scalars import TAU, GaussRational, parse_tau
 
 
 @pytest.fixture
@@ -118,6 +121,21 @@ class TestElementOps:
         assert parse_tau(pairs["t"]) == 3
         v = [parse_tau(tok) for tok in pairs["v"].split(",")]
         assert v[1] == 2
+
+    def test_exp_output_feeds_mul(self, specs, capsys):
+        # exp's machine v and t go back in as mul's first operand
+        _, out = run(capsys, "--spec", specs["e2"], "--machine", "exp", "1/3,2", "3/4*tau")
+        g = machine_dict(out)
+        code, out = run(
+            capsys, "--spec", specs["e2"], "--machine", "mul", g["v"], g["t"], "1,-1", "tau/2"
+        )
+        assert code == 0
+        e2 = multiplicity_function({(GaussRational(0, 1), 1): 1})
+        x = algebra_element(e2, (Fraction(1, 3), 2), 3 * TAU / 4)
+        want = group_mul(e2, exp_map(e2, x), group_element(e2, (1, -1), TAU / 2))
+        got = machine_dict(out)
+        assert tuple(parse_tau(c) for c in got["v"].split(",")) == want.v
+        assert parse_tau(got["t"]) == want.t
 
     def test_exp_exactness_unavailable(self, specs, capsys):
         code = main(["--spec", specs["e2"], "exp", "1,0", "1"])

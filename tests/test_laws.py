@@ -3,7 +3,8 @@ families.
 
 Derandomized properties over a small catalog of groups.  Times stay in
 the exact domain: small rationals on nilpotent data, and multiples of a
-time at which every rotation block makes a quarter turn otherwise.
+time at which every rotation block makes a quarter turn otherwise.  The
+dilation conjugator is also checked on random multiplicity functions.
 """
 
 import functools
@@ -28,6 +29,7 @@ from almostabelian.autos import (
 from almostabelian.expmap import (
     DilationGroup,
     dilation_conjugator,
+    dilation_contains,
     dilation_group,
     exp_map,
     group_inverse,
@@ -51,7 +53,7 @@ from almostabelian.linalg import (
     solve,
 )
 from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
-from almostabelian.scalars import TAU
+from almostabelian.scalars import TAU, parse_tau
 from almostabelian.scalars import GaussRational as G
 
 # name -> (datum, time unit); a unit of None means any small rational time
@@ -150,6 +152,34 @@ def auts(kind, name):
     return elements(name).map(lambda k: inner_aut(aleph, k))
 
 
+# random data: eigenvalues 0, real, purely imaginary or a +- ib; block sizes
+# 1-3 and multiplicities 1-2 within dimension 8; never the all-(0,1) datum
+eigen_parts = st.sampled_from([Fraction(k, 2) for k in range(-4, 5) if k])
+eigenvalues = st.one_of(
+    st.just(G(0)),
+    eigen_parts.map(G),
+    eigen_parts.map(lambda b: G(0, abs(b))),
+    st.tuples(eigen_parts, eigen_parts).map(lambda ab: G(ab[0], abs(ab[1]))),
+)
+
+
+@st.composite
+def multiplicity_functions(draw):
+    """Half of the draws mirror every eigenvalue a + ib to -a + ib, so
+    that -1 is a dilation of non-nilpotent data too."""
+    mirrored = draw(st.booleans())
+    table, dim = {}, 0
+    for _ in range(draw(st.integers(1, 3))):
+        eig, size, mult = draw(eigenvalues), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        keys = {(eig, size), (G(-eig.re, eig.im), size)} if mirrored else {(eig, size)}
+        width = len(keys) * mult * size * (2 if eig.im else 1)
+        if dim + width <= 8 and not keys & table.keys():
+            table.update(dict.fromkeys(keys, mult))
+            dim += width
+    assume(table and set(table) != {(G(0), 1)})
+    return multiplicity_function(table)
+
+
 def draw_group(data, names):
     """A group name from the catalog, with its datum."""
     name = data.draw(st.sampled_from(sorted(names)))
@@ -214,6 +244,42 @@ def test_quarter_turn_conjugation(data):
     conjugate = group_mul(aleph, group_mul(aleph, g, h), group_inverse(aleph, g))
     jv = mat_vec(build_jordan(aleph), v)
     assert conjugate == group_element(aleph, [x / b for x in jv], 0)
+
+
+DILATIONS = (1, -1, Fraction(5, 7), 2 + TAU)
+
+
+@given(multiplicity_functions())
+@settings(max_examples=60)
+def test_dilation_conjugator_twists_j(aleph):
+    # Delta J = alpha J Delta for every admissible alpha, Delta invertible
+    j = build_jordan(aleph)
+    for alpha in DILATIONS:
+        if dilation_contains(aleph, alpha):
+            delta = dilation_conjugator(aleph, alpha)
+            alpha_j = mat([[alpha * x for x in row] for row in j])
+            assert mat_mul(delta, j) == mat_mul(alpha_j, delta)
+            assert is_invertible(delta)
+            assert all(parse_tau(str(x)) == x for row in delta for x in row)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_coordinates_round_trip(kind, data):
+    # every coordinate an element operation returns prints as a literal
+    # that parses back to it
+    name, aleph = group_for(data, kind)
+    phi = data.draw(auts(kind, name))
+    g, h = data.draw(elements(name)), data.draw(elements(name))
+    results = (
+        exp_map(aleph, algebra_element(aleph, g.v, g.t)),
+        group_mul(aleph, g, h),
+        group_inverse(aleph, g),
+        apply_aut(aleph, phi, g),
+    )
+    for r in results:
+        assert all(parse_tau(str(x)) == x for x in (*r.v, r.t))
 
 
 # ---------------------------------------------------------------------------

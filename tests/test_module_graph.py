@@ -1,7 +1,8 @@
 """The package's import graph: module-level imports are acyclic, and
 nothing but the float stack (numeric, oracle) is imported inside
 functions, so that exact work never loads numpy or scipy and every other
-dependency is visible at the top of its module."""
+dependency is visible at the top of its module.  The float stack is also
+the only place that evaluates exp, cos or sin."""
 
 import ast
 import graphlib
@@ -11,6 +12,11 @@ import almostabelian
 
 PACKAGE = Path(almostabelian.__file__).parent
 FLOAT_STACK = {"numeric", "oracle"}
+TRANSCENDENTAL = {"exp", "cos", "sin"}
+TREES = {
+    path.stem: ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
 
 
 def _package_imports(node):
@@ -36,8 +42,7 @@ def _imports():
     """module -> (module-level package targets, function-level targets of
     any kind)."""
     out = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for name, tree in TREES.items():
         top = {id(node) for node in tree.body}
         module_level, function_level = set(), set()
         for node in ast.walk(tree):
@@ -45,7 +50,7 @@ def _imports():
                 module_level.update(_package_imports(node))
             else:
                 function_level.update(_any_imports(node))
-        out[path.stem] = (module_level, function_level)
+        out[name] = (module_level, function_level)
     return out
 
 
@@ -65,3 +70,27 @@ def test_function_level_imports_are_the_float_stack():
         if inner - FLOAT_STACK
     }
     assert stray == {}
+
+
+def _uses_float_math(tree) -> bool:
+    """Whether the module references math.exp, math.cos or math.sin."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in TRANSCENDENTAL
+        ):
+            return True
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and any(alias.name in TRANSCENDENTAL for alias in node.names)
+        ):
+            return True
+    return False
+
+
+def test_only_the_float_stack_evaluates_exp_cos_sin():
+    users = {name for name, tree in TREES.items() if _uses_float_math(tree)}
+    assert users <= FLOAT_STACK

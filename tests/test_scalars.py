@@ -378,15 +378,33 @@ def _monic(p):
     return tuple(Fraction(c, p[-1]) for c in p)
 
 
+def _planted_scalars(count, seed):
+    """(num, den, TauScalar(num, den)) for the planted pairs, with Fraction
+    coefficients that the constructor must clear."""
+    rng = random.Random(7)
+    for a, b in _planted_pairs(count, seed):
+        scale = Fraction(rng.choice((1, 3, 2**64 + 1)), rng.choice((1, 10, 3**40)))
+        num = tuple(scale * c for c in a)
+        den = tuple(Fraction(c, rng.choice((1, 2, 3**40))) if len(b) > 1 else c for c in b)
+        yield num, den, TauScalar(num, den)
+
+
 class TestZGcd:
     def test_stored_form_matches_euclid(self):
-        rng = random.Random(7)
-        for a, b in _planted_pairs(150, seed=16):
-            scale = Fraction(rng.choice((1, 3, 2**64 + 1)), rng.choice((1, 10, 3**40)))
-            num = tuple(scale * c for c in a)
-            den = tuple(Fraction(c, rng.choice((1, 2, 3**40))) if len(b) > 1 else c for c in b)
-            x = TauScalar(num, den)
+        for num, den, x in _planted_scalars(150, seed=16):
             assert (x._num, x._den) == _oracle_form(num, den), (num, den)
+
+    def test_negation_and_difference_keep_the_stored_form(self):
+        # -x takes x's stored form as it is and x - y subtracts without
+        # negating; both must store what the constructor makes of the value
+        planted = list(_planted_scalars(150, seed=16))
+        for (num, den, x), (_, _, y) in zip(planted, planted[1:] + planted[:1]):
+            neg, diff = -x, x - y
+            want = TauScalar(tuple(-c for c in num), den)
+            assert (neg._num, neg._den) == (want._num, want._den)
+            want = x + y * TauScalar(-1)
+            assert (diff._num, diff._den) == (want._num, want._den)
+            assert -neg == x
 
     def test_gcd_matches_euclid(self):
         for a, b in _planted_pairs(150, seed=17):
