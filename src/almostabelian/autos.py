@@ -44,10 +44,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .scalars import TauScalar, as_tau
-
-ZERO = TauScalar(0)
-ONE = TauScalar(1)
+from .scalars import ONE, ZERO, TauScalar, as_tau
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,7 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
         if invariant.is_zero:
             violations.append("alpha*delta22 - beta2*gamma2 must be nonzero")
         phi11 = tuple(row[2:d] for row in m[2:d])
-        if phi11 and not is_invertible(phi11):
+        if not is_invertible(phi11):
             violations.append("phi11 is singular")
         return tuple(violations)
     jmat = build_jordan(aleph)

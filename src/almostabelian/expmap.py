@@ -52,10 +52,7 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
-from .scalars import TAU, GaussRational, TauScalar, as_tau, rat_gcd
-
-ZERO = TauScalar(0)
-ONE = TauScalar(1)
+from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, as_tau, rat_gcd
 
 
 # ---------------------------------------------------------------------------

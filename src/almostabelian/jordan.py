@@ -34,7 +34,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import GaussRational, TauScalar, as_tau
+from .scalars import ZERO, GaussRational, TauScalar, as_tau
 
 # Largest total dimension d a datum may have.  Every exact matrix is a
 # dense d x d tuple of TauScalars, so a datum past this size is an input
@@ -207,7 +207,7 @@ def build_jordan(aleph: MultiplicityFunction) -> Matrix:
     """The block-diagonal real Jordan matrix J of the datum, assembled from
     the blocks' own matrices in the layout of aleph.blocks."""
     d = aleph.dim
-    rows = [[TauScalar(0)] * d for _ in range(d)]
+    rows = [[ZERO] * d for _ in range(d)]
     write_blocks(rows, aleph, block_matrix)
     return mat(rows)
 
@@ -257,7 +257,7 @@ def group_element(aleph: MultiplicityFunction, v, t) -> GroupElement:
 
 
 def group_identity(aleph: MultiplicityFunction) -> GroupElement:
-    return GroupElement(zero_vec(aleph.dim), TauScalar(0))
+    return GroupElement(zero_vec(aleph.dim), ZERO)
 
 
 def in_kernel(aleph: MultiplicityFunction, v) -> bool:
@@ -290,7 +290,7 @@ def commutator(
     j = build_jordan(aleph)
     left = vec_scale(x.t, mat_vec(j, y.v))
     right = vec_scale(y.t, mat_vec(j, x.v))
-    return AlgebraElement(vec_sub(left, right), TauScalar(0))
+    return AlgebraElement(vec_sub(left, right), ZERO)
 
 
 def derived_algebra_basis(aleph: MultiplicityFunction) -> tuple:

@@ -31,15 +31,14 @@ from .linalg import (
     pivot_columns,
     rank,
     solve_columns,
+    transpose,
     vec,
     vec_add,
     vec_sub,
     zero_vec,
 )
 from .reps import quotient_faithful_rep
-from .scalars import TauScalar, integer_rows
-
-ZERO = TauScalar(0)
+from .scalars import ZERO, integer_rows
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
             violations.append(f"generator {g} has time outside the torsion subgroup")
     cols = subgroup.columns()
     k = len(cols)
-    if cols and rank(tuple(cols)) < k:
+    if rank(tuple(cols)) < k:
         violations.append("generators are linearly dependent")
     bound = len(aleph.kernel_coordinates) + 1
     if k > bound:
@@ -124,13 +123,10 @@ def reduce_generators(subgroup: DiscreteCentralSubgroup):
     nonnegative, times the torsion generator.
     """
     gens = subgroup.generators
-    k = len(gens)
-    if k == 0:
-        return subgroup, ()
     _, a = bezout_row_reduce(subgroup.time_multiples)
     new_gens = tuple(
         integer_combination(subgroup.aleph, gens, [row[j] for row in a])
-        for j in range(k)
+        for j in range(len(gens))
     )
     reduced = DiscreteCentralSubgroup(subgroup.aleph, new_gens)
     return reduced, tuple(tuple(row) for row in a)
@@ -140,6 +136,8 @@ def integer_combination(aleph, gens, coeffs) -> GroupElement:
     """The central element sum_i c_i g_i, computed on (v, t) coordinates.
 
     Central generators commute, so this is the product of their powers.
+    With no generators it is the identity: a combination of no columns
+    has no height to read off.
     """
     cols = [tuple(g.v) + (g.t,) for g in gens]
     point = mat_vec(from_columns(cols), vec(coeffs)) if cols else zero_vec(aleph.dim + 1)
@@ -175,12 +173,7 @@ def integer_coordinates(subgroup, cols):
     Returns one tuple of ints per column, or None when some column is not
     an integer combination of the generator columns.
     """
-    if not cols:
-        return []
-    gens = subgroup.columns()
-    if not gens:
-        return None
-    sols = solve_columns(from_columns(gens), cols)
+    sols = solve_columns(subgroup.columns(), cols)
     if sols is None or not all(c.is_integer for lam in sols for c in lam):
         return None
     return [tuple(c.as_integer() for c in lam) for lam in sols]
@@ -454,7 +447,7 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     # solve (id + X) V = U A on the constrained columns with X supported
     # on the triangular pattern, free entries left at zero: the rows of one
     # grading block [r0, r1) share the unknown columns r0..q-1, so each
-    # block is one system with V's rows restricted to those columns.
+    # block is one system whose columns are V's coordinates r0..q-1.
     # Delta is invertible iff every diagonal block is; a singular one is
     # completed along null directions of its block's system.  A admits a
     # Delta (see related_by_aut_search), so every system is consistent and
@@ -463,18 +456,17 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
     targets = [vec_sub(mat_vec(u, vec(row[j] for row in a)), v_cols[j]) for j in constrained]
     delta = [list(row) for row in identity(q)]
     for r0, r1 in boundaries:
-        system = tuple(v_cols[j][r0:] for j in constrained)
-        xs = solve_columns(system, [[t[r] for t in targets] for r in range(r0, r1)])
+        cols = [[v_cols[j][c] for j in constrained] for c in range(r0, q)]
+        xs = solve_columns(cols, [[t[r] for t in targets] for r in range(r0, r1)])
         for r, x in zip(range(r0, r1), xs):
-            for c, value in enumerate(x, r0):
-                delta[r][c] = delta[r][c] + value
+            delta[r][r0:] = vec_add(delta[r][r0:], x)
         diag = [tuple(row[r0:r1]) for row in delta[r0:r1]]
         if not is_invertible(tuple(diag)):
             # complete as build_P does with pivot columns: the pivot columns
             # of [diag rows | null directions cut to the block] keep the
             # independent rows, and each dependent row takes a pivot null
             # direction
-            m, null = r1 - r0, nullspace(system)
+            m, null = r1 - r0, nullspace(transpose(cols))
             pivots = pivot_columns(from_columns(diag + [z[:m] for z in null]))
             spare = [null[p - m] for p in pivots if p >= m]
             dependent = [i for i in range(m) if i not in pivots]
@@ -518,13 +510,7 @@ def has_faithful_quotient_rep(
     """
     gen_cols = subgroup.columns()
     derived = [vec(tuple(b) + (ZERO,)) for b in derived_algebra_basis(aleph)]
-    if gen_cols:
-        separate = rank(tuple(gen_cols)) + len(derived) == rank(
-            tuple(gen_cols + derived)
-        )
-    else:
-        separate = True
-    if not separate:
+    if rank(tuple(gen_cols)) + len(derived) != rank(tuple(gen_cols + derived)):
         return FaithfulQuotientDecision(representable=False)
     shear = _kernel_shear(aleph, subgroup)
     splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))
@@ -546,13 +532,15 @@ def _kernel_shear(aleph, subgroup):
     """
     abelian = sorted(aleph.abelian_coordinates)
     deep = [i for i in aleph.kernel_coordinates if i not in set(abelian)]
-    if not deep or not subgroup.generators:
+    if not deep:
         return identity_aut(aleph)
-    v_ab = tuple(vec(g.v[i] for i in abelian) for g in subgroup.generators)
-    deep_rows = [[g.v[i] for g in subgroup.generators] for i in deep]
+    gens = subgroup.generators
     # the unknown |deep| x |abelian| matrix L maps each generator's abelian
-    # part onto its deep part, so row r of L solves v_ab x = deep_rows[r]
-    ls = solve_columns(v_ab, deep_rows)
+    # part onto its deep part, so row r of L combines the abelian
+    # coordinate columns into deep coordinate r's column
+    ls = solve_columns(
+        [[g.v[i] for g in gens] for i in abelian], [[g.v[i] for g in gens] for i in deep]
+    )
     if ls is None:
         raise ValueError("separation criterion violated during shear solve")
     d = aleph.dim

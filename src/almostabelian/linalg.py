@@ -13,25 +13,26 @@ with entries a + b*tau costs two to four times more each time n grows by
 two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
 Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
 
-A matrix with no rows reads as 0 x 0, an open fault: ``nullspace(())``
-is empty, not a basis of Q(tau)^n, and ``solve_columns`` on no equations
-returns zero-length solutions.  Two callers handle the 0 x n case:
-``subgroups.split_lattice_through`` (normals ``identity(d)`` when W = 0)
-and ``lattices._solve_delta`` (adds each solution entry by entry).
+Matrices are row tuples, but ``solve_columns`` takes the columns of its
+system: the unknowns are the columns and the equations the entries of the
+targets, so a system with no unknowns or no equations is an ordinary
+input.  The one remaining 0 x 0 reading is ``nullspace``'s: a matrix with
+no rows has no width, so ``nullspace(())`` is empty rather than a basis of
+Q(tau)^n, and ``subgroups.split_lattice_through`` passes ``identity(d)``
+for W = 0 itself.  Its row form stays because the benchmark calls it so.
 
 >>> nullspace(())
 []
+>>> solve_columns([], [()])
+[()]
 """
 
 from __future__ import annotations
 
-from .scalars import TauScalar, _zdiv, _zmul, _zsub, as_tau, cleared_rows, zpoly_ratio
+from .scalars import ONE, ZERO, _zdiv, _zmul, _zsub, as_tau, cleared_rows, zpoly_ratio
 
 Vector = tuple
 Matrix = tuple
-
-_ZERO = TauScalar(0)
-_ONE = TauScalar(1)
 
 
 def vec(entries) -> Vector:
@@ -46,11 +47,11 @@ def mat(rows) -> Matrix:
 
 
 def zero_vec(n: int) -> Vector:
-    return (_ZERO,) * n
+    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def identity(n: int) -> Matrix:
@@ -58,7 +59,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
+    return tuple(zip(*a))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -79,13 +80,13 @@ def vec_is_zero(u: Vector) -> bool:
 
 
 def mat_vec(a: Matrix, u: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, u, strict=True) if x and y), _ZERO) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, u, strict=True) if x and y), ZERO) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col, strict=True) if x and y), _ZERO) for col in bt)
+        tuple(sum((x * y for x, y in zip(row, col, strict=True) if x and y), ZERO) for col in bt)
         for row in a
     )
 
@@ -157,27 +158,18 @@ def pivot_columns(a: Matrix) -> list:
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
     return len(_rref(a)[1])
 
 
 def row_space_basis(vectors) -> list:
     """Echelonized basis of the span of the given vectors."""
-    vectors = [vec(v) for v in vectors]
-    if not vectors:
-        return []
-    rows, pivots = _rref(vectors)
+    rows, pivots = _rref([vec(v) for v in vectors])
     return [rows[i] for i in range(len(pivots))]
 
 
 def in_span(vectors, target) -> bool:
     """Whether target lies in the span of the given vectors."""
-    vectors = list(vectors)
-    target = vec(target)
-    if not vectors:
-        return vec_is_zero(target)
-    return solve(from_columns(vectors), target) is not None
+    return solve_columns(vectors, (target,)) is not None
 
 
 def solve(a: Matrix, b: Vector):
@@ -185,25 +177,31 @@ def solve(a: Matrix, b: Vector):
 
     Free variables are set to zero.
     """
-    sols = solve_columns(a, (tuple(b),))
+    sols = solve_columns(transpose(a), (b,))
     return None if sols is None else sols[0]
 
 
-def solve_columns(a: Matrix, bs):
-    """Solve a x = b for each b in bs; None if any system is inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    bs = [vec(b) for b in bs]
-    aug = [tuple(a[i]) + tuple(b[i] for b in bs) for i in range(nrows)]
-    rows, pivots = _rref(aug)
-    main_pivots = [p for p in pivots if p < ncols]
-    if len(main_pivots) != len(pivots):
+def solve_columns(cols, bs):
+    """Coefficients x with sum_j x_j * cols[j] = b, for each b in bs.
+
+    The unknowns are the columns and the equations are the entries of the
+    targets, so k columns of height 0 give k-wide zero solutions and no
+    columns give empty ones, or None for a nonzero target.  Free unknowns
+    are set to zero; None if some b lies outside the span of the columns.
+
+    >>> solve_columns([vec([1, 1]), vec([0, 1])], [vec([2, 3])])
+    [(TauScalar('2'), TauScalar('1'))]
+    """
+    cols, bs = [vec(c) for c in cols], [vec(b) for b in bs]
+    n = len(cols)
+    rows, pivots = _rref(list(zip(*cols, *bs, strict=True)))
+    if any(c >= n for c in pivots):  # a pivot in a target's column
         return None
     out = []
     for k in range(len(bs)):
-        x = [_ZERO] * ncols
-        for r, c in enumerate(main_pivots):
-            x[c] = rows[r][ncols + k]
+        x = [ZERO] * n
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][n + k]
         out.append(tuple(x))
     return out
 
@@ -220,24 +218,23 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def is_invertible(a: Matrix) -> bool:
+    # the 0 x 0 matrix is invertible, and has no first row to measure
     n = len(a)
     return n == 0 or (len(a[0]) == n and rank(a) == n)
 
 
 def nullspace(a: Matrix) -> list:
     """Basis of {x : a x = 0}."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [unit_vec(ncols, j) for j in range(ncols)]
+    # a matrix with no rows has no width, so it reads as 0 x 0; the row
+    # form stays because the benchmark calls it so, and W = 0 passes its
+    # own basis of normals in subgroups.split_lattice_through
+    ncols = len(a[0]) if a else 0
     rows, pivots = _rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        x = [_ZERO] * ncols
-        x[f] = _ONE
+        x = [ZERO] * ncols
+        x[f] = ONE
         for r, c in enumerate(pivots):
             x[c] = -rows[r][f]
         basis.append(tuple(x))
@@ -248,8 +245,6 @@ def span_intersection(vectors_a, vectors_b) -> list:
     """Basis of span(vectors_a) intersected with span(vectors_b)."""
     va = [vec(v) for v in vectors_a]
     vb = [vec(v) for v in vectors_b]
-    if not va or not vb:
-        return []
     a = from_columns(va)
     stacked = from_columns(va + [vec_scale(-1, v) for v in vb])
     combos = [mat_vec(a, rel[: len(va)]) for rel in nullspace(stacked)]

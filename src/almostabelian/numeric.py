@@ -183,8 +183,6 @@ def membership_numeric(aleph, spec, g) -> bool:
     else:
         v0 = _vector(spec.v0)
         defect = v - t * (phi_numeric(aleph, t) @ v0)
-    if not spec.basis:
-        return bool(np.linalg.norm(defect) <= MEMBERSHIP_TOL)
-    w = _matrix(spec.basis, len(v)).T
+    w = _matrix(spec.basis, len(v)).T  # d x 0 with no basis: the residual is the defect
     coeffs, *_ = np.linalg.lstsq(w, defect, rcond=None)
     return bool(np.linalg.norm(w @ coeffs - defect) <= MEMBERSHIP_TOL)

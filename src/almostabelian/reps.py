@@ -35,10 +35,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .scalars import TAU, TauScalar, as_tau, tau_floor
-
-ZERO = TauScalar(0)
-ONE = TauScalar(1)
+from .scalars import ONE, TAU, ZERO, TauScalar, as_tau, tau_floor
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +230,7 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     """
     cols = subgroup.columns()
     if not cols:
-        return g
+        return g  # a combination of no columns has no height to subtract
     # pivot coordinates: the first coordinates on which the generators
     # are independent, where the lattice coordinates are read off
     pivots = pivot_columns(tuple(cols))

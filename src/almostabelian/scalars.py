@@ -397,8 +397,8 @@ class TauScalar:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return (TauScalar(1) / self) ** (-exponent)
-        out = TauScalar(1)
+            return (ONE / self) ** (-exponent)
+        out = ONE
         base = self
         e = exponent
         while e:
@@ -462,6 +462,8 @@ def _poly_str(coefs) -> str:
     return out
 
 
+ZERO = TauScalar(0)
+ONE = TauScalar(1)
 TAU = TauScalar((0, 1))
 
 
@@ -502,7 +504,7 @@ def cleared_rows(rows) -> list:
     Scaling rows keeps the row space, so linalg eliminates these instead
     of TauScalars.
 
-    >>> cleared_rows([[TAU / 2, TauScalar(1) / (TAU + 1), TauScalar(0)]])
+    >>> cleared_rows([[TAU / 2, ONE / (TAU + 1), ZERO]])
     [[(0, 1, 1), (2,), ()]]
     """
     out = []

@@ -24,7 +24,7 @@ from .errors import DegenerateDatum, InvalidAutomorphism
 from .expmap import torsion
 from .jordan import MAX_DIM, MultiplicityFunction, multiplicity_function
 from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
-from .scalars import TauScalar, parse_gauss, parse_tau
+from .scalars import ZERO, parse_gauss, parse_tau
 from .subgroups import ConnectedSubgroupSpec, validate_subspace
 
 
@@ -166,7 +166,7 @@ def _assemble_lattice(aleph, lines, fail):
             fail(lineno, f"generator has {len(v)} coordinates, expected {aleph.dim}")
         if m and tor.is_trivial:
             fail(lineno, "nonzero time multiple needs nontrivial torsion")
-        gens.append((v, m * tor.t0 if m else TauScalar(0)))
+        gens.append((v, m * tor.t0 if m else ZERO))
         # validating each prefix names the first line that breaks the lattice
         violations = validate_subgroup(aleph, subgroup_from_data(aleph, gens))
         if violations:
@@ -204,7 +204,7 @@ def _assemble_aut(aleph, line, fail):
             if len(delta) != aleph.dim:
                 fail(lineno, f"delta has {len(delta)} rows, expected {aleph.dim}")
             if not gamma:
-                gamma = (TauScalar(0),) * aleph.dim
+                gamma = (ZERO,) * aleph.dim
             return GenericAut(delta, gamma, parse_tau(kv["alpha"]))
         if not is_heisenberg_extension(aleph):
             fail(lineno, "ten-parameter automorphisms require a Heisenberg central extension datum")

@@ -37,10 +37,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .scalars import TauScalar, integer_rows
-
-ZERO = TauScalar(0)
-ONE = TauScalar(1)
+from .scalars import ONE, ZERO, integer_rows
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,8 @@ def split_lattice_through(
         targets = [vec_sub(g.v, vec_scale(m * tor.t0, slope)) for g, m in zip(gens, multiples)]
     else:
         targets = [g.v for g in gens]
-    # the combination lies in W exactly when every normal of W kills it
+    # the combination lies in W exactly when every normal of W kills it;
+    # nullspace reads a basis with no rows as 0 x 0, so W = 0 passes its own
     normals = nullspace(spec.basis) if spec.basis else identity(aleph.dim)
     conditions = [
         row for row in mat_mul(normals, from_columns(targets)) if not vec_is_zero(row)

@@ -372,7 +372,8 @@ def _box_delta(q, boundaries, v_cols, u_cols, a, constrained):
     delta = [list(row) for row in identity(q)]
     for r0, r1 in boundaries:
         system = tuple(v_cols[j][r0:] for j in constrained)
-        xs = solve_columns(system, [[t[r] for t in targets] for r in range(r0, r1)])
+        cols = [[row[c] for row in system] for c in range(q - r0)]
+        xs = solve_columns(cols, [[t[r] for t in targets] for r in range(r0, r1)])
         if xs is None:
             return None
         for r, x in zip(range(r0, r1), xs):

@@ -4,10 +4,12 @@ families.
 Derandomized properties over a small catalog of groups.  Times stay in
 the exact domain: small rationals on nilpotent data, and multiples of a
 time at which every rotation block makes a quarter turn otherwise.  The
-dilation conjugator is also checked on random multiplicity functions.
+dilation conjugator and the lattice layer are also checked on random
+multiplicity functions.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,13 +37,24 @@ from almostabelian.expmap import (
     group_inverse,
     group_mul,
     phi_matrix,
+    torsion,
 )
+from almostabelian.integers import is_unimodular
 from almostabelian.jordan import (
     algebra_element,
     build_jordan,
     group_element,
     group_identity,
     multiplicity_function,
+)
+from almostabelian.lattices import (
+    aut_image,
+    has_faithful_quotient_rep,
+    lattice_equal,
+    normalize_subgroup,
+    reduce_generators,
+    subgroup_from_data,
+    validate_subgroup,
 )
 from almostabelian.linalg import (
     identity,
@@ -361,3 +374,66 @@ def test_action_is_exp_of_differential(kind, data):
     image = mat_vec(differential(aleph, phi), tuple(log_v) + (g.t,))
     expected = exp_map(aleph, algebra_element(aleph, image[:-1], image[-1]))
     assert apply_aut(aleph, phi, g) == expected
+
+
+# ---------------------------------------------------------------------------
+# the lattice layer
+
+
+@st.composite
+def central_lattices(draw):
+    """A discrete central subgroup of random data: independent generators
+    [v, m*t0] with v supported on ker J and m an integer, so of rank 0 up
+    to dim ker J + 1 (dim ker J when the torsion is trivial and t = 0)."""
+    aleph = draw(multiplicity_functions())
+    kernel, tor = aleph.kernel_coordinates, torsion(aleph)
+    top = len(kernel) + (not tor.is_trivial)
+    assume(top)  # a group with no central lattice but the trivial one
+    gens = []
+    for _ in range(draw(st.integers(0, top))):
+        v = [0] * aleph.dim
+        for i, x in zip(kernel, draw(vectors(len(kernel)))):
+            v[i] = x
+        gens.append((v, 0 if tor.is_trivial else draw(st.integers(-2, 2)) * tor.t0))
+    n = subgroup_from_data(aleph, gens)
+    assume(validate_subgroup(aleph, n) == ())
+    return n
+
+
+@given(central_lattices())
+@settings(max_examples=60)
+def test_reduce_generators_is_idempotent(n):
+    # only the first time survives: gcd of the multiples, nonnegative
+    reduced, a = reduce_generators(n)
+    m = n.time_multiples
+    assert reduced.time_multiples == tuple(math.gcd(*m) if j == 0 else 0 for j in range(len(m)))
+    assert is_unimodular(a)
+    assert lattice_equal(reduced, n)
+    assert lattice_equal(reduce_generators(reduced)[0], reduced)
+
+
+@given(central_lattices())
+@settings(max_examples=60)
+def test_normalize_carries_the_lattice_onto_its_image(n):
+    phi, image = normalize_subgroup(n)
+    assert validate_aut(n.aleph, phi) == ()
+    assert lattice_equal(aut_image(n.aleph, phi, n), image)
+
+
+@given(central_lattices())
+@settings(max_examples=60)
+def test_faithful_rep_kills_the_lattice(n):
+    # the representation of G / phi(N) is the identity on phi of each
+    # generator, and not on phi of half the first: that is no member of N
+    aleph = n.aleph
+    decision = has_faithful_quotient_rep(aleph, n)
+    if not decision.representable:
+        return
+
+    def rep(g):
+        return decision.rep.matrix(apply_aut(aleph, decision.phi, g))
+
+    assert all(rep(g).is_identity for g in n.generators)
+    if n.generators:
+        g = n.generators[0]
+        assert not rep(group_element(aleph, [x / 2 for x in g.v], g.t / 2)).is_identity

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almostabelian import linalg, scalars
+from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.linalg import (
     from_columns,
     identity,
@@ -25,11 +26,15 @@ from almostabelian.linalg import (
     rank,
     row_space_basis,
     solve,
+    solve_columns,
     span_intersection,
     vec,
     vec_is_zero,
+    zero_vec,
 )
-from almostabelian.scalars import TAU, TauScalar
+from almostabelian.numeric import membership_numeric
+from almostabelian.scalars import TAU, GaussRational, TauScalar
+from almostabelian.subgroups import ConnectedSubgroupSpec, membership
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -106,6 +111,56 @@ def test_in_span():
     basis = [vec([1, 0, 1]), vec([0, 1, 0])]
     assert in_span(basis, vec([2, 3, 2]))
     assert not in_span(basis, vec([1, 0, 0]))
+
+
+def test_solve_columns_without_columns():
+    # no unknowns: the targets' entries are still equations
+    assert solve_columns([], []) == []
+    assert solve_columns([], [vec([0, 0]), vec([0, 0])]) == [(), ()]
+    assert solve_columns([], [vec([0, 0]), vec([0, TAU])]) is None
+
+
+def test_solve_columns_of_height_zero():
+    # no equations: every unknown is free, and set to zero
+    assert solve_columns([(), (), ()], [(), ()]) == [zero_vec(3), zero_vec(3)]
+
+
+def test_solve_columns_one_inconsistent_target():
+    cols = [vec([1, 0, 1]), vec([0, TAU, 0])]
+    both = [vec([2, TAU, 2]), vec([1, 1, 1])]
+    assert solve_columns(cols, both) == [vec([2, 1]), vec([1, 1 / TAU])]
+    assert solve_columns(cols, [vec([2, TAU, 2]), vec([0, 1, 1])]) is None
+
+
+def test_in_span_of_no_vectors():
+    assert in_span([], vec([0, 0]))
+    assert not in_span([], vec([0, TAU]))
+
+
+def test_span_intersection_with_an_empty_side():
+    line = [vec([1, TAU])]
+    assert span_intersection([], line) == []
+    assert span_intersection(line, []) == []
+    assert span_intersection([], []) == []
+
+
+def test_membership_numeric_without_basis():
+    # W = 0: case 1 is the trivial subgroup, case 2 the one-parameter
+    # subgroup through (v0, 1), here exp(v0, 1) = [(1/2, 1), 1] on heis
+    heis = multiplicity_function({(GaussRational(0), 2): 1})
+    trivial, line = ConnectedSubgroupSpec(heis, ()), ConnectedSubgroupSpec(heis, (), (0, 1))
+    cases = [
+        (trivial, (0, 0), 0, True),
+        (trivial, (1, 0), 0, False),
+        (trivial, (0, 0), 1, False),
+        (line, (TauScalar(1) / 2, 1), 1, True),
+        (line, (0, 1), 1, False),
+        (line, (0, 0), 0, True),
+    ]
+    for spec, v, t, member in cases:
+        g = group_element(heis, v, t)
+        assert membership_numeric(heis, spec, g) is member
+        assert membership(heis, spec, g) is member
 
 
 def test_span_intersection():
