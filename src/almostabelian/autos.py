@@ -229,10 +229,7 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
         return tuple(violations)
     jmat = build_jordan(aleph)
     lhs = mat_mul(phi.delta, jmat)
-    rhs = tuple(
-        tuple(phi.alpha * e for e in row)
-        for row in mat_mul(jmat, phi.delta)
-    )
+    rhs = tuple(vec_scale(phi.alpha, row) for row in mat_mul(jmat, phi.delta))
     if lhs != rhs:
         violations.append("Delta J != alpha J Delta")
     if not is_invertible(phi.delta):

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .autos import GenericAut, apply_aut, compose, identity_aut
+from .errors import NotCentral
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
 from .jordan import (
@@ -26,6 +27,7 @@ from .linalg import (
     from_columns,
     identity,
     is_invertible,
+    mat_mul,
     mat_vec,
     nullspace,
     pivot_columns,
@@ -66,10 +68,13 @@ class DiscreteCentralSubgroup:
         tor = torsion(self.aleph)
         out = []
         for g in self.generators:
-            if tor.is_trivial:
+            if g.t.is_zero:
                 out.append(0)
-            else:
-                out.append((g.t / tor.t0).as_integer())
+                continue
+            m = None if tor.is_trivial else g.t / tor.t0
+            if m is None or not m.is_integer:
+                raise NotCentral(f"generator {g} has time outside the torsion subgroup")
+            out.append(m.as_integer())
         return tuple(out)
 
     def columns(self) -> list:
@@ -122,13 +127,11 @@ def reduce_generators(subgroup: DiscreteCentralSubgroup):
     of the old ones); the surviving time is gcd of the integer multiples,
     nonnegative, times the torsion generator.
     """
-    gens = subgroup.generators
     _, a = bezout_row_reduce(subgroup.time_multiples)
-    new_gens = tuple(
-        integer_combination(subgroup.aleph, gens, [row[j] for row in a])
-        for j in range(len(gens))
+    points = transpose(mat_mul(from_columns(subgroup.columns()), a))
+    reduced = DiscreteCentralSubgroup(
+        subgroup.aleph, tuple(group_element(subgroup.aleph, p[:-1], p[-1]) for p in points)
     )
-    reduced = DiscreteCentralSubgroup(subgroup.aleph, new_gens)
     return reduced, tuple(tuple(row) for row in a)
 
 

@@ -12,6 +12,18 @@ only as fast as determinants do, and the polynomial arithmetic is that of
 with entries a + b*tau costs two to four times more each time n grows by
 two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
 Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
+A row of the elimination whose entry in the pivot column is zero needs no
+subtraction: it is left as it is when the pivot equals the previous one,
+and is only scaled otherwise, so a sparse system costs about as much as
+its nonzero entries.
+
+The products ``mat_vec``, ``mat_mul`` and ``vec_scale`` work over Z[tau]
+too.  Each operand -- a vector, a row of the left factor, a column of the
+right one -- is put over one common denominator once
+(``scalars.over_common_denominator``), and each result entry is summed
+from polynomial products and built once, as one TauScalar reduced by one
+gcd (``scalars.zpoly_ratio``), rather than by a TauScalar and a gcd per
+product and partial sum.  Their operands may hold ints and Fractions.
 
 Matrices are row tuples, but ``solve_columns`` takes the columns of its
 system: the unknowns are the columns and the equations the entries of the
@@ -29,7 +41,18 @@ for W = 0 itself.  Its row form stays because the benchmark calls it so.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, _zdiv, _zmul, _zsub, as_tau, cleared_rows, zpoly_ratio
+from .scalars import (
+    ONE,
+    ZERO,
+    _zadd,
+    _zdiv,
+    _zmul,
+    _zsub,
+    as_tau,
+    cleared_rows,
+    over_common_denominator,
+    zpoly_ratio,
+)
 
 Vector = tuple
 Matrix = tuple
@@ -71,24 +94,64 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 
 def vec_scale(c, u: Vector) -> Vector:
-    c = as_tau(c)
-    return tuple(c * x for x in u)
+    (cp,), cd = over_common_denominator((c,))
+    up, ud = over_common_denominator(u)
+    return tuple(_entry(_zmul(cp, p), cd, ud) for p in up)
 
 
 def vec_is_zero(u: Vector) -> bool:
     return all(x.is_zero for x in u)
 
 
+def _cleared_terms(entries) -> tuple:
+    """The right factor's column, or the vector, over its common
+    denominator: the nonzero terms (k, numerator k), and the denominator."""
+    polys, den = over_common_denominator(entries)
+    return [(k, p) for k, p in enumerate(polys) if p], den
+
+
+def _cleared_row(row, height: int) -> tuple:
+    """A row of the left factor over its common denominator; its length
+    must be the right factor's height."""
+    if len(row) != height:
+        raise ValueError(f"a row of length {len(row)} times a height of {height}")
+    return over_common_denominator(row)
+
+
+def _dot(p, terms) -> tuple:
+    """Sum of p[k] * y over the terms (k, y), over Z[tau]: only the
+    nonzero entries of the right factor are visited."""
+    s = ()
+    for k, y in terms:
+        x = p[k]
+        if x:
+            s = _zadd(s, _zmul(x, y))
+    return s
+
+
+def _entry(num, den1, den2):
+    """The result entry num / (den1 * den2)."""
+    return zpoly_ratio(num, _zmul(den1, den2)) if num else ZERO
+
+
 def mat_vec(a: Matrix, u: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, u, strict=True) if x and y), ZERO) for row in a)
+    terms, ud = _cleared_terms(u)
+    out = []
+    for row in a:
+        rp, rd = _cleared_row(row, len(u))
+        out.append(_entry(_dot(rp, terms), rd, ud))
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col, strict=True) if x and y), ZERO) for col in bt)
-        for row in a
-    )
+    cols = [_cleared_terms(col) for col in zip(*b)]
+    if not cols:  # b has no columns, so every row of a gives an empty row
+        return tuple(() for _ in a)
+    out = []
+    for row in a:
+        rp, rd = _cleared_row(row, len(b))
+        out.append(tuple(_entry(_dot(rp, terms), rd, cd) for terms, cd in cols))
+    return tuple(out)
 
 
 def from_columns(cols) -> Matrix:
@@ -102,8 +165,10 @@ def _rref(rows):
     1968).  Each row is first scaled into Z[tau] (``cleared_rows``), which
     keeps the row space.  At the step that finds pivot p in column c, row
     r, every other row x becomes (p*x - x[c]*row_r) / prev, prev the
-    previous pivot (1 at first); rows with x[c] = 0 are scaled by p/prev
-    too.  The pivot is the entry of lowest degree in the column.
+    previous pivot (1 at first).  A row with x[c] = 0 is only scaled, as
+    p*x / prev, and left as it is when p = prev, so a sparse matrix costs
+    little more than its nonzero entries.  The pivot is the entry of lowest
+    degree in the column.
 
     The division is exact, because every entry of the work matrix is, up
     to sign, a minor of the cleared matrix.  After k pivots, with pivot
@@ -131,12 +196,14 @@ def _rref(rows):
         top = work[r]
         p = top[c]
         for i in range(nrows):
-            if i != r:
-                f = work[i][c]
-                work[i] = [
-                    _zdiv(_zsub(_zmul(p, x), _zmul(f, y)), prev)
-                    for x, y in zip(work[i], top)
-                ]
+            row = work[i]
+            f = row[c]
+            if i == r or (not f and p == prev):
+                continue
+            if f:
+                work[i] = [_zdiv(_zsub(_zmul(p, x), _zmul(f, y)), prev) for x, y in zip(row, top)]
+            else:
+                work[i] = [_zdiv(_zmul(p, x), prev) for x in row]
         prev = p
         pivots.append(c)
         r += 1

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
@@ -497,9 +497,55 @@ def integer_rows(rows) -> list:
     return out
 
 
+def over_common_denominator(entries) -> tuple:
+    """Polynomials p_i and den in Z[tau] with entries[i] = p_i / den.
+
+    The entries are ints, Fractions or TauScalars.  den is the product of
+    their distinct denominators times the least integer that clears every
+    coefficient, so rationals share an integer den, and integers den (1,).
+    The products in linalg clear each operand once with this and build
+    each result entry once, with ``zpoly_ratio``.
+
+    >>> over_common_denominator([TAU / 2, ONE / (TAU + 1), 3])
+    ([(0, 1, 1), (2,), (6, 6)], (2, 2))
+    >>> over_common_denominator([Fraction(1, 2), 0, -1])
+    ([(1,), (), (-2,)], (2,))
+    """
+    nums, dens = [], []
+    for x in entries:
+        if isinstance(x, TauScalar):
+            nums.append(x._num)
+            dens.append(x._den)
+        elif isinstance(x, (int, Fraction)):
+            nums.append((x,) if x else ())
+            dens.append(_PONE)
+        else:
+            raise TypeError(f"cannot interpret {type(x).__name__} as TauScalar")
+    distinct = []
+    for d in dens:
+        if d != _PONE and d not in distinct:
+            distinct.append(d)
+    polys, den = nums, _PONE
+    if distinct:
+        polys = []
+        for p, d in zip(nums, dens):
+            for q in distinct:
+                if q != d:
+                    p = _zmul(p, q)
+            polys.append(p)
+        den = reduce(_zmul, distinct)
+    scale = math.lcm(*[c.denominator for p in polys for c in p], *[c.denominator for c in den])
+    return (
+        [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in polys],
+        tuple([c.numerator * (scale // c.denominator) for c in den]),
+    )
+
+
 def cleared_rows(rows) -> list:
     """Each row over Q(tau) times a nonzero scalar of its own, so that its
-    entries are polynomials in Z[tau] with no common integer factor.
+    entries are polynomials in Z[tau] with no common integer factor: the
+    row over its common denominator (``over_common_denominator``), with
+    the denominator dropped and the content divided out.
 
     Scaling rows keeps the row space, so linalg eliminates these instead
     of TauScalars.
@@ -509,23 +555,11 @@ def cleared_rows(rows) -> list:
     """
     out = []
     for row in rows:
-        dens = []
-        for x in row:
-            if x._den != _PONE and x._den not in dens:
-                dens.append(x._den)
-        polys = []
-        for x in row:
-            p = x._num
-            for q in dens:
-                if q != x._den:
-                    p = _zmul(p, q)
-            polys.append(p)
-        scale = math.lcm(*(c.denominator for p in polys for c in p))
-        ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in polys]
-        content = math.gcd(*(c for p in ints for c in p))
+        polys = over_common_denominator(row)[0]
+        content = math.gcd(*(c for p in polys for c in p))
         if content > 1:
-            ints = [tuple(c // content for c in p) for p in ints]
-        out.append(ints)
+            polys = [tuple(c // content for c in p) for p in polys]
+        out.append(polys)
     return out
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from almostabelian import lattices
 from almostabelian.autos import InnerAut, apply_aut, validate_aut
+from almostabelian.errors import NotCentral
 from almostabelian.expmap import torsion
 from almostabelian.integers import det_int
 from almostabelian.jordan import group_element, multiplicity_function
@@ -125,6 +126,19 @@ class TestReduce:
         reduced, a = reduce_generators(sub(e2))
         assert reduced.rank == 0
         assert a == ()
+
+    @pytest.mark.parametrize("group", ["e2_r2", "heis_r"])
+    def test_time_outside_torsion_is_not_central(self, group, request):
+        # on E(2) x R^2 the time 1 is not a multiple of tau; on heis x R,
+        # nilpotent, the torsion is trivial and only time 0 is central
+        aleph = request.getfixturevalue(group)
+        n = sub(aleph, ((0,) * (aleph.dim - 1) + (1,), 1))
+        message = f"generator {n.generators[0]} has time outside the torsion subgroup"
+        assert message in validate_subgroup(aleph, n)
+        for decide in (reduce_generators, lambda n: has_faithful_quotient_rep(aleph, n)):
+            with pytest.raises(NotCentral) as raised:
+                decide(n)
+            assert str(raised.value) == message
 
 
 class TestEqual:

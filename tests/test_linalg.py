@@ -3,6 +3,7 @@
 import ast
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,7 @@ from almostabelian.linalg import (
     span_intersection,
     vec,
     vec_is_zero,
+    vec_scale,
     zero_vec,
 )
 from almostabelian.numeric import membership_numeric
@@ -298,24 +300,144 @@ def test_kernel_matches_field_elimination(system):
     assert _results(a, b) == expected
 
 
-def test_kernel_does_no_tau_arithmetic(monkeypatch):
-    a = mat([[TAU, 1, 2 - TAU], [1 / (TAU + 1), TAU / 3, 0], [TAU, 1, 2 - TAU]])
-    square = mat([[TAU, 1, 0], [1 / (TAU + 1), TAU / 3, 2], [0, 1, 2 - TAU]])
-    b = vec([1, TAU, 1])
+# ---------------------------------------------------------------------------
+# the Z[tau] products against one TauScalar operation per cell
+
+
+def _cellwise_dot(row, col):
+    """Reference: a sum of products, one TauScalar operation per product
+    and per partial sum."""
+    total = TauScalar(0)
+    for x, y in zip(row, col, strict=True):
+        total = total + x * y
+    return total
+
+
+def _cellwise_mat_vec(a, u):
+    return tuple(_cellwise_dot(row, u) for row in a)
+
+
+def _cellwise_mat_mul(a, b):
+    return tuple(tuple(_cellwise_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def _cellwise_vec_scale(c, u):
+    return tuple(TauScalar(0) + c * x for x in u)
+
+
+def _flat(value):
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _flat(part)
+    else:
+        yield value
+
+
+# what the callers pass: TauScalars of every kind, and ints and Fractions
+product_entries = st.one_of(tau_entries, small_int, entries)
+
+
+@st.composite
+def product_operands(draw):
+    """a (n x k), b (k x m), u (length k) and a scalar c, with entries of
+    every kind and some rows and columns of a and b zero."""
+
+    def operand(rows, cols):
+        cells = [draw(st.lists(product_entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+        zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+        zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+        return tuple(
+            tuple(0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row))
+            for i, row in enumerate(cells)
+        )
+
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    u = operand(1, k)[0] if k else ()
+    return operand(n, k), operand(k, m), u, draw(product_entries)
+
+
+@given(product_operands())
+@settings(max_examples=80, deadline=None)
+def test_products_match_cellwise_arithmetic(operands):
+    a, b, u, c = operands
+    for got, expected in (
+        (mat_vec(a, u), _cellwise_mat_vec(a, u)),
+        (mat_mul(a, b), _cellwise_mat_mul(a, b)),
+        (vec_scale(c, u), _cellwise_vec_scale(c, u)),
+    ):
+        assert got == expected
+        assert all(isinstance(x, TauScalar) for x in _flat(got))
+
+
+@st.composite
+def sparse_block_diagonals(draw):
+    """A square matrix over Q(tau) with one to three diagonal blocks of
+    size 1 to 3 and zeros elsewhere, rows and columns permuted, and a
+    right-hand side: most rows miss most pivot columns."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    rows = [[TauScalar(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows[i][start : start + size] = draw(
+                st.lists(tau_entries, min_size=size, max_size=size)
+            )
+        start += size
+    row_order, col_order = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    a = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
+    return a, vec(draw(st.lists(tau_entries, min_size=n, max_size=n)))
+
+
+@given(sparse_block_diagonals())
+@settings(max_examples=40, deadline=None)
+def test_sparse_block_diagonal_matches_field_elimination(system):
+    a, b = system
+    with mock.patch.object(linalg, "_rref", _field_rref):
+        expected = _results(a, b)
+    assert _results(a, b) == expected
+    assert rank(a) == len(expected[0][1])
+    if is_invertible(a):
+        assert _cellwise_mat_mul(a, inverse(a)) == identity(len(a))
+
+
+def _forbid_tau_arithmetic(monkeypatch):
+    """Make every TauScalar sum, difference, product and quotient fail."""
 
     def forbidden(*args):
-        raise AssertionError("TauScalar arithmetic inside elimination")
+        raise AssertionError("TauScalar arithmetic inside linalg")
 
     for name in (
         "__add__", "__radd__", "__sub__", "__rsub__",
         "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
     ):
         monkeypatch.setattr(TauScalar, name, forbidden)
+
+
+def test_kernel_does_no_tau_arithmetic(monkeypatch):
+    a = mat([[TAU, 1, 2 - TAU], [1 / (TAU + 1), TAU / 3, 0], [TAU, 1, 2 - TAU]])
+    square = mat([[TAU, 1, 0], [1 / (TAU + 1), TAU / 3, 2], [0, 1, 2 - TAU]])
+    b = vec([1, TAU, 1])
+    _forbid_tau_arithmetic(monkeypatch)
     assert rank(a) == 2
     assert pivot_columns(a) == [0, 1]
     assert solve(a, b) is not None
     assert len(inverse(square)) == 3
     assert len(nullspace(a)) == 1
+
+
+def test_products_do_no_tau_arithmetic(monkeypatch):
+    # operands of every kind: TauScalars, ints and Fractions, a zero row
+    a = (
+        (TAU, 1, 2 - TAU),
+        (1 / (TAU + 1), Fraction(1, 3), 0),
+        (0, 0, 0),
+    )
+    b = ((1, TAU), (TAU / 2, 0), (Fraction(-1, 2), 1 / (TAU - 1)))
+    u, c = (1, TAU / 3, Fraction(2, 3)), 1 / (TAU + 2)
+    expected = (_cellwise_mat_vec(a, u), _cellwise_mat_mul(a, b), _cellwise_vec_scale(c, u))
+    _forbid_tau_arithmetic(monkeypatch)
+    assert (mat_vec(a, u), mat_mul(a, b), vec_scale(c, u)) == expected
 
 
 def test_one_polynomial_arithmetic():
@@ -325,13 +447,13 @@ def test_one_polynomial_arithmetic():
     for name in ("_zmul", "_zsub", "_zdiv"):
         assert getattr(linalg, name) is getattr(scalars, name)
     helper = re.compile(r"^_[pz][a-z]+$")
-    # TauScalar's methods and cleared_rows add, subtract and multiply their
-    # Fraction coefficient tuples with the same ring helpers
+    # TauScalar's methods and over_common_denominator add, subtract and
+    # multiply their Fraction coefficient tuples with the same ring helpers
     tree = ast.parse(Path(scalars.__file__).read_text())
     users = [
         node
         for node in tree.body
-        if getattr(node, "name", None) in ("TauScalar", "cleared_rows")
+        if getattr(node, "name", None) in ("TauScalar", "over_common_denominator")
     ]
     reached = {
         node.id
