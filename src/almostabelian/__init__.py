@@ -8,6 +8,8 @@ automorphism actions, and closedness of connected subgroups in
 quotients, all over the field Q(tau) with tau standing for 2*pi.
 """
 
+from importlib import import_module as _import_module
+
 from .autos import (
     Automorphism,
     GenericAut,
@@ -95,23 +97,20 @@ from .subgroups import (
 
 __version__ = "0.1.0"
 
-# The oracle loads numpy and scipy; it is imported on first use of one of
-# its names, so that exact work never pays for the float stack.
-_ORACLE_NAMES = (
-    "OracleReport",
-    "antihermitian_probe",
-    "dense_expm",
-    "exp_crosscheck",
-    "injectivity_probe",
-)
+# The float stack loads numpy and scipy; a module of it is imported on
+# first use of one of its names, so that exact work never pays for it.
+# The numeric names are the float forms of exact functions that take no
+# mode argument.
+_FLOAT_NAMES = dict.fromkeys(
+    ("OracleReport", "antihermitian_probe", "dense_expm", "exp_crosscheck", "injectivity_probe"),
+    "oracle",
+) | dict.fromkeys(("group_inverse_numeric", "membership_numeric", "quotient_rep_numeric"), "numeric")
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
+    if name in _FLOAT_NAMES:
+        return getattr(_import_module(f".{_FLOAT_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_FLOAT_NAMES)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidAutomorphism
 from .expmap import (
-    apply_exp_integral,
     apply_exp_tj,
+    apply_phi_tj,
     block_exp,
     dilation_contains,
     group_inverse,
@@ -44,7 +44,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .scalars import ONE, ZERO, TauScalar, as_tau
+from .scalars import ZERO, TauScalar, as_tau
 
 
 @dataclass(frozen=True)
@@ -252,10 +252,13 @@ def identity_aut(aleph: MultiplicityFunction) -> Automorphism:
 def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "exact"):
     """Image of g under the automorphism, exact or floating point.
 
-    The group picks the action: the ten-parameter polynomial on a
-    Heisenberg extension, which is always exact, and the integrated
-    exponential elsewhere, for which exact mode raises
-    ExactnessUnavailable when it has no closed form at alpha*t.  Inner
+    The image of (v, t) is one product M (v, t), and the group picks M.
+    On a Heisenberg extension M is the differential, and the
+    ten-parameter action adds heis_action in x; it is always exact.
+    Elsewhere M is the differential with its gamma column integrated
+    along the flow, phi(alpha t J) gamma, so that the image is
+    [Delta v + t phi(alpha t J) gamma, alpha t]; exact mode raises
+    ExactnessUnavailable when that column has no closed form.  Inner
     automorphisms act by conjugation.  Both modes raise
     InvalidAutomorphism for a datum that cannot act on the group at all
     (see _misfit): an inner automorphism of another group, a datum of
@@ -270,17 +273,14 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
         return apply_aut_numeric(aleph, phi, v, t)
     if isinstance(phi, InnerAut):
         return _apply_inner(aleph, phi, g)
-    if is_heisenberg_extension(aleph):
-        *moved, s = mat_vec(phi.matrix, (*g.v, g.t))
-        moved[0] += heis_action(phi.matrix, g.v[1], g.t)
-        return group_element(aleph, moved, s)
-    scaled_t = g.t * phi.alpha
-    integral = apply_exp_integral(aleph, scaled_t, phi.gamma)
-    moved = vec_add(
-        vec_scale(ONE / phi.alpha, integral),
-        mat_vec(phi.delta, g.v),
-    )
-    return group_element(aleph, moved, scaled_t)
+    m, heis = phi.matrix, is_heisenberg_extension(aleph)
+    if not heis:
+        col = apply_phi_tj(aleph, phi.alpha * g.t, phi.gamma)
+        m = tuple(row[:-1] + (c,) for row, c in zip(m, col)) + m[-1:]
+    *moved, s = mat_vec(m, (*g.v, g.t))
+    if heis:
+        moved[0] += heis_action(m, g.v[1], g.t)
+    return group_element(aleph, moved, s)
 
 
 def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:

@@ -52,7 +52,7 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
-from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, as_tau, rat_gcd
+from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, as_tau, rat_gcd, tau_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +72,22 @@ class TorsionDescription:
     omega0: Fraction | None = None
     t0: TauScalar | None = None
 
+    def multiple(self, t):
+        """The integer m with t = m*t0, or None when t is not in T.
+
+        t0 = tau/omega0, so m = c*omega0 for t = c*tau, read off t's
+        coefficients with no division.
+        """
+        c = tau_coefficient(as_tau(t))
+        if c == 0:
+            return 0
+        if c is None or self.is_trivial:
+            return None
+        m = c * self.omega0
+        return m.numerator if m.denominator == 1 else None
+
     def contains(self, t) -> bool:
-        t = as_tau(t)
-        if t.is_zero:
-            return True
-        if self.is_trivial:
-            return False
-        return (t / self.t0).is_integer
+        return self.multiple(t) is not None
 
     def __str__(self):
         if self.is_trivial:
@@ -356,21 +365,15 @@ def group_mul(
     return GroupElement(vec_add(g.v, moved), g.t + h.t)
 
 
-def group_inverse(
-    aleph: MultiplicityFunction, g: GroupElement, mode: str = "exact"
-):
-    """Inverse [v, t]^{-1} = [-e^{-t J} v, -t], same exactness domain as mul.
+def group_inverse(aleph: MultiplicityFunction, g: GroupElement) -> GroupElement:
+    """Inverse [v, t]^{-1} = [-e^{-t J} v, -t], same exactness domain as mul;
+    numeric.group_inverse_numeric is the float form.
 
     >>> from .jordan import group_element, multiplicity_function
     >>> heis = multiplicity_function({(GaussRational(0), 2): 1})
     >>> str(group_inverse(heis, group_element(heis, [4, 2], 3)))
     '[2, -2 | -3]'
     """
-    if numeric_mode(mode):
-        from .numeric import block_exp_numeric, element_numeric
-
-        v, t = element_numeric(g)
-        return -(block_exp_numeric(aleph, -t) @ v), -t
     moved = apply_exp_tj(aleph, -g.t, g.v)
     return GroupElement(tuple(-x for x in moved), -g.t)
 

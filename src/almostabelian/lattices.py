@@ -3,14 +3,17 @@ automorphism relatedness, and faithful representability of the quotient.
 
 A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
-generator.  Generator reduction, equality testing, and the relatedness
-criterion all run in exact arithmetic on the (v; t) coordinate columns.
+generator.  It is held as its (v; t) generator columns, and everything
+done with it is linear algebra on them: a lattice derived from another
+(reduced generators, the parts of a split) is one product of the
+generator matrix with an integer matrix, and equality testing and the
+relatedness criterion are exact solves over Q(tau) with integer answers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .autos import GenericAut, apply_aut, compose, identity_aut
 from .errors import NotCentral
@@ -37,7 +40,6 @@ from .linalg import (
     vec,
     vec_add,
     vec_sub,
-    zero_vec,
 )
 from .reps import quotient_faithful_rep
 from .scalars import ZERO, integer_rows
@@ -45,18 +47,18 @@ from .scalars import ZERO, integer_rows
 
 @dataclass(frozen=True)
 class DiscreteCentralSubgroup:
-    """Free central subgroup given by a tuple of generators [v_i, t_i]."""
+    """Free central subgroup given by a tuple of generators [v_i, t_i].
+
+    The generators are coerced once; columns holds their (v; t) columns.
+    """
 
     aleph: MultiplicityFunction
     generators: tuple
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, aleph, generators):
-        object.__setattr__(self, "aleph", aleph)
-        object.__setattr__(
-            self,
-            "generators",
-            tuple(group_element(aleph, g.v, g.t) for g in generators),
-        )
+        coerced = (group_element(aleph, g.v, g.t) for g in generators)
+        _hold(self, aleph, tuple((*g.v, g.t) for g in coerced))
 
     @property
     def rank(self) -> int:
@@ -68,28 +70,37 @@ class DiscreteCentralSubgroup:
         tor = torsion(self.aleph)
         out = []
         for g in self.generators:
-            if g.t.is_zero:
-                out.append(0)
-                continue
-            m = None if tor.is_trivial else g.t / tor.t0
-            if m is None or not m.is_integer:
+            m = tor.multiple(g.t)
+            if m is None:
                 raise NotCentral(f"generator {g} has time outside the torsion subgroup")
-            out.append(m.as_integer())
+            out.append(m)
         return tuple(out)
 
-    def columns(self) -> list:
-        return [vec(tuple(g.v) + (g.t,)) for g in self.generators]
+    def combine(self, coeffs) -> "DiscreteCentralSubgroup":
+        """The subgroup generated by the combinations sum_i c_i g_i, one per
+        column c of the k x j integer matrix coeffs: the product of the
+        (d+1) x k generator matrix with coeffs.  coeffs keeps its k rows
+        when j = 0."""
+        points = transpose(mat_mul(transpose(self.columns), coeffs))
+        return _hold(object.__new__(DiscreteCentralSubgroup), self.aleph, points)
 
     def __str__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators)
         return f"<{inside}>" if inside else "<trivial>"
 
 
+def _hold(subgroup, aleph, cols):
+    """Fill a subgroup from its (v; t) generator columns, whose entries
+    are TauScalars already."""
+    object.__setattr__(subgroup, "aleph", aleph)
+    object.__setattr__(subgroup, "generators", tuple(GroupElement(p[:-1], p[-1]) for p in cols))
+    object.__setattr__(subgroup, "columns", cols)
+    return subgroup
+
+
 def subgroup_from_data(aleph, gens) -> DiscreteCentralSubgroup:
     """Build a subgroup from (vector, time) pairs without validation."""
-    return DiscreteCentralSubgroup(
-        aleph, tuple(group_element(aleph, v, t) for v, t in gens)
-    )
+    return DiscreteCentralSubgroup(aleph, [group_element(aleph, v, t) for v, t in gens])
 
 
 def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
@@ -105,9 +116,8 @@ def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
             violations.append(f"generator {g} has vector part outside ker J")
         if not tor.contains(g.t):
             violations.append(f"generator {g} has time outside the torsion subgroup")
-    cols = subgroup.columns()
-    k = len(cols)
-    if rank(tuple(cols)) < k:
+    k = subgroup.rank
+    if rank(subgroup.columns) < k:
         violations.append("generators are linearly dependent")
     bound = len(aleph.kernel_coordinates) + 1
     if k > bound:
@@ -128,23 +138,7 @@ def reduce_generators(subgroup: DiscreteCentralSubgroup):
     nonnegative, times the torsion generator.
     """
     _, a = bezout_row_reduce(subgroup.time_multiples)
-    points = transpose(mat_mul(from_columns(subgroup.columns()), a))
-    reduced = DiscreteCentralSubgroup(
-        subgroup.aleph, tuple(group_element(subgroup.aleph, p[:-1], p[-1]) for p in points)
-    )
-    return reduced, tuple(tuple(row) for row in a)
-
-
-def integer_combination(aleph, gens, coeffs) -> GroupElement:
-    """The central element sum_i c_i g_i, computed on (v, t) coordinates.
-
-    Central generators commute, so this is the product of their powers.
-    With no generators it is the identity: a combination of no columns
-    has no height to read off.
-    """
-    cols = [tuple(g.v) + (g.t,) for g in gens]
-    point = mat_vec(from_columns(cols), vec(coeffs)) if cols else zero_vec(aleph.dim + 1)
-    return group_element(aleph, point[:-1], point[-1])
+    return subgroup.combine(a), tuple(tuple(row) for row in a)
 
 
 def is_economic(subgroup) -> bool:
@@ -165,8 +159,8 @@ def lattice_equal(n: DiscreteCentralSubgroup, m: DiscreteCentralSubgroup) -> boo
     """
     _same_group(n, m)
     return (
-        integer_coordinates(m, n.columns()) is not None
-        and integer_coordinates(n, m.columns()) is not None
+        integer_coordinates(m, n.columns) is not None
+        and integer_coordinates(n, m.columns) is not None
     )
 
 
@@ -176,7 +170,7 @@ def integer_coordinates(subgroup, cols):
     Returns one tuple of ints per column, or None when some column is not
     an integer combination of the generator columns.
     """
-    sols = solve_columns(subgroup.columns(), cols)
+    sols = solve_columns(subgroup.columns, cols)
     if sols is None or not all(c.is_integer for lam in sols for c in lam):
         return None
     return [tuple(c.as_integer() for c in lam) for lam in sols]
@@ -229,7 +223,7 @@ def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
     automorphism action is exact; the certificate A expresses each image
     in the generator basis and must be unimodular.
     """
-    coords = integer_coordinates(subgroup, aut_image(aleph, phi, subgroup).columns())
+    coords = integer_coordinates(subgroup, aut_image(aleph, phi, subgroup).columns)
     if coords is None:
         return None
     matrix = tuple(zip(*coords))
@@ -511,9 +505,9 @@ def has_faithful_quotient_rep(
     generators on the split Euclidean factor and the time axis, and the
     representation of the transformed quotient is built.
     """
-    gen_cols = subgroup.columns()
-    derived = [vec(tuple(b) + (ZERO,)) for b in derived_algebra_basis(aleph)]
-    if rank(tuple(gen_cols)) + len(derived) != rank(tuple(gen_cols + derived)):
+    gen_cols = subgroup.columns
+    derived = tuple((*b, ZERO) for b in derived_algebra_basis(aleph))
+    if rank(gen_cols) + len(derived) != rank(gen_cols + derived):
         return FaithfulQuotientDecision(representable=False)
     shear = _kernel_shear(aleph, subgroup)
     splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))

@@ -1,4 +1,6 @@
-"""Floating-point evaluation of the closed forms, behind ``mode="numeric"``.
+"""Floating-point evaluation of the closed forms: the ``mode="numeric"``
+branches of exp_map, group_mul and apply_aut, RepMatrix.numeric, and the
+float forms of group_inverse, membership and QuotientRep.matrix.
 
 Apart from the oracle this is the only module that imports numpy.  The
 exact modules import it inside their numeric branches, so exact work
@@ -90,6 +92,11 @@ def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
     out = np.zeros((d, d))
     write_blocks(out, aleph, lambda block: _phi_block_numeric(block, t))
     return out
+
+
+def group_inverse_numeric(aleph: MultiplicityFunction, v: np.ndarray, t: float):
+    """Float inverse [v, t]^{-1} = [-e^{-tJ} v, -t] of coordinate data."""
+    return -(block_exp_numeric(aleph, -t) @ np.asarray(v, dtype=float)), -t
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from .linalg import (
     solve,
     unit_vec,
     vec,
+    vec_is_zero,
     vec_sub,
 )
-from .scalars import ONE, TAU, ZERO, TauScalar, as_tau, tau_floor
+from .scalars import ONE, TAU, ZERO, TauScalar, tau_floor
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +229,12 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     lattice coordinate.  Coordinates outside the lattice span pass through
     unchanged, and the chart is idempotent.
     """
-    cols = subgroup.columns()
+    cols = subgroup.columns
     if not cols:
         return g  # a combination of no columns has no height to subtract
     # pivot coordinates: the first coordinates on which the generators
     # are independent, where the lattice coordinates are read off
-    pivots = pivot_columns(tuple(cols))
+    pivots = pivot_columns(cols)
     point = tuple(g.v) + (g.t,)
     lattice = from_columns(cols)
     coords = solve(tuple(lattice[i] for i in pivots), vec(point[i] for i in pivots))
@@ -254,15 +255,13 @@ def build_P(aleph: MultiplicityFunction, subgroup):
     d = aleph.dim
     d0 = dec.d0
     m = d - d0 + 1
-    cols = []
     for g in subgroup.generators:
-        for i in range(d0):
-            if not as_tau(g.v[i]).is_zero:
-                raise UnsupportedLattice(
-                    f"generator {g} is not supported on the split Euclidean "
-                    "factor; normalize the subgroup first"
-                )
-        cols.append(vec(tuple(g.v[d0:]) + (g.t,)))
+        if not vec_is_zero(g.v[:d0]):
+            raise UnsupportedLattice(
+                f"generator {g} is not supported on the split Euclidean "
+                "factor; normalize the subgroup first"
+            )
+    cols = [col[d0:] for col in subgroup.columns]
     k = len(cols)
     # the first standard basis vectors independent of the generators:
     # the pivot columns past k of [C | id]
@@ -286,6 +285,7 @@ class QuotientRep:
     rotation cell per lattice generator (angle tau times the corresponding
     P_par coordinate), and one diagonal exponential per complementary
     P_perp coordinate.  The kernel is exactly N.
+    numeric.quotient_rep_numeric evaluates it at float coordinate data.
     """
 
     aleph: MultiplicityFunction
@@ -305,12 +305,6 @@ class QuotientRep:
         exps = [make_entry(ONE, y) for y in mat_vec(self.p_perp, wt)]
         write_quotient_cells(rows, dec.d0 + 1, turns, exps)
         return _freeze(rows)
-
-    def numeric(self, v, t: float):
-        """The matrix at float coordinate data (v, t), as a numpy array."""
-        from .numeric import quotient_rep_numeric
-
-        return quotient_rep_numeric(self, v, t)
 
 
 def write_quotient_cells(rows, o: int, turns, exps) -> None:

@@ -563,6 +563,18 @@ def cleared_rows(rows) -> list:
     return out
 
 
+def tau_coefficient(x: TauScalar):
+    """The rational c with x = c*tau, or None when x is no such multiple.
+
+    >>> tau_coefficient(3 * TAU / 2), tau_coefficient(ZERO), tau_coefficient(1 + TAU)
+    (Fraction(3, 2), Fraction(0, 1), None)
+    """
+    num = x._num
+    if x._den != _PONE or len(num) > 2 or (num and num[0]):
+        return None
+    return num[1] if num else Fraction(0)
+
+
 def zpoly_ratio(num: tuple, den: tuple) -> TauScalar:
     """The TauScalar num / den of two polynomials in Z[tau], den nonzero.
 

@@ -20,9 +20,7 @@ from .jordan import (
     MultiplicityFunction,
     build_jordan,
     in_kernel,
-    numeric_mode,
 )
-from .lattices import DiscreteCentralSubgroup, integer_combination
 from .linalg import (
     from_columns,
     identity,
@@ -98,22 +96,13 @@ def is_abelian_subalgebra(aleph: MultiplicityFunction, spec) -> bool:
     return all(in_kernel(aleph, w) for w in spec.basis)
 
 
-def membership(
-    aleph: MultiplicityFunction,
-    spec: ConnectedSubgroupSpec,
-    g: GroupElement,
-    mode: str = "exact",
-) -> bool:
+def membership(aleph: MultiplicityFunction, spec: ConnectedSubgroupSpec, g: GroupElement) -> bool:
     """Whether the group element lies in the connected subgroup.
 
-    Exact mode works wherever the displacement integral of the slope has
-    a closed rational form (always for case 1) and raises otherwise;
-    numeric mode compares the defect against the subspace in floats.
+    Exact wherever the displacement integral of the slope has a closed
+    rational form (always for case 1); raises ExactnessUnavailable
+    otherwise.  numeric.membership_numeric is the float form.
     """
-    if numeric_mode(mode):
-        from .numeric import membership_numeric
-
-        return membership_numeric(aleph, spec, g)
     if spec.case == 1:
         return g.t.is_zero and in_span(spec.basis, g.v)
     correction = apply_exp_integral(aleph, g.t, spec.v0)
@@ -191,12 +180,12 @@ def split_lattice_through(
     ]
     if spec.case == 1 and any(multiples):
         conditions.append(vec(multiples))
-    complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), len(gens))
-    inside = DiscreteCentralSubgroup(
-        aleph, tuple(integer_combination(aleph, gens, c) for c in kernel_cols)
-    )
-    complement = DiscreteCentralSubgroup(
-        aleph, tuple(integer_combination(aleph, gens, c) for c in complement_cols)
+    k = len(gens)
+    complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), k)
+    # the bases as k x j coefficient matrices, k rows even when j = 0
+    inside, complement = (
+        subgroup.combine([[c[i] for c in cols] for i in range(k)])
+        for cols in (kernel_cols, complement_cols)
     )
     return inside, complement
 

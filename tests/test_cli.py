@@ -10,11 +10,13 @@ import pytest
 
 import almostabelian
 from almostabelian import cli
+from almostabelian.autos import apply_aut, compose
 from almostabelian.cli import main
 from almostabelian.expmap import exp_map, group_mul
 from almostabelian.integers import det_int
 from almostabelian.jordan import algebra_element, group_element, multiplicity_function
 from almostabelian.scalars import TAU, GaussRational, parse_tau
+from almostabelian.specfile import parse_spec_file
 
 
 @pytest.fixture
@@ -242,6 +244,51 @@ class TestAut:
         code, out = run(capsys, "--spec", specs["e2aut"], "aut", "apply", "1,2", "tau")
         assert code == 0
         assert out.strip() == "[1,-2 | -tau]"
+
+    # spec, g = (v, t) and k = (v, t), at quarter turns on the rotation
+    ROUND_TRIP = {
+        "generic on E(2) x R^2": (
+            "block i 1 1\nblock 0 1 2\naut generic alpha=-1 "
+            "delta=1,0,0,0;0,-1,0,0;0,0,2,1;0,0,0,1 gamma=1,0,tau,1\n",
+            ("1,2,0,3", "tau/4"),
+            ("1,-1,1/2,tau", "tau/2"),
+        ),
+        "ten-parameter on heis x R": (
+            "block 0 2 1\nblock 0 1 1\naut heis alpha=2 beta2=1 gamma1=tau gamma2=1/2 "
+            "delta12=1 delta22=3 phi01=1 eta=2 rho=tau phi11=1\n",
+            ("1,2,3", "1/3"),
+            ("0,1,-1", "2"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+    def test_apply_output_feeds_mul_and_apply(self, tmp_path, capsys, name):
+        # aut apply's machine v and t go back in as mul's first operand and
+        # as a second aut apply's element, after "--" since they may start
+        # with a minus sign; both match the library
+        text, g_args, k_args = self.ROUND_TRIP[name]
+        path = tmp_path / "aut.spec"
+        path.write_text(text)
+        spec = parse_spec_file(path)
+        aleph, phi = spec.aleph, spec.aut
+
+        def machine(*argv):
+            code, out = run(capsys, "--spec", str(path), "--machine", *argv)
+            assert code == 0
+            pairs = machine_dict(out)
+            return pairs["v"], pairs["t"]
+
+        def element(v, t):
+            return group_element(aleph, [parse_tau(c) for c in v.split(",")], parse_tau(t))
+
+        assert run(capsys, "--spec", str(path), "aut", "validate")[0] == 0
+        image = machine("aut", "apply", "--", *g_args)
+        g, k = element(*g_args), element(*k_args)
+        assert element(*machine("mul", "--", *image, *k_args)) == group_mul(
+            aleph, apply_aut(aleph, phi, g), k
+        )
+        twice = machine("aut", "apply", "--", *image)
+        assert element(*twice) == apply_aut(aleph, compose(phi, phi), g)
 
     def test_preserves(self, specs, capsys):
         code, out = run(capsys, "--spec", specs["e2aut"], "--machine", "aut", "preserves")

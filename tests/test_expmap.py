@@ -278,6 +278,32 @@ class TestTorsion:
         assert not t.contains(TAU)
         assert not t.contains(as_tau(3))
 
+    speeds = st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2])
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_multiple_agrees_with_division(self, data):
+        # the multiple read off t's coefficients is t / t0 when that is an
+        # integer; times are rational, tau multiples and rational functions,
+        # some built on k*t0 (k*tau on trivial T)
+        speeds = data.draw(st.lists(self.speeds, max_size=3, unique=True))
+        blocks = {(GaussRational(0, b), 1): 1 for b in speeds} or {(GaussRational(0), 2): 1}
+        tor = torsion(multiplicity_function(blocks))
+        k, a, b = data.draw(st.integers(-4, 4)), data.draw(self.small), data.draw(self.small)
+        multiple = k * (TAU if tor.is_trivial else tor.t0)
+        time = data.draw(st.sampled_from(
+            [as_tau(a), a * TAU, multiple, multiple / (b + TAU), (a + multiple) / (b + TAU)]
+        ))
+        if time.is_zero:
+            want = 0
+        elif tor.is_trivial or not (time / tor.t0).is_integer:
+            want = None
+        else:
+            want = (time / tor.t0).as_integer()
+        assert tor.multiple(time) == want
+        assert tor.contains(time) is (want is not None)
+
     def test_omega_divides_speeds(self, mix, e2_r2):
         for aleph in (mix, e2_r2):
             t = torsion(aleph)

@@ -24,8 +24,8 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.linalg import in_span, mat, vec, vec_is_zero
+from almostabelian.numeric import group_inverse_numeric
 from almostabelian.scalars import TAU, GaussRational, as_tau
-from almostabelian.subgroups import ConnectedSubgroupSpec, membership
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -281,6 +281,15 @@ class TestGroupLaw:
         assert np.allclose(nv, [float(x) for x in exact.v], atol=1e-12)
         assert abs(nt - float(exact.t)) < 1e-12
 
+    def test_numeric_inverse_matches_exact(self, heis, e2):
+        # on E(2) a quarter turn, where the exact inverse is defined
+        for aleph, t in ((heis, Fraction(1, 2)), (e2, TAU / 4)):
+            g = group_element(aleph, [1, 2], t)
+            exact = group_inverse(aleph, g)
+            nv, nt = group_inverse_numeric(aleph, [1.0, 2.0], float(t))
+            assert np.allclose(nv, [float(x) for x in exact.v], atol=1e-12)
+            assert abs(nt - float(exact.t)) < 1e-12
+
 
 class TestModeArgument:
     # every function taking a mode argument shares one check, so a typo
@@ -288,10 +297,6 @@ class TestModeArgument:
     CALLS = {
         "exp_map": lambda a, g, mode: exp_map(a, AlgebraElement(g.v, g.t), mode=mode),
         "group_mul": lambda a, g, mode: group_mul(a, g, g, mode=mode),
-        "group_inverse": lambda a, g, mode: group_inverse(a, g, mode=mode),
-        "membership": lambda a, g, mode: membership(
-            a, ConnectedSubgroupSpec(a, ((0, 1),), None), g, mode=mode
-        ),
         "apply_aut": lambda a, g, mode: apply_aut(a, identity_aut(a), g, mode=mode),
     }
 

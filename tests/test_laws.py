@@ -4,18 +4,21 @@ families.
 Derandomized properties over a small catalog of groups.  Times stay in
 the exact domain: small rationals on nilpotent data, and multiples of a
 time at which every rotation block makes a quarter turn otherwise.  The
-dilation conjugator and the lattice layer are also checked on random
-multiplicity functions.
+dilation conjugator, the generic automorphism action and the lattice
+layer are also checked on random multiplicity functions, the action and
+the lattice products against oracles that sum cell by cell.
 """
 
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from almostabelian import subgroups
 from almostabelian.autos import (
     GenericAut,
     HeisAut,
@@ -28,8 +31,11 @@ from almostabelian.autos import (
     is_heisenberg_extension,
     validate_aut,
 )
+from almostabelian.errors import ExactnessUnavailable
 from almostabelian.expmap import (
     DilationGroup,
+    apply_exp_integral,
+    apply_phi_tj,
     dilation_conjugator,
     dilation_contains,
     dilation_group,
@@ -39,7 +45,7 @@ from almostabelian.expmap import (
     phi_matrix,
     torsion,
 )
-from almostabelian.integers import is_unimodular
+from almostabelian.integers import is_unimodular, kernel_complement_split
 from almostabelian.jordan import (
     algebra_element,
     build_jordan,
@@ -66,8 +72,9 @@ from almostabelian.linalg import (
     solve,
 )
 from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
-from almostabelian.scalars import TAU, parse_tau
+from almostabelian.scalars import TAU, TauScalar, parse_tau
 from almostabelian.scalars import GaussRational as G
+from almostabelian.subgroups import ConnectedSubgroupSpec, split_lattice_through
 
 # name -> (datum, time unit); a unit of None means any small rational time
 CATALOG = {
@@ -376,6 +383,53 @@ def test_action_is_exp_of_differential(kind, data):
     assert apply_aut(aleph, phi, g) == expected
 
 
+def _integrated_action(aleph, phi, g):
+    """[Delta v + (1/alpha) ((e^{sJ} - id)/J) gamma, s] at s = alpha t,
+    the generic action summed cell by cell: the oracle for apply_aut's
+    one product."""
+    s = g.t * phi.alpha
+    integral = apply_exp_integral(aleph, s, phi.gamma)
+    moved = [
+        sum((d * x for d, x in zip(row, g.v)), TauScalar(0)) + y / phi.alpha
+        for row, y in zip(phi.delta, integral)
+    ]
+    return group_element(aleph, moved, s)
+
+
+@st.composite
+def exact_actions(draw):
+    """A group of random data, a GenericAut (D_alpha, gamma, alpha) with
+    the dilation conjugator D_alpha, and an element [v, t] whose image is
+    exact: t a small rational or a quarter turn of a rotation block, and
+    gamma vanishing on every block where phi(alpha t J) has no closed form."""
+    aleph = draw(multiplicity_functions())
+    alpha = draw(st.sampled_from([a for a in DILATIONS if dilation_contains(aleph, a)]))
+    turns = [b for b in aleph.blocks if b.eigenvalue.re == 0 and b.eigenvalue.im]
+    if turns and draw(st.booleans()):
+        t = draw(st.integers(-3, 3)) * TAU / (4 * draw(st.sampled_from(turns)).eigenvalue.im)
+    else:
+        t = draw(small)
+    gamma = draw(vectors(aleph.dim))
+    for b in aleph.blocks:
+        unit = [int(i == b.offset) for i in range(aleph.dim)]
+        try:
+            apply_phi_tj(aleph, alpha * t, unit)
+        except ExactnessUnavailable:
+            gamma[b.offset : b.offset + b.width] = [0] * b.width
+    phi = GenericAut(dilation_conjugator(aleph, alpha), gamma, alpha)
+    return aleph, phi, group_element(aleph, draw(vectors(aleph.dim)), t)
+
+
+@given(exact_actions())
+@settings(max_examples=60)
+def test_action_is_the_integrated_formula(case):
+    # on a Heisenberg extension apply_aut takes the ten-parameter route,
+    # which agrees with the integrated exponential on generic data
+    aleph, phi, g = case
+    assert validate_aut(aleph, phi) == ()
+    assert apply_aut(aleph, phi, g) == _integrated_action(aleph, phi, g)
+
+
 # ---------------------------------------------------------------------------
 # the lattice layer
 
@@ -410,6 +464,52 @@ def test_reduce_generators_is_idempotent(n):
     assert is_unimodular(a)
     assert lattice_equal(reduced, n)
     assert lattice_equal(reduce_generators(reduced)[0], reduced)
+
+
+def integer_combination(aleph, gens, coeffs):
+    """The central element sum_i c_i g_i, summed cell by cell on (v, t)
+    (central generators commute): the oracle for the lattice products."""
+    point = [TauScalar(0)] * (aleph.dim + 1)
+    for c, g in zip(coeffs, gens):
+        point = [x + c * y for x, y in zip(point, (*g.v, g.t))]
+    return group_element(aleph, point[:-1], point[-1])
+
+
+@given(central_lattices())
+@settings(max_examples=60)
+def test_reduced_generators_are_the_a_combinations(n):
+    reduced, a = reduce_generators(n)
+    want = tuple(integer_combination(n.aleph, n.generators, col) for col in zip(*a))
+    assert reduced.generators == want
+    assert reduced.columns == tuple((*g.v, g.t) for g in want)
+
+
+@given(central_lattices(), st.data())
+@settings(max_examples=60)
+def test_split_parts_are_the_basis_combinations(n, data):
+    # H from lattice vectors and kernel vectors, so that some lattice points
+    # lie in it, with a kernel slope half the time; the split's kernel and
+    # complement bases are read where subgroups computes them
+    aleph, kernel = n.aleph, n.aleph.kernel_coordinates
+    rows = [[*g.v] for g in n.generators] + [
+        [data.draw(small) if i in kernel else 0 for i in range(aleph.dim)] for _ in range(2)
+    ]
+    basis = [w for w in data.draw(st.lists(st.sampled_from(rows), max_size=2)) if any(w)]
+    v0 = data.draw(st.sampled_from([None, rows[-1]]))
+    spec = ConnectedSubgroupSpec(aleph, basis, v0)
+    seen = []
+
+    def spy(*args):
+        seen.append(kernel_complement_split(*args))
+        return seen[-1]
+
+    with mock.patch.object(subgroups, "kernel_complement_split", spy):
+        inside, complement = split_lattice_through(aleph, spec, n)
+    complement_cols, kernel_cols = seen[0]
+    for part, cols in ((inside, kernel_cols), (complement, complement_cols)):
+        assert part.generators == tuple(
+            integer_combination(aleph, n.generators, c) for c in cols
+        )
 
 
 @given(central_lattices())

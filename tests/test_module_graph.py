@@ -94,3 +94,10 @@ def _uses_float_math(tree) -> bool:
 def test_only_the_float_stack_evaluates_exp_cos_sin():
     users = {name for name, tree in TREES.items() if _uses_float_math(tree)}
     assert users <= FLOAT_STACK
+
+
+def test_numeric_is_loaded_inside_functions_of_three_modules():
+    # the modules whose mode="numeric" branch or float method loads numeric
+    # inside a function; removing a mode argument can only shrink this set
+    users = {name for name, (_, inner) in IMPORTS.items() if "numeric" in inner}
+    assert users == {"autos", "expmap", "reps"}

@@ -16,7 +16,12 @@ from almostabelian.jordan import (
 )
 from almostabelian.lattices import subgroup_from_data
 from almostabelian.linalg import mat_mul, mat_vec, vec
-from almostabelian.numeric import block_exp_numeric, entry_numeric, group_rep_numeric
+from almostabelian.numeric import (
+    block_exp_numeric,
+    entry_numeric,
+    group_rep_numeric,
+    quotient_rep_numeric,
+)
 from almostabelian.reps import (
     ExpAtom,
     RepMatrix,
@@ -431,7 +436,8 @@ class TestQuotientRep:
             t1, t2 = rng.normal(), rng.normal()
             v3, t3 = numeric_mul(e2_r2, v1, t1, v2, t2)
             dev = np.abs(
-                q.numeric(v1, t1) @ q.numeric(v2, t2) - q.numeric(v3, t3)
+                quotient_rep_numeric(q, v1, t1) @ quotient_rep_numeric(q, v2, t2)
+                - quotient_rep_numeric(q, v3, t3)
             ).max()
             worst = max(worst, dev)
         assert worst < 1e-9
@@ -441,5 +447,5 @@ class TestQuotientRep:
         q = quotient_faithful_rep(e2_r2, n)
         g = group_element(e2_r2, (1, 2, Fraction(1, 3), -1), Fraction(3, 4))
         sym = q.matrix(g).numeric()
-        num = q.numeric(np.array([1.0, 2.0, 1 / 3, -1.0]), 0.75)
+        num = quotient_rep_numeric(q, np.array([1.0, 2.0, 1 / 3, -1.0]), 0.75)
         assert np.abs(sym - num).max() < 1e-12
