@@ -283,6 +283,18 @@ def apply_aut(aleph: MultiplicityFunction, phi, g: GroupElement, mode: str = "ex
     return group_element(aleph, moved, s)
 
 
+def central_action(aleph: MultiplicityFunction, phi) -> Matrix:
+    """M_Z = [[Delta, P gamma], [b, alpha]], P the projection onto ker J:
+    phi on the center ker J x T (lattices.aut_image says why), the identity
+    for an inner automorphism.  Raises InvalidAutomorphism as apply_aut does."""
+    if misfit := _misfit(aleph, phi):
+        raise InvalidAutomorphism(misfit)
+    if isinstance(phi, InnerAut):
+        return identity(aleph.dim + 1)
+    off = set(range(aleph.dim)) - set(aleph.kernel_coordinates)
+    return tuple(row[:-1] + (ZERO,) if i in off else row for i, row in enumerate(phi.matrix))
+
+
 def _apply_inner(aleph, phi: InnerAut, g: GroupElement) -> GroupElement:
     # g h g^{-1} = [u + e^{sJ} v - e^{tJ} u, t]
     moved = vec_add(

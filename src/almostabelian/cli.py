@@ -7,6 +7,7 @@ literal grammar and re-parse to equal values.
 """
 
 import argparse
+import re
 import sys
 
 from .autos import apply_aut, is_heisenberg_extension, validate_aut
@@ -400,6 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=6)
     p.set_defaults(handler=cmd_oracle)
 
+    # argparse reads an argument that its private _negative_number_matcher
+    # (set in __init__) matches as an operand; no option here starts with
+    # -digit, -( or -tau.  TestNegativeOperands fails if argparse drops it.
+    operand = re.compile(r"-(?:[\d(]|tau)")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = operand
     return parser
 
 

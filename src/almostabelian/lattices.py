@@ -5,8 +5,9 @@ A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
 generator.  It is held as its (v; t) generator columns, and everything
 done with it is linear algebra on them: a lattice derived from another
-(reduced generators, the parts of a split) is one product of the
-generator matrix with an integer matrix, and equality testing and the
+(reduced generators, the parts of a split, an automorphic image) is one
+product of the generator matrix with an integer matrix or with the
+central action matrix M_Z (aut_image), and equality testing and the
 relatedness criterion are exact solves over Q(tau) with integer answers.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .autos import GenericAut, apply_aut, compose, identity_aut
+from .autos import GenericAut, central_action, compose, identity_aut
 from .errors import NotCentral
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
@@ -109,13 +110,7 @@ def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
     Returns a tuple of violation descriptions; empty when the generators
     define a valid discrete central subgroup.
     """
-    violations = []
-    tor = torsion(aleph)
-    for g in subgroup.generators:
-        if not in_kernel(aleph, g.v):
-            violations.append(f"generator {g} has vector part outside ker J")
-        if not tor.contains(g.t):
-            violations.append(f"generator {g} has time outside the torsion subgroup")
+    violations = [why for g in subgroup.generators for why in _off_center(aleph, g)]
     k = subgroup.rank
     if rank(subgroup.columns) < k:
         violations.append("generators are linearly dependent")
@@ -123,6 +118,14 @@ def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
     if k > bound:
         violations.append(f"rank {k} exceeds dim ker J + 1 = {bound}")
     return tuple(violations)
+
+
+def _off_center(aleph, g):
+    """Why the generator g lies outside the center ker J x T, if it does."""
+    if not in_kernel(aleph, g.v):
+        yield f"generator {g} has vector part outside ker J"
+    if not torsion(aleph).contains(g.t):
+        yield f"generator {g} has time outside the torsion subgroup"
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +213,21 @@ def quotient_iso_certificate(n, m, phi) -> bool:
 
 
 def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubgroup:
-    """The subgroup generated by the images of the generators under phi."""
-    return DiscreteCentralSubgroup(
-        aleph, tuple(apply_aut(aleph, phi, g) for g in subgroup.generators)
-    )
+    """The subgroup generated by the images of the generators under phi:
+    one product of M_Z = [[Delta, P gamma], [b, alpha]], P the projection
+    onto ker J (autos.central_action), with the generator columns.
+
+    M_Z is phi on the center ker J x T: if T != 0, J is semisimple and
+    e^{alpha t J} = Delta e^{tJ} Delta^-1 = 1 for t in T, so phi(alpha t J)
+    = P; if T = 0 every central time is 0; y = t = 0 kills the Heisenberg
+    quadratic term; conjugation fixes the center.  A generator outside
+    ker J x T raises NotCentral.
+    """
+    for g in subgroup.generators:
+        for why in _off_center(aleph, g):
+            raise NotCentral(why)
+    cols = mat_mul(subgroup.columns, transpose(central_action(aleph, phi)))
+    return _hold(object.__new__(DiscreteCentralSubgroup), aleph, cols)
 
 
 def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):

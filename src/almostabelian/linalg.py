@@ -3,19 +3,22 @@
 Matrices are tuples of row tuples, vectors are tuples; every entry is a
 TauScalar.  The package's vector sums, matrix products and linear
 combinations are the ones here.  Every linear system in the package is
-posed by its caller and row-reduced here, by one kernel, the package's
-only elimination over Q(tau): fraction-free Gauss-Jordan elimination
-over the integer polynomials Z[tau] (Bareiss), which builds no TauScalar
-until its result.  Its entries are minors of the input, so they grow
-only as fast as determinants do, and the polynomial arithmetic is that of
-``scalars``, whose Z[tau] gcd reduces each result entry: an n x n inverse
+posed by its caller and row-reduced here, by the package's only
+elimination over Q(tau): fraction-free elimination over the integer
+polynomials Z[tau] (Bareiss, ``_bareiss``).  Its entries are minors of
+the input, so they grow only as fast as determinants do: an n x n inverse
 with entries a + b*tau costs two to four times more each time n grows by
 two, and takes about 0.03 s at n = 10 on a shared 2-vCPU virtual machine.
+A row whose entry in the pivot column is zero is only scaled, or left as
+it is, so a sparse system costs about as much as its nonzero entries.
 Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
-A row of the elimination whose entry in the pivot column is zero needs no
-subtraction: it is left as it is when the pivot equals the previous one,
-and is only scaled otherwise, so a sparse system costs about as much as
-its nonzero entries.
+
+Each caller of the elimination builds a TauScalar, reduced by one Z[tau]
+gcd (``scalars.zpoly_ratio``), only for an entry it returns: ``rank``,
+``pivot_columns`` and ``is_invertible`` eliminate forward only and build
+none, ``solve_columns`` builds the target columns of the pivot rows,
+``inverse`` the right half, ``nullspace`` the free columns and
+``row_space_basis`` the pivot rows.
 
 The products ``mat_vec``, ``mat_mul`` and ``vec_scale`` work over Z[tau]
 too.  Each operand -- a vector, a row of the left factor, a column of the
@@ -158,10 +161,11 @@ def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns).
+def _bareiss(rows, full: bool = True):
+    """Fraction-free elimination of the rows; returns the Z[tau] work
+    matrix, its pivot columns and the last pivot d (1 for no pivot).
 
-    Fraction-free Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22,
+    Gauss-Jordan elimination over Z[tau] (E. H. Bareiss, Math. Comp. 22,
     1968).  Each row is first scaled into Z[tau] (``cleared_rows``), which
     keeps the row space.  At the step that finds pivot p in column c, row
     r, every other row x becomes (p*x - x[c]*row_r) / prev, prev the
@@ -178,8 +182,11 @@ def _rref(rows):
     column replaced by j (Cramer's rule).  By Sylvester's identity, prev
     times the new minor is p*x[j] - x[c]*row_r[j], so the quotient is that
     minor and lies in Z[tau].  The same update turns each earlier pivot
-    entry into p, so at the end every pivot entry is the last pivot d, and
-    the RREF is the work matrix over d.
+    entry into p, so at the end every pivot entry is d, and the RREF is
+    the work matrix over d.
+
+    With full false it runs forward only, never updating the rows above
+    the pivot row; the rows below take the same steps, so the pivots agree.
     """
     work = cleared_rows(rows)
     nrows = len(work)
@@ -195,7 +202,7 @@ def _rref(rows):
         work[r], work[pivot] = work[pivot], work[r]
         top = work[r]
         p = top[c]
-        for i in range(nrows):
+        for i in range(0 if full else r + 1, nrows):
             row = work[i]
             f = row[c]
             if i == r or (not f and p == prev):
@@ -209,7 +216,12 @@ def _rref(rows):
         r += 1
         if r == nrows:
             break
-    return [tuple(zpoly_ratio(x, prev) for x in row) for row in work], pivots
+    return work, pivots, prev
+
+
+def _over(x, d):
+    """The RREF entry x / d of a work matrix entry x."""
+    return zpoly_ratio(x, d) if x else ZERO
 
 
 def pivot_columns(a: Matrix) -> list:
@@ -221,17 +233,17 @@ def pivot_columns(a: Matrix) -> list:
     >>> pivot_columns(mat([[1, 2, 0], [2, 4, 1]]))
     [0, 2]
     """
-    return _rref(a)[1]
+    return _bareiss(a, full=False)[1]
 
 
 def rank(a: Matrix) -> int:
-    return len(_rref(a)[1])
+    return len(_bareiss(a, full=False)[1])
 
 
 def row_space_basis(vectors) -> list:
     """Echelonized basis of the span of the given vectors."""
-    rows, pivots = _rref([vec(v) for v in vectors])
-    return [rows[i] for i in range(len(pivots))]
+    work, pivots, d = _bareiss([vec(v) for v in vectors])
+    return [tuple(_over(x, d) for x in row) for row in work[: len(pivots)]]
 
 
 def in_span(vectors, target) -> bool:
@@ -261,16 +273,14 @@ def solve_columns(cols, bs):
     """
     cols, bs = [vec(c) for c in cols], [vec(b) for b in bs]
     n = len(cols)
-    rows, pivots = _rref(list(zip(*cols, *bs, strict=True)))
+    work, pivots, d = _bareiss(list(zip(*cols, *bs, strict=True)))
     if any(c >= n for c in pivots):  # a pivot in a target's column
         return None
-    out = []
-    for k in range(len(bs)):
-        x = [ZERO] * n
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][n + k]
-        out.append(tuple(x))
-    return out
+    rows = dict(zip(pivots, work))  # pivot column -> its row
+    return [
+        tuple(_over(rows[c][k], d) if c in rows else ZERO for c in range(n))
+        for k in range(n, n + len(bs))
+    ]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -278,10 +288,10 @@ def inverse(a: Matrix) -> Matrix:
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
     aug = [tuple(a[i]) + unit_vec(n, i) for i in range(n)]
-    rows, pivots = _rref(aug)
+    work, pivots, d = _bareiss(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(r[n:] for r in rows)
+    return tuple(tuple(_over(x, d) for x in row[n:]) for row in work)
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -292,18 +302,15 @@ def is_invertible(a: Matrix) -> bool:
 
 def nullspace(a: Matrix) -> list:
     """Basis of {x : a x = 0}."""
-    # a matrix with no rows has no width, so it reads as 0 x 0; the row
-    # form stays because the benchmark calls it so, and W = 0 passes its
-    # own basis of normals in subgroups.split_lattice_through
     ncols = len(a[0]) if a else 0
-    rows, pivots = _rref(a)
+    work, pivots, d = _bareiss(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         x = [ZERO] * ncols
         x[f] = ONE
         for r, c in enumerate(pivots):
-            x[c] = -rows[r][f]
+            x[c] = _over(_zsub((), work[r][f]), d)
         basis.append(tuple(x))
     return basis
 

@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, round-trips."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -236,6 +237,52 @@ class TestLatticePipeline:
         assert out.strip() == "closed"
 
 
+class TestNegativeOperands:
+    """An operand that starts with a minus sign is read as an operand, not
+    as an option; "-h" and "--" keep their meaning."""
+
+    @pytest.mark.parametrize(
+        "operands",
+        [
+            ("-1,2", "tau"),
+            ("1,-2", "-tau"),
+            ("-1/4*tau,1", "-1/4*tau"),
+            ("-(1+tau),0", "-(1+tau)"),
+            ("--", "-1,-2", "-3"),
+        ],
+    )
+    def test_exp(self, specs, capsys, operands):
+        code, out = run(capsys, "--spec", specs["heis"], "--machine", "exp", *operands)
+        assert code == 0
+        v, t = (x for x in operands if x != "--")
+        aleph = parse_spec_file(specs["heis"]).aleph
+        g = exp_map(aleph, algebra_element(aleph, [parse_tau(c) for c in v.split(",")], parse_tau(t)))
+        pairs = machine_dict(out)
+        assert (pairs["v"], pairs["t"]) == (",".join(str(c) for c in g.v), str(g.t))
+
+    def test_every_parser_replaces_argparse_own_matcher(self):
+        # the CLI overwrites an attribute that argparse itself defines on
+        # every parser, so a rename in argparse fails here instead of
+        # leaving the override a dead assignment
+        assert "_negative_number_matcher" in vars(argparse.ArgumentParser())
+        parser = cli._build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for p in (parser, *subparsers.choices.values()):
+            assert p._negative_number_matcher.match("-(1+tau)"), p.prog
+            assert not p._negative_number_matcher.match("-h"), p.prog
+
+    def test_help_is_still_an_option(self, specs, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--spec", specs["heis"], "exp", "-h"])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_unknown_option_is_still_rejected(self, specs, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--spec", specs["heis"], "exp", "-x", "0"])
+        assert raised.value.code == 2
+
+
 class TestAut:
     def test_validate(self, specs, capsys):
         assert run(capsys, "--spec", specs["e2aut"], "aut", "validate")[0] == 0
@@ -246,26 +293,30 @@ class TestAut:
         assert out.strip() == "[1,-2 | -tau]"
 
     # spec, g = (v, t) and k = (v, t), at quarter turns on the rotation
+    E2_R2 = (
+        "block i 1 1\nblock 0 1 2\naut generic alpha=-1 "
+        "delta=1,0,0,0;0,-1,0,0;0,0,2,1;0,0,0,1 gamma=1,0,tau,1\n"
+    )
+    HEIS_R = (
+        "block 0 2 1\nblock 0 1 1\naut heis alpha=2 beta2=1 gamma1=tau gamma2=1/2 "
+        "delta12=1 delta22=3 phi01=1 eta=2 rho=tau phi11=1\n"
+    )
+    # spec, g and k; on the "negative" cases g's image prints v and t with a
+    # leading minus sign
     ROUND_TRIP = {
-        "generic on E(2) x R^2": (
-            "block i 1 1\nblock 0 1 2\naut generic alpha=-1 "
-            "delta=1,0,0,0;0,-1,0,0;0,0,2,1;0,0,0,1 gamma=1,0,tau,1\n",
-            ("1,2,0,3", "tau/4"),
-            ("1,-1,1/2,tau", "tau/2"),
+        "generic on E(2) x R^2": (E2_R2, ("1,2,0,3", "tau/4"), ("1,-1,1/2,tau", "tau/2")),
+        "generic on E(2) x R^2, negative": (
+            E2_R2, ("-1,-2,-1,-3", "tau/2"), ("-1,1,1/2,-tau", "-tau/2"),
         ),
-        "ten-parameter on heis x R": (
-            "block 0 2 1\nblock 0 1 1\naut heis alpha=2 beta2=1 gamma1=tau gamma2=1/2 "
-            "delta12=1 delta22=3 phi01=1 eta=2 rho=tau phi11=1\n",
-            ("1,2,3", "1/3"),
-            ("0,1,-1", "2"),
-        ),
+        "ten-parameter on heis x R": (HEIS_R, ("1,2,3", "1/3"), ("0,1,-1", "2")),
+        "ten-parameter on heis x R, negative": (HEIS_R, ("-1,-1,-1", "-1"), ("0,-1,1", "-2")),
     }
 
     @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
     def test_apply_output_feeds_mul_and_apply(self, tmp_path, capsys, name):
-        # aut apply's machine v and t go back in as mul's first operand and
-        # as a second aut apply's element, after "--" since they may start
-        # with a minus sign; both match the library
+        # aut apply's machine v and t go back in, with no "--" even when they
+        # start with a minus sign, as either operand of mul and as a second
+        # aut apply's element; all match the library
         text, g_args, k_args = self.ROUND_TRIP[name]
         path = tmp_path / "aut.spec"
         path.write_text(text)
@@ -282,12 +333,18 @@ class TestAut:
             return group_element(aleph, [parse_tau(c) for c in v.split(",")], parse_tau(t))
 
         assert run(capsys, "--spec", str(path), "aut", "validate")[0] == 0
-        image = machine("aut", "apply", "--", *g_args)
+        image = machine("aut", "apply", *g_args)
+        if name.endswith("negative"):
+            assert all(x.startswith("-") for x in image)
         g, k = element(*g_args), element(*k_args)
-        assert element(*machine("mul", "--", *image, *k_args)) == group_mul(
+        assert element(*image) == apply_aut(aleph, phi, g)
+        assert element(*machine("mul", *image, *k_args)) == group_mul(
             aleph, apply_aut(aleph, phi, g), k
         )
-        twice = machine("aut", "apply", "--", *image)
+        assert element(*machine("mul", *k_args, *image)) == group_mul(
+            aleph, k, apply_aut(aleph, phi, g)
+        )
+        twice = machine("aut", "apply", *image)
         assert element(*twice) == apply_aut(aleph, compose(phi, phi), g)
 
     def test_preserves(self, specs, capsys):

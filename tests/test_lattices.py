@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from almostabelian import lattices
-from almostabelian.autos import InnerAut, apply_aut, validate_aut
+from almostabelian.autos import InnerAut, apply_aut, identity_aut, validate_aut
 from almostabelian.errors import NotCentral
 from almostabelian.expmap import torsion
 from almostabelian.integers import det_int
@@ -17,10 +17,12 @@ from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.lattices import (
     _block_boundaries,
     _significant,
+    aut_image,
     has_faithful_quotient_rep,
     is_economic,
     lattice_equal,
     normalize_subgroup,
+    preserves_lattice,
     quotient_iso_certificate,
     reduce_generators,
     related_by_aut_check,
@@ -136,6 +138,24 @@ class TestReduce:
         message = f"generator {n.generators[0]} has time outside the torsion subgroup"
         assert message in validate_subgroup(aleph, n)
         for decide in (reduce_generators, lambda n: has_faithful_quotient_rep(aleph, n)):
+            with pytest.raises(NotCentral) as raised:
+                decide(n)
+            assert str(raised.value) == message
+
+
+    @pytest.mark.parametrize("group, v", [("e2_r2", (1, 0, 0, 0)), ("heis_r", (0, 1, 0))])
+    def test_vector_outside_kernel_is_not_central(self, group, v, request):
+        # the rotation plane of E(2) x R^2 and y of heis x R lie outside
+        # ker J, where the central action matrix is not the action
+        aleph = request.getfixturevalue(group)
+        n = sub(aleph, (v, 0))
+        message = f"generator {n.generators[0]} has vector part outside ker J"
+        assert message in validate_subgroup(aleph, n)
+        for decide in (
+            lambda n: aut_image(aleph, identity_aut(aleph), n),
+            lambda n: preserves_lattice(aleph, identity_aut(aleph), n),
+            lambda n: quotient_iso_certificate(n, n, identity_aut(aleph)),
+        ):
             with pytest.raises(NotCentral) as raised:
                 decide(n)
             assert str(raised.value) == message

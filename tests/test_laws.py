@@ -435,11 +435,11 @@ def test_action_is_the_integrated_formula(case):
 
 
 @st.composite
-def central_lattices(draw):
+def central_lattices(draw, groups=multiplicity_functions()):
     """A discrete central subgroup of random data: independent generators
     [v, m*t0] with v supported on ker J and m an integer, so of rank 0 up
     to dim ker J + 1 (dim ker J when the torsion is trivial and t = 0)."""
-    aleph = draw(multiplicity_functions())
+    aleph = draw(groups)
     kernel, tor = aleph.kernel_coordinates, torsion(aleph)
     top = len(kernel) + (not tor.is_trivial)
     assume(top)  # a group with no central lattice but the trivial one
@@ -512,12 +512,54 @@ def test_split_parts_are_the_basis_combinations(n, data):
         )
 
 
+def generator_images(phi, n):
+    """The images of n's generators under phi, one apply_aut each: the
+    oracle for aut_image's one product."""
+    return tuple(apply_aut(n.aleph, phi, g) for g in n.generators)
+
+
 @given(central_lattices())
 @settings(max_examples=60)
 def test_normalize_carries_the_lattice_onto_its_image(n):
     phi, image = normalize_subgroup(n)
     assert validate_aut(n.aleph, phi) == ()
-    assert lattice_equal(aut_image(n.aleph, phi, n), image)
+    moved = subgroup_from_data(n.aleph, [(g.v, g.t) for g in generator_images(phi, n)])
+    assert lattice_equal(moved, image)
+
+
+@st.composite
+def lattice_actions(draw):
+    """A central lattice and an automorphism that validate_aut accepts:
+    generic or inner on random data or on the catalog's rotation groups,
+    whose torsion is nontrivial and whose generator times are nonzero
+    multiples of t0, or ten-parameter on the catalog's Heisenberg
+    extensions."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "heis":
+        groups = st.sampled_from([GROUPS[name][0] for name in HEIS])
+    else:
+        rotation = st.sampled_from([GROUPS[name][0] for name in ROTATION])
+        groups = st.one_of(multiplicity_functions(), rotation)
+    n = draw(central_lattices(groups))
+    aleph = n.aleph
+    if kind == "generic":
+        phi = draw(_generic_auts(aleph))
+    elif kind == "heis":
+        phi = draw(_heis_auts(aleph))
+    else:
+        phi = inner_aut(aleph, group_element(aleph, draw(vectors(aleph.dim)), draw(small)))
+    assert validate_aut(aleph, phi) == ()
+    return n, phi
+
+
+@given(lattice_actions())
+@settings(max_examples=80)
+def test_aut_image_is_the_generator_images(case):
+    n, phi = case
+    image = aut_image(n.aleph, phi, n)
+    want = generator_images(phi, n)
+    assert image.generators == want
+    assert image.columns == tuple((*g.v, g.t) for g in want)
 
 
 @given(central_lattices())
