@@ -28,6 +28,7 @@ from .errors import (
     DegenerateDatum,
     ExactnessUnavailable,
     InvalidAutomorphism,
+    InvalidSubgroup,
     NotCentral,
     NoWitness,
     UnsupportedLattice,

@@ -37,7 +37,7 @@ from .reps import (
     is_simply_connected_G,
 )
 from .scalars import parse_tau
-from .specfile import SpecError, parse_spec_file
+from .specfile import SpecError, parse_spec_file, parse_vector
 from .subgroups import is_quotient_subgroup_closed
 
 _REPS = {"G": group_rep_G, "GI": group_rep_GI, "GII": group_rep_GII}
@@ -48,7 +48,7 @@ def _fmt(x: float, digits: int) -> str:
 
 
 def _vector_arg(text: str, d: int) -> tuple:
-    v = tuple(parse_tau(tok) for tok in text.split(",")) if text else ()
+    v = parse_vector(text)
     if len(v) != d:
         raise SpecError(f"element vector has {len(v)} coordinates, expected {d}")
     return v

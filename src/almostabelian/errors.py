@@ -27,3 +27,7 @@ class UnsupportedLattice(ValueError):
 
 class InvalidAutomorphism(ValueError):
     """An automorphism datum violates its defining relations."""
+
+
+class InvalidSubgroup(ValueError):
+    """Lattice generators are dependent or exceed the rank bound."""

@@ -3,12 +3,11 @@ automorphism relatedness, and faithful representability of the quotient.
 
 A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
-generator.  It is held as its (v; t) generator columns, and everything
-done with it is linear algebra on them: a lattice derived from another
-(reduced generators, the parts of a split, an automorphic image) is one
-product of the generator matrix with an integer matrix or with the
-central action matrix M_Z (aut_image), and equality testing and the
-relatedness criterion are exact solves over Q(tau) with integer answers.
+generator; the constructors check this once (validate_subgroup).  A lattice
+derived from a valid one (reduced generators, the parts of a split, an
+automorphic image) is one product of its (v; t) generator columns with an
+integer matrix or with the central action matrix M_Z, and is not checked
+again.  Equality and relatedness are exact solves over Q(tau).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .autos import GenericAut, central_action, compose, identity_aut
-from .errors import NotCentral
+from .errors import InvalidSubgroup, NotCentral
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
 from .jordan import (
@@ -48,9 +47,9 @@ from .scalars import ZERO, integer_rows
 
 @dataclass(frozen=True)
 class DiscreteCentralSubgroup:
-    """Free central subgroup given by a tuple of generators [v_i, t_i].
-
-    The generators are coerced once; columns holds their (v; t) columns.
+    """Free central subgroup given by a tuple of generators [v_i, t_i],
+    coerced once and held as (v; t) columns.  The first violation of
+    validate_subgroup raises NotCentral (off ker J x T) or InvalidSubgroup.
     """
 
     aleph: MultiplicityFunction
@@ -58,8 +57,7 @@ class DiscreteCentralSubgroup:
     columns: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, aleph, generators):
-        coerced = (group_element(aleph, g.v, g.t) for g in generators)
-        _hold(self, aleph, tuple((*g.v, g.t) for g in coerced))
+        _hold(self, aleph, _valid_columns(aleph, [(g.v, g.t) for g in generators]))
 
     @property
     def rank(self) -> int:
@@ -68,14 +66,7 @@ class DiscreteCentralSubgroup:
     @property
     def time_multiples(self) -> tuple:
         """Generator times as integer multiples of the torsion generator."""
-        tor = torsion(self.aleph)
-        out = []
-        for g in self.generators:
-            m = tor.multiple(g.t)
-            if m is None:
-                raise NotCentral(f"generator {g} has time outside the torsion subgroup")
-            out.append(m)
-        return tuple(out)
+        return tuple(map(torsion(self.aleph).multiple, (g.t for g in self.generators)))
 
     def combine(self, coeffs) -> "DiscreteCentralSubgroup":
         """The subgroup generated by the combinations sum_i c_i g_i, one per
@@ -92,7 +83,7 @@ class DiscreteCentralSubgroup:
 
 def _hold(subgroup, aleph, cols):
     """Fill a subgroup from its (v; t) generator columns, whose entries
-    are TauScalars already."""
+    are TauScalars already, with no check."""
     object.__setattr__(subgroup, "aleph", aleph)
     object.__setattr__(subgroup, "generators", tuple(GroupElement(p[:-1], p[-1]) for p in cols))
     object.__setattr__(subgroup, "columns", cols)
@@ -100,32 +91,41 @@ def _hold(subgroup, aleph, cols):
 
 
 def subgroup_from_data(aleph, gens) -> DiscreteCentralSubgroup:
-    """Build a subgroup from (vector, time) pairs without validation."""
-    return DiscreteCentralSubgroup(aleph, [group_element(aleph, v, t) for v, t in gens])
+    """The subgroup of (vector, time) pairs, validated as the constructor does."""
+    return _hold(object.__new__(DiscreteCentralSubgroup), aleph, _valid_columns(aleph, gens))
 
 
-def validate_subgroup(aleph: MultiplicityFunction, subgroup) -> tuple:
-    """Centrality, independence, and rank-bound check.
+def _valid_columns(aleph, gens):
+    cols, errors = _checked(aleph, gens)
+    if errors:
+        raise errors[0]
+    return cols
 
-    Returns a tuple of violation descriptions; empty when the generators
-    define a valid discrete central subgroup.
-    """
-    violations = [why for g in subgroup.generators for why in _off_center(aleph, g)]
-    k = subgroup.rank
-    if rank(subgroup.columns) < k:
-        violations.append("generators are linearly dependent")
+
+def validate_subgroup(aleph: MultiplicityFunction, gens) -> tuple:
+    """Why the (vector, time) pairs gens do not generate a discrete central
+    subgroup: a generator off ker J x T, dependence, or a rank past
+    dim ker J + 1.  Empty when they do."""
+    return tuple(str(e) for e in _checked(aleph, gens)[1])
+
+
+def _checked(aleph, gens):
+    """The coerced (v; t) columns of (vector, time) pairs, and each
+    violation as the exception the constructors raise for it."""
+    points = [group_element(aleph, v, t) for v, t in gens]
+    tor, cols = torsion(aleph), tuple((*g.v, g.t) for g in points)
+    errors = []
+    for g in points:
+        if not in_kernel(aleph, g.v):
+            errors.append(NotCentral(f"generator {g} has vector part outside ker J"))
+        if not tor.contains(g.t):
+            errors.append(NotCentral(f"generator {g} has time outside the torsion subgroup"))
+    if rank(cols) < len(cols):
+        errors.append(InvalidSubgroup("generators are linearly dependent"))
     bound = len(aleph.kernel_coordinates) + 1
-    if k > bound:
-        violations.append(f"rank {k} exceeds dim ker J + 1 = {bound}")
-    return tuple(violations)
-
-
-def _off_center(aleph, g):
-    """Why the generator g lies outside the center ker J x T, if it does."""
-    if not in_kernel(aleph, g.v):
-        yield f"generator {g} has vector part outside ker J"
-    if not torsion(aleph).contains(g.t):
-        yield f"generator {g} has time outside the torsion subgroup"
+    if len(cols) > bound:
+        errors.append(InvalidSubgroup(f"rank {len(cols)} exceeds dim ker J + 1 = {bound}"))
+    return cols, errors
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +220,8 @@ def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubg
     M_Z is phi on the center ker J x T: if T != 0, J is semisimple and
     e^{alpha t J} = Delta e^{tJ} Delta^-1 = 1 for t in T, so phi(alpha t J)
     = P; if T = 0 every central time is 0; y = t = 0 kills the Heisenberg
-    quadratic term; conjugation fixes the center.  A generator outside
-    ker J x T raises NotCentral.
+    quadratic term; conjugation fixes the center.
     """
-    for g in subgroup.generators:
-        for why in _off_center(aleph, g):
-            raise NotCentral(why)
     cols = mat_mul(subgroup.columns, transpose(central_action(aleph, phi)))
     return _hold(object.__new__(DiscreteCentralSubgroup), aleph, cols)
 
@@ -519,9 +515,8 @@ def has_faithful_quotient_rep(
     generators on the split Euclidean factor and the time axis, and the
     representation of the transformed quotient is built.
     """
-    gen_cols = subgroup.columns
     derived = tuple((*b, ZERO) for b in derived_algebra_basis(aleph))
-    if rank(gen_cols) + len(derived) != rank(gen_cols + derived):
+    if subgroup.rank + len(derived) != rank(subgroup.columns + derived):
         return FaithfulQuotientDecision(representable=False)
     shear = _kernel_shear(aleph, subgroup)
     splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))

@@ -271,8 +271,6 @@ def build_P(aleph: MultiplicityFunction, subgroup):
     completion = [
         unit_vec(m, p - k) for p in pivot_columns(augmented) if p >= k
     ]
-    if k + len(completion) != m:
-        raise ValueError("subgroup generators are linearly dependent")
     p = inverse(from_columns(cols + completion))
     return p, p[:k], p[k:]
 

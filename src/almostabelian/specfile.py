@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .autos import GenericAut, HeisAut, is_heisenberg_extension
-from .errors import DegenerateDatum, InvalidAutomorphism
+from .errors import DegenerateDatum, InvalidAutomorphism, InvalidSubgroup, NotCentral
 from .expmap import torsion
 from .jordan import MAX_DIM, MultiplicityFunction, multiplicity_function
-from .lattices import DiscreteCentralSubgroup, subgroup_from_data, validate_subgroup
+from .lattices import DiscreteCentralSubgroup, subgroup_from_data
 from .scalars import ZERO, parse_gauss, parse_tau
 from .subgroups import ConnectedSubgroupSpec, validate_subspace
 
@@ -44,16 +44,15 @@ def parse_spec_file(path) -> SpecFile:
     return parse_spec_text(Path(path).read_text(), name=str(path))
 
 
-def _vector(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(parse_tau(tok) for tok in text.split(","))
+def parse_vector(text: str) -> tuple:
+    """Comma-separated scalar literals; the empty text is the empty vector."""
+    return tuple(parse_tau(tok) for tok in text.split(",")) if text else ()
 
 
 def _rows(text: str) -> tuple:
     if not text:
         return ()
-    return tuple(_vector(r) for r in text.split(";"))
+    return tuple(parse_vector(r) for r in text.split(";"))
 
 
 def _keyvals(fields, allowed: tuple) -> dict:
@@ -117,7 +116,7 @@ def parse_spec_text(text: str, name: str = "<spec>") -> SpecFile:
             elif head == "lattice":
                 if len(fields) != 4 or fields[1] != "gen":
                     raise SpecError("lattice needs: gen <vector> <integer>")
-                lattice_lines.append((lineno, _vector(fields[2]), int(fields[3])))
+                lattice_lines.append((lineno, parse_vector(fields[2]), int(fields[3])))
             elif head == "subgroup":
                 if subgroup_line is not None:
                     raise SpecError("duplicate subgroup directive")
@@ -167,11 +166,12 @@ def _assemble_lattice(aleph, lines, fail):
         if m and tor.is_trivial:
             fail(lineno, "nonzero time multiple needs nontrivial torsion")
         gens.append((v, m * tor.t0 if m else ZERO))
-        # validating each prefix names the first line that breaks the lattice
-        violations = validate_subgroup(aleph, subgroup_from_data(aleph, gens))
-        if violations:
-            fail(lineno, violations[0])
-    return subgroup_from_data(aleph, gens)
+        # building each prefix names the first line that breaks the lattice
+        try:
+            lattice = subgroup_from_data(aleph, gens)
+        except (NotCentral, InvalidSubgroup) as e:
+            fail(lineno, e)
+    return lattice
 
 
 def _assemble_subgroup(aleph, line, fail):
@@ -180,7 +180,7 @@ def _assemble_subgroup(aleph, line, fail):
     lineno, case, kv = line
     try:
         basis = _rows(kv.get("basis", ""))
-        v0 = _vector(kv["v0"]) if case == "case2" else None
+        v0 = parse_vector(kv["v0"]) if case == "case2" else None
     except ValueError as e:
         fail(lineno, e)
     violations = validate_subspace(aleph, basis)
@@ -198,7 +198,7 @@ def _assemble_aut(aleph, line, fail):
     try:
         if kind == "generic":
             delta = _rows(kv.get("delta", ""))
-            gamma = _vector(kv.get("gamma", ""))
+            gamma = parse_vector(kv.get("gamma", ""))
             if not delta:
                 fail(lineno, "aut generic needs delta=<rows>")
             if len(delta) != aleph.dim:
@@ -214,7 +214,7 @@ def _assemble_aut(aleph, line, fail):
                 args[key] = parse_tau(kv[key])
         for key in ("phi01", "eta", "rho"):
             if key in kv:
-                args[key] = _vector(kv[key])
+                args[key] = parse_vector(kv[key])
         if "phi11" in kv:
             args["phi11"] = _rows(kv["phi11"])
         return HeisAut(**args)

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from almostabelian import lattices
 from almostabelian.autos import InnerAut, apply_aut, identity_aut, validate_aut
-from almostabelian.errors import NotCentral
+from almostabelian.errors import InvalidSubgroup, NotCentral
 from almostabelian.expmap import torsion
 from almostabelian.integers import det_int
 from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.lattices import (
     _block_boundaries,
     _significant,
-    aut_image,
     has_faithful_quotient_rep,
     is_economic,
     lattice_equal,
@@ -39,6 +38,7 @@ from almostabelian.linalg import (
     solve_columns,
     vec_add,
 )
+from almostabelian.reps import quotient_faithful_rep
 from almostabelian.scalars import TAU, GaussRational, TauScalar
 
 SEED = 0x5EED
@@ -65,34 +65,73 @@ def rand_fraction(rng, span=4, den=3):
 
 class TestValidate:
     def test_torsion_generator_ok(self, e2):
-        assert validate_subgroup(e2, sub(e2, ((0, 0), TAU))) == ()
+        assert validate_subgroup(e2, [((0, 0), TAU)]) == ()
 
     def test_noncentral_vector(self, heis):
-        violations = validate_subgroup(heis, sub(heis, ((0, 1), 0)))
+        violations = validate_subgroup(heis, [((0, 1), 0)])
         assert len(violations) == 1
         assert "ker J" in violations[0]
 
     def test_empty_ok(self, e2):
-        assert validate_subgroup(e2, sub(e2)) == ()
+        assert validate_subgroup(e2, []) == ()
 
     def test_time_outside_torsion(self, heis):
         # nilpotent data have trivial torsion, so any nonzero time fails
-        violations = validate_subgroup(heis, sub(heis, ((1, 0), 1)))
+        violations = validate_subgroup(heis, [((1, 0), 1)])
         assert any("torsion" in v for v in violations)
 
     def test_dependent_generators(self, e2_r2):
-        n = sub(e2_r2, ((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0))
-        assert any("dependent" in v for v in validate_subgroup(e2_r2, n))
+        gens = [((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0)]
+        assert any("dependent" in v for v in validate_subgroup(e2_r2, gens))
 
     def test_rank_bound(self, e2_r2):
-        n = sub(
-            e2_r2,
+        gens = [
             ((0, 0, 1, 0), 0),
             ((0, 0, 0, 1), 0),
             ((0, 0, 0, 0), TAU),
             ((0, 0, 1, 0), TAU),
-        )
-        assert any("exceeds" in v for v in validate_subgroup(e2_r2, n))
+        ]
+        assert any("exceeds" in v for v in validate_subgroup(e2_r2, gens))
+
+
+class TestBoundary:
+    """A lattice is checked where it is built.  Each call below would
+    answer wrongly on its invalid lattice: the identity would "not
+    preserve" a dependent pair, time 1 (off T = tau Z) would get a
+    "faithful" representation, and a generator off ker J would be "not
+    representable"."""
+
+    @pytest.mark.parametrize(
+        "gens, error, call",
+        [
+            (
+                [((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0)],
+                InvalidSubgroup,
+                lambda aleph, n: preserves_lattice(aleph, identity_aut(aleph), n),
+            ),
+            ([((0, 0, 1, 0), 1)], NotCentral, quotient_faithful_rep),
+            ([((1, 0, 0, 0), 0)], NotCentral, has_faithful_quotient_rep),
+        ],
+    )
+    def test_invalid_lattice_raises_at_construction(self, e2_r2, gens, error, call):
+        with pytest.raises(error) as raised:
+            call(e2_r2, subgroup_from_data(e2_r2, gens))
+        assert str(raised.value) == validate_subgroup(e2_r2, gens)[0]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_construction_is_validation(self, data):
+        aleph, gens = data.draw(raw_generators())
+        violations = validate_subgroup(aleph, gens)
+        try:
+            n = subgroup_from_data(aleph, gens)
+        except (NotCentral, InvalidSubgroup) as e:
+            assert violations and str(e) == violations[0]
+            return
+        assert violations == ()
+        k = n.rank
+        identity_k = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        assert preserves_lattice(aleph, identity_aut(aleph), n) == identity_k
 
 
 class TestReduce:
@@ -134,31 +173,24 @@ class TestReduce:
         # on E(2) x R^2 the time 1 is not a multiple of tau; on heis x R,
         # nilpotent, the torsion is trivial and only time 0 is central
         aleph = request.getfixturevalue(group)
-        n = sub(aleph, ((0,) * (aleph.dim - 1) + (1,), 1))
-        message = f"generator {n.generators[0]} has time outside the torsion subgroup"
-        assert message in validate_subgroup(aleph, n)
-        for decide in (reduce_generators, lambda n: has_faithful_quotient_rep(aleph, n)):
-            with pytest.raises(NotCentral) as raised:
-                decide(n)
-            assert str(raised.value) == message
-
+        gens = [((0,) * (aleph.dim - 1) + (1,), 1)]
+        g = group_element(aleph, *gens[0])
+        message = f"generator {g} has time outside the torsion subgroup"
+        assert message in validate_subgroup(aleph, gens)
+        with pytest.raises(NotCentral) as raised:
+            sub(aleph, *gens)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("group, v", [("e2_r2", (1, 0, 0, 0)), ("heis_r", (0, 1, 0))])
     def test_vector_outside_kernel_is_not_central(self, group, v, request):
         # the rotation plane of E(2) x R^2 and y of heis x R lie outside
         # ker J, where the central action matrix is not the action
         aleph = request.getfixturevalue(group)
-        n = sub(aleph, (v, 0))
-        message = f"generator {n.generators[0]} has vector part outside ker J"
-        assert message in validate_subgroup(aleph, n)
-        for decide in (
-            lambda n: aut_image(aleph, identity_aut(aleph), n),
-            lambda n: preserves_lattice(aleph, identity_aut(aleph), n),
-            lambda n: quotient_iso_certificate(n, n, identity_aut(aleph)),
-        ):
-            with pytest.raises(NotCentral) as raised:
-                decide(n)
-            assert str(raised.value) == message
+        message = f"generator {group_element(aleph, v, 0)} has vector part outside ker J"
+        assert message in validate_subgroup(aleph, [(v, 0)])
+        with pytest.raises(NotCentral) as raised:
+            sub(aleph, (v, 0))
+        assert str(raised.value) == message
 
 
 class TestEqual:
@@ -484,11 +516,37 @@ def lattice_pairs(draw):
             for i, x in zip(coords, v):
                 full[i] = x
             gens.append((tuple(full), first_time if j == 0 else 0))
-        out = subgroup_from_data(aleph, gens)
-        assume(validate_subgroup(aleph, out) == ())
-        return out
+        assume(validate_subgroup(aleph, gens) == ())
+        return subgroup_from_data(aleph, gens)
 
     return lattice(cols, t1), lattice(other, s1), image
+
+
+@st.composite
+def raw_generators(draw):
+    """A group of SEARCH_GROUPS and (vector, time) pairs, up to two past the
+    rank bound: each one central (v on ker J, t a multiple of t0), a
+    central one pushed off ker J or off T, or a repeat of the one before."""
+    aleph = draw(st.sampled_from(SEARCH_GROUPS))
+    coords, tor = aleph.kernel_coordinates, torsion(aleph)
+    outside = [i for i in range(aleph.dim) if i not in coords]
+    gens = []
+    for _ in range(draw(st.integers(0, len(coords) + 2))):
+        kind = draw(st.sampled_from(["central"] * 3 + ["off ker J", "off T", "repeat"]))
+        if kind == "repeat" and gens:
+            gens.append(gens[-1])
+            continue
+        v = [0] * aleph.dim
+        for i in coords:
+            v[i] = draw(KERNEL_ENTRIES)
+        t = 0 if tor.is_trivial else draw(st.integers(-2, 2)) * tor.t0
+        if kind == "off ker J":
+            v[draw(st.sampled_from(outside))] = draw(st.sampled_from([1, -TAU / 2]))
+        elif kind == "off T":
+            halves = [] if tor.is_trivial else [tor.t0 / 2]
+            t += draw(st.sampled_from([1, Fraction(-1, 2), *halves]))
+        gens.append((tuple(v), t))
+    return aleph, gens
 
 
 class TestFaithfulQuotient:
@@ -559,7 +617,6 @@ class TestFaithfulQuotient:
             (e2_r2, sub(e2_r2, ((0, 0, 1, 0), TAU), ((0, 0, 0, 1), 0))),
         ]
         for aleph, n in cases:
-            assert validate_subgroup(aleph, n) == ()
             for _ in range(20):
                 u = tuple(rand_fraction(rng) for _ in range(aleph.dim))
                 inner = InnerAut(aleph, u, rand_fraction(rng))

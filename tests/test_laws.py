@@ -31,17 +31,21 @@ from almostabelian.autos import (
     is_heisenberg_extension,
     validate_aut,
 )
-from almostabelian.errors import ExactnessUnavailable
+from almostabelian.errors import ExactnessUnavailable, NoWitness
 from almostabelian.expmap import (
     DilationGroup,
     apply_exp_integral,
     apply_phi_tj,
+    block_exp,
     dilation_conjugator,
     dilation_contains,
     dilation_group,
+    e2_witness,
     exp_map,
     group_inverse,
     group_mul,
+    is_central,
+    is_exponential,
     phi_matrix,
     torsion,
 )
@@ -70,6 +74,7 @@ from almostabelian.linalg import (
     mat_mul,
     mat_vec,
     solve,
+    vec_is_zero,
 )
 from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
 from almostabelian.scalars import TAU, TauScalar, parse_tau
@@ -184,13 +189,13 @@ eigenvalues = st.one_of(
 
 
 @st.composite
-def multiplicity_functions(draw):
+def multiplicity_functions(draw, eigs=eigenvalues, sizes=st.integers(1, 3)):
     """Half of the draws mirror every eigenvalue a + ib to -a + ib, so
     that -1 is a dilation of non-nilpotent data too."""
     mirrored = draw(st.booleans())
     table, dim = {}, 0
     for _ in range(draw(st.integers(1, 3))):
-        eig, size, mult = draw(eigenvalues), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        eig, size, mult = draw(eigs), draw(sizes), draw(st.integers(1, 2))
         keys = {(eig, size), (G(-eig.re, eig.im), size)} if mirrored else {(eig, size)}
         width = len(keys) * mult * size * (2 if eig.im else 1)
         if dim + width <= 8 and not keys & table.keys():
@@ -198,6 +203,13 @@ def multiplicity_functions(draw):
             dim += width
     assume(table and set(table) != {(G(0), 1)})
     return multiplicity_function(table)
+
+
+# data with T != 0: blocks of size 1 with eigenvalue 0 or ib, some b != 0
+torsion_data = multiplicity_functions(
+    st.one_of(st.just(G(0)), eigen_parts.map(lambda b: G(0, abs(b)))), st.just(1)
+)
+any_data = st.one_of(multiplicity_functions(), torsion_data)
 
 
 def draw_group(data, names):
@@ -431,6 +443,54 @@ def test_action_is_the_integrated_formula(case):
 
 
 # ---------------------------------------------------------------------------
+# the center
+
+
+@given(any_data)
+@settings(max_examples=40)
+def test_torsion_generator_acts_trivially(aleph):
+    # T = {t : e^{tJ} = id} = t0 Z, and torsion_data never draws T = 0
+    tor = torsion(aleph)
+    if not tor.is_trivial:
+        assert block_exp(tor.t0, aleph) == identity(aleph.dim)
+
+
+@given(multiplicity_functions())
+@settings(max_examples=40)
+def test_e2_witness_exactly_when_not_exponential(aleph):
+    # phi(tJ) = (e^{tJ} - id)/(tJ) kills the witness's rotation plane at
+    # the collision time, a full turn of its block
+    if is_exponential(aleph).exponential:
+        with pytest.raises(NoWitness):
+            e2_witness(aleph)
+    else:
+        w = e2_witness(aleph)
+        assert vec_is_zero(apply_phi_tj(aleph, w.collision_time, w.collision_vector))
+
+
+@given(any_data, st.data())
+@settings(max_examples=60)
+def test_central_elements_commute(aleph, data):
+    # [v, m t0] with v on ker J is central, and commutes with anything:
+    # e^{tJ} fixes ker J for every t and is the identity at times in T.
+    # Moving it off ker J or off T leaves the center.
+    kernel, tor = aleph.kernel_coordinates, torsion(aleph)
+    v = [data.draw(small) if i in kernel else 0 for i in range(aleph.dim)]
+    t = 0 if tor.is_trivial else data.draw(st.integers(-2, 2)) * tor.t0
+    move = data.draw(st.sampled_from(["none", "none", "vector", "time"]))
+    if move == "vector":
+        v[data.draw(st.sampled_from([i for i in range(aleph.dim) if i not in kernel]))] = 1
+    elif move == "time":
+        t += data.draw(nonzero)
+    g = group_element(aleph, v, t)
+    assert is_central(aleph, g) == (move == "none")
+    if move == "none":
+        for _ in range(2):
+            h = group_element(aleph, data.draw(vectors(aleph.dim)), data.draw(tau_linear))
+            assert group_mul(aleph, g, h) == group_mul(aleph, h, g)
+
+
+# ---------------------------------------------------------------------------
 # the lattice layer
 
 
@@ -449,9 +509,8 @@ def central_lattices(draw, groups=multiplicity_functions()):
         for i, x in zip(kernel, draw(vectors(len(kernel)))):
             v[i] = x
         gens.append((v, 0 if tor.is_trivial else draw(st.integers(-2, 2)) * tor.t0))
-    n = subgroup_from_data(aleph, gens)
-    assume(validate_subgroup(aleph, n) == ())
-    return n
+    assume(validate_subgroup(aleph, gens) == ())
+    return subgroup_from_data(aleph, gens)
 
 
 @given(central_lattices())

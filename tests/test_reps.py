@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from almostabelian.errors import ExactnessUnavailable, UnsupportedLattice
+from almostabelian.errors import ExactnessUnavailable, InvalidSubgroup, UnsupportedLattice
 from almostabelian.expmap import exp_map, exp_rotation, group_mul
 from almostabelian.jordan import (
     algebra_element,
@@ -376,9 +376,9 @@ class TestBuildP:
             build_P(heis, n)
 
     def test_dependent_generators_rejected(self, e2_r2):
-        n = subgroup(e2_r2, ((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0))
-        with pytest.raises(ValueError, match="dependent"):
-            build_P(e2_r2, n)
+        # the lattice constructor rejects them before build_P is reached
+        with pytest.raises(InvalidSubgroup, match="dependent"):
+            subgroup(e2_r2, ((0, 0, 1, 0), 0), ((0, 0, 2, 0), 0))
 
 
 class TestQuotientRep:

@@ -422,8 +422,8 @@ def _random_case(rng, aleph, partner):
         for _ in range(rng.randint(0, 3)):
             t = 0 if tor.is_trivial else rng.randint(-2, 2) * tor.t0
             gens.append((_kernel_vector(rng, aleph), t))
-        n = subgroup_from_data(aleph, gens)
-        if validate_subgroup(aleph, n) == ():
+        if validate_subgroup(aleph, gens) == ():
+            n = subgroup_from_data(aleph, gens)
             break
     basis = []
     for _ in range(rng.randint(0, 2)):

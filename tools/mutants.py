@@ -86,6 +86,34 @@ MUTANTS = (
         "                pass",
         ("tests/test_lattices.py::TestRelated::test_search_completes_a_singular_delta",),
     ),
+    Mutant(
+        "the primitive part keeps a negative leading coefficient",
+        "scalars.py",
+        "    if a[-1] < 0:\n        g = -g\n",
+        "",
+        ("tests/test_scalars.py::TestZGcd::test_remainder_sequence_matches_euclid",),
+    ),
+    Mutant(
+        "Bareiss elimination skips the division by the previous pivot",
+        "linalg.py",
+        "[_zdiv(_zsub(_zmul(p, x), _zmul(f, y)), prev) for x, y in zip(row, top)]",
+        "[_zsub(_zmul(p, x), _zmul(f, y)) for x, y in zip(row, top)]",
+        ("tests/test_linalg.py::test_inverse_known",),
+    ),
+    Mutant(
+        "the dilation conjugator counts its exponent from the top",
+        "expmap.py",
+        "power = alpha ** (n - 1 - k)",
+        "power = alpha ** k",
+        ("tests/test_laws.py::test_dilation_conjugator_twists_j",),
+    ),
+    Mutant(
+        "the lattice constructors skip validation",
+        "lattices.py",
+        "        raise errors[0]",
+        "        pass",
+        ("tests/test_lattices.py::TestBoundary::test_construction_is_validation",),
+    ),
 )
 
 
