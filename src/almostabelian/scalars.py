@@ -256,17 +256,21 @@ class TauScalar:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, TauScalar) or isinstance(den, TauScalar):
-            raise TypeError("use arithmetic operators to combine TauScalars")
-        pn = self._coerce_poly(num)
-        pd = self._coerce_poly(den)
-        if not pd:
-            raise ZeroDivisionError("TauScalar denominator is zero")
-        scale = math.lcm(*(c.denominator for c in pn + pd))
-        pn, pd = _normal_form(
-            tuple(c.numerator * (scale // c.denominator) for c in pn),
-            tuple(c.numerator * (scale // c.denominator) for c in pd),
-        )
+        if isinstance(num, (int, Fraction)) and type(den) is int and den == 1:
+            # a rational is already in normal form
+            pn, pd = ((Fraction(num),) if num else ()), _PONE
+        else:
+            if isinstance(num, TauScalar) or isinstance(den, TauScalar):
+                raise TypeError("use arithmetic operators to combine TauScalars")
+            pn = self._coerce_poly(num)
+            pd = self._coerce_poly(den)
+            if not pd:
+                raise ZeroDivisionError("TauScalar denominator is zero")
+            scale = math.lcm(*(c.denominator for c in pn + pd))
+            pn, pd = _normal_form(
+                tuple(c.numerator * (scale // c.denominator) for c in pn),
+                tuple(c.numerator * (scale // c.denominator) for c in pd),
+            )
         object.__setattr__(self, "_num", pn)
         object.__setattr__(self, "_den", pd)
 
@@ -283,6 +287,9 @@ class TauScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("TauScalar is immutable")
+
+    def __reduce__(self):
+        return _stored, (self._num, self._den)
 
     # -- predicates and conversions
 
@@ -336,13 +343,20 @@ class TauScalar:
         if isinstance(other, TauScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return TauScalar(other)
+            return _rational(other)
         return None
+
+    # When both operands are rational, each operator below computes the one
+    # Fraction and stores it as it is (the rational lane): no polynomial
+    # product, clearing or Z[tau] gcd runs.
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        pq = _rational_values(self, o)
+        if pq:
+            return _rational(pq[0] + pq[1])
         return TauScalar(
             _zadd(_zmul(self._num, o._den), _zmul(o._num, self._den)),
             _zmul(self._den, o._den),
@@ -360,6 +374,9 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        pq = _rational_values(self, o)
+        if pq:
+            return _rational(pq[0] - pq[1])
         return TauScalar(
             _zsub(_zmul(self._num, o._den), _zmul(o._num, self._den)),
             _zmul(self._den, o._den),
@@ -375,6 +392,9 @@ class TauScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        pq = _rational_values(self, o)
+        if pq:
+            return _rational(pq[0] * pq[1])
         return TauScalar(_zmul(self._num, o._num), _zmul(self._den, o._den))
 
     __rmul__ = __mul__
@@ -385,6 +405,9 @@ class TauScalar:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("TauScalar division by zero")
+        pq = _rational_values(self, o)
+        if pq:
+            return _rational(pq[0] / pq[1])
         return TauScalar(_zmul(self._num, o._den), _zmul(self._den, o._num))
 
     def __rtruediv__(self, other):
@@ -439,6 +462,23 @@ def _stored(num, den) -> TauScalar:
     return x
 
 
+def _rational(q) -> TauScalar:
+    """The TauScalar of an int or Fraction q, stored as the constructor
+    stores it: ((Fraction(q),), _PONE), and zero as ((), _PONE)."""
+    if not q:
+        return _stored((), _PONE)
+    return _stored((q if type(q) is Fraction else Fraction(q),), _PONE)
+
+
+def _rational_values(x: TauScalar, y: TauScalar):
+    """The values of x and y as rationals, zero as 0, when both are
+    rational; else None."""
+    xn, yn = x._num, y._num
+    if len(xn) < 2 and len(yn) < 2 and x._den == _PONE and y._den == _PONE:
+        return (xn[0] if xn else 0), (yn[0] if yn else 0)
+    return None
+
+
 def _poly_str(coefs) -> str:
     pieces = []
     for k, c in enumerate(coefs):
@@ -472,7 +512,7 @@ def as_tau(value) -> TauScalar:
     if isinstance(value, TauScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return TauScalar(value)
+        return _rational(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as TauScalar")
 
 

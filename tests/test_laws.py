@@ -495,7 +495,7 @@ def test_central_elements_commute(aleph, data):
 
 
 @st.composite
-def central_lattices(draw, groups=multiplicity_functions()):
+def central_lattices(draw, groups=any_data):
     """A discrete central subgroup of random data: independent generators
     [v, m*t0] with v supported on ker J and m an integer, so of rank 0 up
     to dim ker J + 1 (dim ker J when the torsion is trivial and t = 0)."""

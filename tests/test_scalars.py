@@ -1,6 +1,9 @@
 """Exact scalar tower: rationals, the formal circle constant, Gaussian rationals."""
 
+import copy
 import math
+import operator
+import pickle
 import random
 import re
 import time
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from almostabelian import scalars
 from almostabelian.scalars import (
+    ONE,
     TAU,
     GaussRational,
     TauScalar,
@@ -217,6 +221,10 @@ ZEROS = {
     "-TauScalar(0)": lambda: -TauScalar(0),
     'parse_tau("0")': lambda: parse_tau("0"),
     "zpoly_ratio((), (3,))": lambda: zpoly_ratio((), (3,)),
+    "as_tau(0)": lambda: as_tau(0),
+    "TauScalar(3) - 3": lambda: TauScalar(3) - 3,
+    "ONE * 0": lambda: ONE * 0,
+    "Fraction(0) / ONE": lambda: Fraction(0) / ONE,
 }
 
 
@@ -311,6 +319,152 @@ class TestRealEmbedding:
             if f.name != "scalars.py" and pattern.search(f.read_text())
         ]
         assert readers == []
+
+
+# ---------------------------------------------------------------------------
+# the rational lane: an operation on two rationals computes one Fraction and
+# must store exactly what the constructor stores for it
+
+# ints and Fractions: 0, +-1, negatives, and numerators past 2^64
+lane_rationals = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+    rationals,
+)
+# polynomials with the denominator 1 too, which only the degree test keeps
+# off the lane; built when drawn, so that a broken lane fails the property
+# and not the import
+tau_valued = st.one_of(
+    st.sampled_from(["tau", "1+1/2*tau", "3-tau^2", "1/tau", "(tau+1)/(2*tau-3)"]).map(parse_tau),
+    taus().filter(lambda x: not x.is_rational),
+)
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _form(x):
+    """The stored form of x, every coefficient a Fraction."""
+    assert all(type(c) is Fraction for c in x._num + x._den), (x._num, x._den)
+    return x._num, x._den
+
+
+def _trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def _plus(a, b, sign=1):
+    n = max(len(a), len(b))
+    return _trim(
+        (a[k] if k < len(a) else 0) + sign * (b[k] if k < len(b) else 0) for k in range(n)
+    )
+
+
+def _times(c, p):
+    return _trim(c * x for x in p)
+
+
+def _combined_with_tau(q, t):
+    """{name: want} for the rational q combined with tau-valued t = n/d,
+    each want the oracle form of the value."""
+    n, d = t._num, t._den
+    cases = {
+        "q + t": (_plus(_times(q, d), n), d),
+        "q - t": (_plus(_times(q, d), n, -1), d),
+        "t - q": (_plus(n, _times(q, d), -1), d),
+        "q * t": (_times(q, n), d),
+        "q / t": (_times(q, d), n),
+    }
+    if q:
+        cases["t / q"] = (n, _times(q, d))
+    return {name: _oracle_form(*nd) for name, nd in cases.items()}
+
+
+class TestRationalLane:
+    @given(lane_rationals, lane_rationals, tau_valued)
+    @settings(max_examples=120)
+    def test_agrees_with_the_oracle(self, x, y, t):
+        fx, fy = Fraction(x), Fraction(y)
+        X, Y = as_tau(x), TauScalar(y)
+        for q, Q in ((fx, X), (fy, Y)):
+            assert _form(Q) == _oracle_form((q,), (1,))
+            assert hash(Q) == hash(q) and str(Q) == str(q) and parse_tau(str(Q)) == Q
+        assert (X == Y) == (fx == fy) and (X == y) == (fx == fy) and (x == Y) == (fx == fy)
+        for name, op in OPS.items():
+            # both TauScalars, a lifted right operand, the reflected form
+            for a, b in ((X, Y), (X, y), (x, Y)):
+                if name == "/" and not fy:
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+                    continue
+                r, want = op(a, b), op(fx, fy)
+                assert _form(r) == _oracle_form((want,), (1,)), (x, name, y)
+                assert hash(r) == hash(want) and r == want
+                assert parse_tau(str(r)) == r
+        for k in range(-3, 4):
+            if k < 0 and not fx:
+                with pytest.raises(ZeroDivisionError):
+                    X**k
+                continue
+            assert _form(X**k) == _oracle_form((fx**k,), (1,)), (x, k)
+        # a tau-valued operand takes the constructor's path
+        want = _combined_with_tau(fx, t)
+        for Q in (X, x):
+            got = {"q + t": Q + t, "q - t": Q - t, "t - q": t - Q, "q * t": Q * t, "q / t": Q / t}
+            if fx:
+                got["t / q"] = t / Q
+            assert {name: _form(r) for name, r in got.items()} == want, (x, t)
+
+    def test_a_rational_with_an_equal_denominator_takes_the_lane(self, monkeypatch):
+        # the stored denominator equals (Fraction(1),) but is another tuple:
+        # after a cancellation (and its deep copy), after pickling, or
+        # stored afresh
+        half = Fraction(1, 2)
+        made = [
+            TAU * half / TAU,
+            pickle.loads(pickle.dumps(as_tau(half))),
+            copy.deepcopy(TAU * half / TAU),
+            scalars._stored((half,), (Fraction(1),)),
+        ]
+        assert all(x._den == (1,) and x._den is not scalars._PONE for x in made)
+        assert all(str(x) == "1/2" and parse_tau(str(x)) == x for x in made)
+        one, two = _form(ONE), _form(TauScalar(2))
+        calls = _count_lane_escapes(monkeypatch)
+        for x in made:
+            assert _form(x + x) == one and _form(1 / x) == two and _form(x * 4 - x / half) == one
+            assert x == half and hash(x) == hash(half)
+        assert calls == {"_zgcd": 0, "__init__": 0}
+
+    def test_lane_runs_no_constructor_and_no_gcd(self, monkeypatch):
+        p, q = TauScalar(Fraction(-7, 3)), as_tau(2**70 + 1)
+        calls = _count_lane_escapes(monkeypatch)
+        as_tau(Fraction(5, 4)), as_tau(-3)
+        p + q, p - 3, 3 * p, p / q
+        assert calls == {"_zgcd": 0, "__init__": 0}
+        # and the counters see the path the lane leaves alone
+        p + TAU
+        assert calls["_zgcd"] + calls["__init__"] > 0
+
+
+def _count_lane_escapes(monkeypatch):
+    """Count the calls of the Z[tau] gcd and of the TauScalar constructor."""
+    calls = {"_zgcd": 0, "__init__": 0}
+    gcd, init = scalars._zgcd, TauScalar.__init__
+
+    def counted_gcd(*args):
+        calls["_zgcd"] += 1
+        return gcd(*args)
+
+    def counted_init(*args):
+        calls["__init__"] += 1
+        return init(*args)
+
+    monkeypatch.setattr(scalars, "_zgcd", counted_gcd)
+    monkeypatch.setattr(TauScalar, "__init__", counted_init)
+    return calls
 
 
 # The Euclidean gcd over Fraction coefficients that normalized TauScalars

@@ -114,6 +114,20 @@ MUTANTS = (
         "        pass",
         ("tests/test_lattices.py::TestBoundary::test_construction_is_validation",),
     ),
+    Mutant(
+        "the rational lane admits a tau-valued operand",
+        "scalars.py",
+        "if len(xn) < 2 and len(yn) < 2 and",
+        "if len(xn) < 3 and len(yn) < 3 and",
+        ("tests/test_scalars.py::TestRationalLane::test_agrees_with_the_oracle",),
+    ),
+    Mutant(
+        "the rational lane inverts its quotient",
+        "scalars.py",
+        "return _rational(pq[0] / pq[1])",
+        "return _rational(pq[1] / pq[0])",
+        ("tests/test_scalars.py::TestRationalLane::test_agrees_with_the_oracle",),
+    ),
 )
 
 
