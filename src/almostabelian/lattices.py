@@ -4,10 +4,12 @@ automorphism relatedness, and faithful representability of the quotient.
 A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
 generator; the constructors check this once (validate_subgroup).  A lattice
-derived from a valid one (reduced generators, the parts of a split, an
-automorphic image) is one product of its (v; t) generator columns with an
-integer matrix or with the central action matrix M_Z, and is not checked
-again.  Equality and relatedness are exact solves over Q(tau).
+holds its generator matrix over Z[tau] (``cleared``, linalg.cleared_columns,
+cleared where the lattice is built) and reads its generators from it once.
+Reduced generators, the parts of a split and an automorphic image are one
+product of that matrix with an integer matrix or with the central action
+matrix M_Z, and are not checked again.  Integer coordinates, so equality
+and preservation, eliminate two held matrices; relatedness solves over Q(tau).
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from .jordan import (
     in_kernel,
 )
 from .linalg import (
+    cleared_columns,
+    cleared_int_product,
+    cleared_integer_solve,
+    cleared_product,
     from_columns,
     identity,
     is_invertible,
-    mat_mul,
     mat_vec,
     nullspace,
     pivot_columns,
@@ -39,6 +44,7 @@ from .linalg import (
     transpose,
     vec,
     vec_add,
+    vec_over,
     vec_sub,
 )
 from .reps import quotient_faithful_rep
@@ -47,17 +53,18 @@ from .scalars import ZERO, integer_rows
 
 @dataclass(frozen=True)
 class DiscreteCentralSubgroup:
-    """Free central subgroup given by a tuple of generators [v_i, t_i],
-    coerced once and held as (v; t) columns.  The first violation of
+    """Free central subgroup given by a tuple of generators [v_i, t_i], held
+    as (v; t) columns and cleared over Z[tau].  The first violation of
     validate_subgroup raises NotCentral (off ker J x T) or InvalidSubgroup.
     """
 
     aleph: MultiplicityFunction
     generators: tuple
     columns: tuple = field(init=False, repr=False, compare=False)
+    cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, aleph, generators):
-        _hold(self, aleph, _valid_columns(aleph, [(g.v, g.t) for g in generators]))
+        _hold(aleph, _valid_columns(aleph, [(g.v, g.t) for g in generators]), subgroup=self)
 
     @property
     def rank(self) -> int:
@@ -71,28 +78,32 @@ class DiscreteCentralSubgroup:
     def combine(self, coeffs) -> "DiscreteCentralSubgroup":
         """The subgroup generated by the combinations sum_i c_i g_i, one per
         column c of the k x j integer matrix coeffs: the product of the
-        (d+1) x k generator matrix with coeffs.  coeffs keeps its k rows
-        when j = 0."""
-        points = transpose(mat_mul(transpose(self.columns), coeffs))
-        return _hold(object.__new__(DiscreteCentralSubgroup), self.aleph, points)
+        held (d+1) x k generator matrix with coeffs, over its denominator.
+        coeffs keeps its k rows when j = 0."""
+        return _hold(self.aleph, cleared=cleared_int_product(self.cleared, coeffs))
 
     def __str__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators)
         return f"<{inside}>" if inside else "<trivial>"
 
 
-def _hold(subgroup, aleph, cols):
-    """Fill a subgroup from its (v; t) generator columns, whose entries
-    are TauScalars already, with no check."""
+def _hold(aleph, cols=None, cleared=None, subgroup=None):
+    """A subgroup filled in with no check from its (v; t) generator columns
+    of TauScalars or from its held generator matrix: the other is built
+    from the one given, once."""
+    cleared = cleared or cleared_columns(cols)
+    cols = cols or tuple(vec_over(p, cleared[1]) for p in cleared[0])
+    subgroup = subgroup or object.__new__(DiscreteCentralSubgroup)
     object.__setattr__(subgroup, "aleph", aleph)
     object.__setattr__(subgroup, "generators", tuple(GroupElement(p[:-1], p[-1]) for p in cols))
     object.__setattr__(subgroup, "columns", cols)
+    object.__setattr__(subgroup, "cleared", cleared)
     return subgroup
 
 
 def subgroup_from_data(aleph, gens) -> DiscreteCentralSubgroup:
     """The subgroup of (vector, time) pairs, validated as the constructor does."""
-    return _hold(object.__new__(DiscreteCentralSubgroup), aleph, _valid_columns(aleph, gens))
+    return _hold(aleph, _valid_columns(aleph, gens))
 
 
 def _valid_columns(aleph, gens):
@@ -157,26 +168,19 @@ def _same_group(n, m):
 def lattice_equal(n: DiscreteCentralSubgroup, m: DiscreteCentralSubgroup) -> bool:
     """Whether the two generator sets span the same subgroup.
 
-    Each generator of one must have integer coordinates in the other,
-    solved exactly over the coordinate field.
+    Each generator of one must have integer coordinates in the other.
     """
     _same_group(n, m)
-    return (
-        integer_coordinates(m, n.columns) is not None
-        and integer_coordinates(n, m.columns) is not None
-    )
+    return integer_coordinates(m, n) is not None and integer_coordinates(n, m) is not None
 
 
-def integer_coordinates(subgroup, cols):
-    """Integer coordinates of each column in the subgroup's generators.
-
-    Returns one tuple of ints per column, or None when some column is not
-    an integer combination of the generator columns.
+def integer_coordinates(subgroup, other):
+    """Integer coordinates of each generator of other in the subgroup's
+    generators: one tuple of ints per generator, or None when some one is
+    no integer combination of them.  The two held generator matrices are
+    eliminated over Z[tau] as they are (linalg.cleared_integer_solve).
     """
-    sols = solve_columns(subgroup.columns, cols)
-    if sols is None or not all(c.is_integer for lam in sols for c in lam):
-        return None
-    return [tuple(c.as_integer() for c in lam) for lam in sols]
+    return cleared_integer_solve(subgroup.cleared, other.cleared)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +201,9 @@ def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
     gens = reduced.generators
     if not gens or gens[0].t.is_zero:
         return identity_aut(aleph), reduced
-    t1 = gens[0].t
-    gamma = tuple(-(c / t1) for c in gens[0].v)
+    # gamma = -v / t1, read off the first held column (p; p_t) as -p / p_t
+    first = reduced.cleared[0][0]
+    gamma = tuple(-x for x in vec_over(first[:-1], first[-1]))
     phi = GenericAut(identity(aleph.dim), gamma, 1)
     return phi, aut_image(aleph, phi, reduced)
 
@@ -215,15 +220,15 @@ def quotient_iso_certificate(n, m, phi) -> bool:
 def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubgroup:
     """The subgroup generated by the images of the generators under phi:
     one product of M_Z = [[Delta, P gamma], [b, alpha]], P the projection
-    onto ker J (autos.central_action), with the generator columns.
+    onto ker J (autos.central_action), cleared once, with the held
+    generator matrix; the image's denominator is the product of theirs.
 
     M_Z is phi on the center ker J x T: if T != 0, J is semisimple and
     e^{alpha t J} = Delta e^{tJ} Delta^-1 = 1 for t in T, so phi(alpha t J)
     = P; if T = 0 every central time is 0; y = t = 0 kills the Heisenberg
     quadratic term; conjugation fixes the center.
     """
-    cols = mat_mul(subgroup.columns, transpose(central_action(aleph, phi)))
-    return _hold(object.__new__(DiscreteCentralSubgroup), aleph, cols)
+    return _hold(aleph, cleared=cleared_product(central_action(aleph, phi), subgroup.cleared))
 
 
 def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
@@ -233,7 +238,7 @@ def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
     automorphism action is exact; the certificate A expresses each image
     in the generator basis and must be unimodular.
     """
-    coords = integer_coordinates(subgroup, aut_image(aleph, phi, subgroup).columns)
+    coords = integer_coordinates(subgroup, aut_image(aleph, phi, subgroup))
     if coords is None:
         return None
     matrix = tuple(zip(*coords))
@@ -258,21 +263,15 @@ def _significant(subgroup) -> list:
 
 
 def _block_boundaries(aleph) -> list:
-    out = []
-    start = 0
-    for _, mult in _kernel_grading(aleph):
-        out.append((start, start + mult))
-        start += mult
-    return out
+    ends = list(itertools.accumulate(mult for _, mult in _kernel_grading(aleph)))
+    return list(zip([0] + ends, ends))
 
 
 def _has_triangular_pattern(aleph, delta_tilde) -> bool:
-    for r0, r1 in _block_boundaries(aleph):
-        for r in range(r0, r1):
-            for c in range(r0):
-                if not delta_tilde[r][c].is_zero:
-                    return False
-    return True
+    return all(
+        delta_tilde[r][c].is_zero
+        for r0, r1 in _block_boundaries(aleph) for r in range(r0, r1) for c in range(r0)
+    )
 
 
 def related_by_aut_check(n, m, delta_tilde, a) -> bool:

@@ -28,6 +28,15 @@ from polynomial products and built once, as one TauScalar reduced by one
 gcd (``scalars.zpoly_ratio``), rather than by a TauScalar and a gcd per
 product and partial sum.  Their operands may hold ints and Fractions.
 
+A matrix can also be held cleared, by its columns of Z[tau] polynomials
+over one denominator (``cleared_columns``); a lattice holds its generator
+matrix so, cleared once where it is built (``lattices``).  On that form
+``cleared_product`` multiplies by a matrix, cleared once, and
+``cleared_int_product`` by an integer matrix, keeping the denominator; and
+``cleared_integer_solve`` eliminates two held matrices as they stand and
+reads an integer solution as a constant quotient of the last pivot, with
+no TauScalar built.  ``vec_over`` reads a held column back as TauScalars.
+
 Matrices are row tuples, but ``solve_columns`` takes the columns of its
 system: the unknowns are the columns and the equations the entries of the
 targets, so a system with no unknowns or no equations is an ordinary
@@ -162,12 +171,18 @@ def from_columns(cols) -> Matrix:
 
 
 def _bareiss(rows, full: bool = True):
-    """Fraction-free elimination of the rows; returns the Z[tau] work
-    matrix, its pivot columns and the last pivot d (1 for no pivot).
+    """Fraction-free elimination of the rows, each first scaled into
+    Z[tau] (``cleared_rows``), which keeps the row space; see _eliminate."""
+    return _eliminate(cleared_rows(rows), full)
+
+
+def _eliminate(work, full: bool):
+    """Fraction-free elimination of rows of Z[tau] polynomials, in place;
+    returns the work matrix, its pivot columns and the last pivot d (1 for
+    no pivot).
 
     Gauss-Jordan elimination over Z[tau] (E. H. Bareiss, Math. Comp. 22,
-    1968).  Each row is first scaled into Z[tau] (``cleared_rows``), which
-    keeps the row space.  At the step that finds pivot p in column c, row
+    1968).  At the step that finds pivot p in column c, row
     r, every other row x becomes (p*x - x[c]*row_r) / prev, prev the
     previous pivot (1 at first).  A row with x[c] = 0 is only scaled, as
     p*x / prev, and left as it is when p = prev, so a sparse matrix costs
@@ -175,7 +190,7 @@ def _bareiss(rows, full: bool = True):
     degree in the column.
 
     The division is exact, because every entry of the work matrix is, up
-    to sign, a minor of the cleared matrix.  After k pivots, with pivot
+    to sign, a minor of the input matrix.  After k pivots, with pivot
     rows R and pivot columns C, entry (i, j) of a row i outside R is the
     (k+1)-minor on rows R + {i} and columns C + {j}, and entry (i, j) of
     a row i in R is the k-minor on rows R and columns C with i's pivot
@@ -188,7 +203,6 @@ def _bareiss(rows, full: bool = True):
     With full false it runs forward only, never updating the rows above
     the pivot row; the rows below take the same steps, so the pivots agree.
     """
-    work = cleared_rows(rows)
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
@@ -323,3 +337,87 @@ def span_intersection(vectors_a, vectors_b) -> list:
     stacked = from_columns(va + [vec_scale(-1, v) for v in vb])
     combos = [mat_vec(a, rel[: len(va)]) for rel in nullspace(stacked)]
     return row_space_basis([c for c in combos if not vec_is_zero(c)])
+
+
+# ---------------------------------------------------------------------------
+# a matrix held by its columns over Z[tau]: (polys, den), column j of the
+# matrix being the polynomials polys[j] over the one denominator den
+
+
+def cleared_columns(cols) -> tuple:
+    """The columns over one common denominator, (polys, den): all their
+    entries are cleared at once (``scalars.over_common_denominator``)."""
+    h = len(cols[0]) if cols else 0
+    flat, den = over_common_denominator([x for col in cols for x in col])
+    return tuple(tuple(flat[j * h : (j + 1) * h]) for j in range(len(cols))), den
+
+
+def vec_over(polys, den) -> Vector:
+    """The vector of the entries p / den, one gcd for each nonzero p."""
+    return tuple(_over(p, den) for p in polys)
+
+
+def _combinations(cols, weights) -> tuple:
+    """The column sum_i w[i] * cols[i] over Z[tau] for each weight vector
+    w; a zero weight or entry is skipped."""
+    h = len(cols[0]) if cols else 0
+    out = []
+    for w in weights:
+        s = [()] * h
+        for c, col in zip(w, cols, strict=True):
+            if c:
+                s = [_zadd(x, _zmul(c, y)) if y else x for x, y in zip(s, col)]
+        out.append(tuple(s))
+    return tuple(out)
+
+
+def cleared_product(a: Matrix, cleared) -> tuple:
+    """a times the held columns, held the same way: a is cleared once, each
+    column's image combines a's columns with its entries as weights, and
+    the denominator is the product of the two known ones."""
+    a_cols, a_den = cleared_columns(tuple(zip(*a)))
+    polys, den = cleared
+    return _combinations(a_cols, polys), _zmul(a_den, den)
+
+
+def cleared_int_product(cleared, coeffs) -> tuple:
+    """The held columns times the k x j integer matrix coeffs, over the same
+    denominator: column j is sum_i coeffs[i][j] * column i."""
+    polys, den = cleared
+    weights = [tuple((c,) if c else () for c in w) for w in zip(*coeffs)]
+    return _combinations(polys, weights), den
+
+
+def cleared_integer_solve(cleared, targets):
+    """Integers x with sum_j x_j * column j = b for each column b of the
+    held targets, free unknowns set to zero as in solve_columns: one tuple
+    of ints per target, or None when some target has none.
+
+    With the columns P / p and the targets Q / q, the system is q*P x = p*Q
+    over Z[tau], eliminated as it stands (``_eliminate``).  Unless a target
+    lies outside the span, x_j for a pivot column j is its row's entry over
+    the last pivot d: an integer exactly when d divides the entry with a
+    constant quotient.  No TauScalar is built.
+
+    >>> two = cleared_columns([vec([2, 0])])
+    >>> cleared_integer_solve(two, cleared_columns([vec([4, 0]), vec([-2, 0])]))
+    [(2,), (-1,)]
+    >>> cleared_integer_solve(two, cleared_columns([vec([1, 0])])) is None
+    True
+    """
+    (cols, p), (bs, q) = cleared, targets
+    if p != q:
+        cols = [[_zmul(q, x) for x in col] for col in cols]
+        bs = [[_zmul(p, x) for x in b] for b in bs]
+    k = len(cols)
+    work, pivots, d = _eliminate(list(zip(*cols, *bs, strict=True)), True)
+    if any(c >= k for c in pivots):  # a pivot in a target's column
+        return None
+    rows = dict(zip(pivots, work))  # pivot column -> its row
+    out = []
+    for t in range(k, k + len(bs)):
+        x = [_zdiv(rows[c][t], d) if c in rows else () for c in range(k)]
+        if any(c is None or len(c) > 1 for c in x):
+            return None
+        out.append(tuple(c[0] if c else 0 for c in x))
+    return out

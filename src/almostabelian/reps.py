@@ -242,8 +242,9 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     return group_element(aleph, reduced[:-1], reduced[-1])
 
 
-def build_P(aleph: MultiplicityFunction, subgroup):
-    """Inverse of a completed generator matrix on the (w, t) coordinates.
+def build_P(dec: Decomposition, subgroup):
+    """Inverse of a completed generator matrix on the (w, t) coordinates,
+    for the decomposition dec of the datum (decompose).
 
     The subgroup generators, written in the coordinates of the split
     Euclidean factor together with t, form the first k columns; the first
@@ -251,10 +252,8 @@ def build_P(aleph: MultiplicityFunction, subgroup):
     Returns (P, P_par, P_perp): the full inverse, its first k rows, and the
     rest.
     """
-    dec = decompose(aleph)
-    d = aleph.dim
     d0 = dec.d0
-    m = d - d0 + 1
+    m = len(dec.abelian_coordinates) + 1
     for g in subgroup.generators:
         if not vec_is_zero(g.v[:d0]):
             raise UnsupportedLattice(
@@ -325,7 +324,7 @@ def quotient_faithful_rep(aleph: MultiplicityFunction, subgroup) -> QuotientRep:
     representation acts on dimension d + 2 + k.
     """
     dec = decompose(aleph)
-    _, p_par, p_perp = build_P(aleph, subgroup)
+    _, p_par, p_perp = build_P(dec, subgroup)
     k = len(p_par)
     return QuotientRep(
         aleph=aleph,

@@ -544,7 +544,8 @@ def over_common_denominator(entries) -> tuple:
     their distinct denominators times the least integer that clears every
     coefficient, so rationals share an integer den, and integers den (1,).
     The products in linalg clear each operand once with this and build
-    each result entry once, with ``zpoly_ratio``.
+    each result entry once, with ``zpoly_ratio``; a lattice clears its
+    generator matrix with it once, where it is built.
 
     >>> over_common_denominator([TAU / 2, ONE / (TAU + 1), 3])
     ([(0, 1, 1), (2,), (6, 6)], (2, 2))
@@ -574,7 +575,16 @@ def over_common_denominator(entries) -> tuple:
                     p = _zmul(p, q)
             polys.append(p)
         den = reduce(_zmul, distinct)
-    scale = math.lcm(*[c.denominator for p in polys for c in p], *[c.denominator for c in den])
+    # the least integer clearing every coefficient: each denominator is read
+    # once and folded in with one gcd only when it is not 1
+    scale = 1
+    for p in (*polys, den):
+        for c in p:
+            q = c.denominator
+            if q != 1:
+                scale = scale * q // math.gcd(scale, q)
+    if scale == 1:
+        return [tuple([c.numerator for c in p]) for p in polys], tuple([c.numerator for c in den])
     return (
         [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in polys],
         tuple([c.numerator * (scale // c.denominator) for c in den]),

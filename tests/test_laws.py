@@ -23,6 +23,7 @@ from almostabelian.autos import (
     GenericAut,
     HeisAut,
     apply_aut,
+    central_action,
     compose,
     differential,
     identity_aut,
@@ -60,8 +61,10 @@ from almostabelian.jordan import (
 from almostabelian.lattices import (
     aut_image,
     has_faithful_quotient_rep,
+    integer_coordinates,
     lattice_equal,
     normalize_subgroup,
+    preserves_lattice,
     reduce_generators,
     subgroup_from_data,
     validate_subgroup,
@@ -74,6 +77,8 @@ from almostabelian.linalg import (
     mat_mul,
     mat_vec,
     solve,
+    solve_columns,
+    transpose,
     vec_is_zero,
 )
 from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
@@ -619,6 +624,58 @@ def test_aut_image_is_the_generator_images(case):
     want = generator_images(phi, n)
     assert image.generators == want
     assert image.columns == tuple((*g.v, g.t) for g in want)
+
+
+def tau_path_coordinates(n, cols):
+    """Integer coordinates of the columns in n's generators on the TauScalar
+    path, solve_columns over n's columns and an is_integer check: the oracle
+    for the elimination of two held generator matrices."""
+    sols = solve_columns(n.columns, cols)
+    if sols is None or not all(c.is_integer for lam in sols for c in lam):
+        return None
+    return [tuple(c.as_integer() for c in lam) for lam in sols]
+
+
+@given(lattice_actions(), st.data())
+@settings(max_examples=80)
+def test_cleared_operations_agree_with_the_tau_path(case, data):
+    # m = n.combine(a) for a k x k integer matrix a: equal to n when a is
+    # unimodular, a proper sublattice when det a = +-2, dependent when it
+    # is singular; the oracles multiply the TauScalar columns with mat_mul
+    n, phi = case
+    aleph, k = n.aleph, n.rank
+    a = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=k, max_size=k))
+    m = n.combine(a)
+    assert m.columns == transpose(mat_mul(transpose(n.columns), a))
+    for x, y in ((n, m), (m, n), (n, n)):
+        assert integer_coordinates(x, y) == tau_path_coordinates(x, y.columns)
+    assert lattice_equal(n, m) == (
+        tau_path_coordinates(n, m.columns) is not None
+        and tau_path_coordinates(m, n.columns) is not None
+    )
+    image = aut_image(aleph, phi, n)
+    assert image.columns == mat_mul(n.columns, transpose(central_action(aleph, phi)))
+    coords = tau_path_coordinates(n, image.columns)
+    want = None if coords is None else tuple(zip(*coords))
+    if want is not None and not is_unimodular(want):
+        want = None
+    assert preserves_lattice(aleph, phi, n) == want
+
+
+def test_a_polynomial_quotient_is_no_integer_coordinate():
+    # on E(2) x R^2, tau*e1 is tau times e1: a polynomial quotient of the
+    # pivots, not a constant, so neither lattice holds the other's generator
+    aleph = GROUPS["e2_r2"][0]
+    n = subgroup_from_data(aleph, [((0, 0, 1, 0), 0)])
+    m = subgroup_from_data(aleph, [((0, 0, TAU, 0), 0)])
+    assert not lattice_equal(n, m) and not lattice_equal(m, n)
+    assert integer_coordinates(n, m) is None
+    assert integer_coordinates(m, n) is None
+    assert integer_coordinates(n, subgroup_from_data(aleph, [((0, 0, -3, 0), 0)])) == [(-3,)]
+    scale = GenericAut(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, TAU, 0), (0, 0, 0, 1)), (0,) * 4, 1)
+    assert validate_aut(aleph, scale) == ()
+    assert preserves_lattice(aleph, scale, n) is None
 
 
 @given(central_lattices())

@@ -353,7 +353,7 @@ class TestQuotientChart:
 class TestBuildP:
     def test_greedy_identity(self, e2_r2):
         n = subgroup(e2_r2, ((0, 0, 1, 0), 0))
-        p, par, perp = build_P(e2_r2, n)
+        p, par, perp = build_P(decompose(e2_r2), n)
         assert p == tuple(
             tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3)
         )
@@ -362,7 +362,7 @@ class TestBuildP:
 
     def test_maps_generators_to_unit_vectors(self, e2_r2):
         n = subgroup(e2_r2, ((0, 0, 1, 2), 0), ((0, 0, 0, 0), TAU))
-        p, _, _ = build_P(e2_r2, n)
+        p, _, _ = build_P(decompose(e2_r2), n)
         gen_columns = (vec([1, 2, 0]), vec([0, 0, TAU]))
         for idx, col in enumerate(gen_columns):
             image = mat_vec(p, col)
@@ -373,7 +373,7 @@ class TestBuildP:
     def test_unsupported_generator(self, heis):
         n = subgroup(heis, ((1, 0), 0))
         with pytest.raises(UnsupportedLattice, match="normalize"):
-            build_P(heis, n)
+            build_P(decompose(heis), n)
 
     def test_dependent_generators_rejected(self, e2_r2):
         # the lattice constructor rejects them before build_P is reached

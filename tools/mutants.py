@@ -53,10 +53,17 @@ MUTANTS = (
     ),
     Mutant(
         "aut_image multiplies by M_Z untransposed",
-        "lattices.py",
-        "mat_mul(subgroup.columns, transpose(central_action(aleph, phi)))",
-        "mat_mul(subgroup.columns, central_action(aleph, phi))",
+        "linalg.py",
+        "a_cols, a_den = cleared_columns(tuple(zip(*a)))",
+        "a_cols, a_den = cleared_columns(tuple(a))",
         ("tests/test_laws.py::test_aut_image_is_the_generator_images",),
+    ),
+    Mutant(
+        "integer coordinates accept a polynomial quotient",
+        "linalg.py",
+        "if any(c is None or len(c) > 1 for c in x):",
+        "if any(c is None for c in x):",
+        ("tests/test_laws.py::test_a_polynomial_quotient_is_no_integer_coordinate",),
     ),
     Mutant(
         "forward elimination skips the rows below the pivot",
