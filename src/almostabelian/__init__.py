@@ -56,6 +56,7 @@ from .jordan import (
     algebra_element,
     build_jordan,
     commutator,
+    derived_algebra_basis,
     group_element,
     group_identity,
     multiplicity_function,
@@ -73,6 +74,7 @@ from .lattices import (
     subgroup_from_data,
     validate_subgroup,
 )
+from .linalg import span_intersection
 from .reps import (
     algebra_rep,
     decompose,

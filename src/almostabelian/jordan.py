@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     mat,
     mat_vec,
-    row_space_basis,
     unit_vec,
     vec,
     vec_is_zero,
@@ -154,6 +153,15 @@ class MultiplicityFunction:
         return tuple(
             b.offset for b in self.blocks if b.eigenvalue.is_zero and b.size == 1
         )
+
+    @property
+    def derived_coordinates(self) -> tuple:
+        """Coordinates spanning im J = [g, g]: every coordinate but the last
+        of each zero block.  A block with a nonzero eigenvalue is
+        invertible, and the shift of a zero block maps onto all its
+        coordinates but the last."""
+        ends = {b.offset + b.size - 1 for b in self.blocks if b.eigenvalue.is_zero}
+        return tuple(i for i in range(self.dim) if i not in ends)
 
     def __str__(self):
         inner = ", ".join(
@@ -294,10 +302,9 @@ def commutator(
 
 
 def derived_algebra_basis(aleph: MultiplicityFunction) -> tuple:
-    """Echelonized basis of [g, g] = im J (columns of J)."""
-    j = build_jordan(aleph)
-    cols = list(zip(*j))
-    return tuple(row_space_basis([c for c in cols if not vec_is_zero(c)]))
+    """Echelonized basis of [g, g] = im J: the unit vectors at the derived
+    coordinates, read off the layout."""
+    return tuple(unit_vec(aleph.dim, i) for i in aleph.derived_coordinates)
 
 
 def numeric_mode(mode: str) -> bool:

@@ -9,7 +9,9 @@ cleared where the lattice is built) and reads its generators from it once.
 Reduced generators, the parts of a split and an automorphic image are one
 product of that matrix with an integer matrix or with the central action
 matrix M_Z, and are not checked again.  Integer coordinates, so equality
-and preservation, eliminate two held matrices; relatedness solves over Q(tau).
+and preservation, eliminate two held matrices; representability is the
+rank of the held rows on the coordinates off im J, read off the Jordan
+layout; relatedness solves over Q(tau).
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .autos import GenericAut, central_action, compose, identity_aut
+from .autos import GenericAut, central_action, identity_aut
 from .errors import InvalidSubgroup, NotCentral
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
 from .jordan import (
     GroupElement,
     MultiplicityFunction,
-    derived_algebra_basis,
     group_element,
     in_kernel,
 )
@@ -33,6 +34,7 @@ from .linalg import (
     cleared_int_product,
     cleared_integer_solve,
     cleared_product,
+    cleared_rank,
     from_columns,
     identity,
     is_invertible,
@@ -508,18 +510,28 @@ def has_faithful_quotient_rep(
     """Decide whether the quotient admits a faithful matrix representation.
 
     The criterion is exact: the real span of the generator columns must
-    meet the derived subalgebra, embedded at time zero, only in the
-    origin.  On success the normalizing chain (a shear clearing the
-    derived-subalgebra components, then the torsion splitting) lands the
-    generators on the split Euclidean factor and the time axis, and the
-    representation of the transformed quotient is built.
+    meet the derived subalgebra im J, embedded at time zero, only in the
+    origin.  im J is the coordinate subspace of the derived coordinates
+    (every coordinate but the last of each zero block), and a generator
+    lies on ker J x T, whose coordinates off im J are the abelian ones and
+    t; so the span meets im J x 0 only in 0 exactly when the held
+    generator rows restricted to those coordinates are independent (one
+    forward elimination, linalg.cleared_rank).
+
+    On success the normalizing chain (a shear [[Delta, 0], [0, 1]]
+    clearing the derived-subalgebra components, then the torsion splitting
+    [[id, gamma], [0, 1]]) lands the generators on the split Euclidean
+    factor and the time axis; phi, the splitting after the shear, is
+    [[Delta, gamma], [0, 1]].  The representation of the transformed
+    quotient is built.
     """
-    derived = tuple((*b, ZERO) for b in derived_algebra_basis(aleph))
-    if subgroup.rank + len(derived) != rank(subgroup.columns + derived):
+    free = aleph.abelian_coordinates
+    rows = [[p[i] for i in free] + [p[-1]] for p in subgroup.cleared[0]]
+    if cleared_rank(rows) < subgroup.rank:
         return FaithfulQuotientDecision(representable=False)
     shear = _kernel_shear(aleph, subgroup)
     splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))
-    phi = compose(splitter, shear)
+    phi = GenericAut(shear.delta, splitter.gamma, 1)
     rep = quotient_faithful_rep(aleph, image)
     return FaithfulQuotientDecision(
         representable=True, phi=phi, image=image, rep=rep

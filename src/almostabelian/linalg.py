@@ -17,8 +17,11 @@ Each caller of the elimination builds a TauScalar, reduced by one Z[tau]
 gcd (``scalars.zpoly_ratio``), only for an entry it returns: ``rank``,
 ``pivot_columns`` and ``is_invertible`` eliminate forward only and build
 none, ``solve_columns`` builds the target columns of the pivot rows,
-``inverse`` the right half, ``nullspace`` the free columns and
-``row_space_basis`` the pivot rows.
+``inverse`` the right half, ``nullspace`` the free columns,
+``row_space_basis`` the pivot rows and ``span_intersection`` the right
+halves of its Zassenhaus rows (``_intersection_rows``).  On rows already
+over Z[tau] ``cleared_rank``, ``cleared_intersection`` and
+``cleared_integer_solve`` build none.
 
 The products ``mat_vec``, ``mat_mul`` and ``vec_scale`` work over Z[tau]
 too.  Each operand -- a vector, a row of the left factor, a column of the
@@ -36,6 +39,11 @@ matrix so, cleared once where it is built (``lattices``).  On that form
 ``cleared_integer_solve`` eliminates two held matrices as they stand and
 reads an integer solution as a constant quotient of the last pivot, with
 no TauScalar built.  ``vec_over`` reads a held column back as TauScalars.
+Rows of polynomials, such as a held matrix's columns, have a rank
+(``cleared_rank``: the representability test of ``lattices``) and span
+intersections (``cleared_intersection``: the closedness test of
+``subgroups``), each one forward elimination of the rows as they stand.
+No module outside this one calls the elimination.
 
 Matrices are row tuples, but ``solve_columns`` takes the columns of its
 system: the unknowns are the columns and the equations the entries of the
@@ -330,13 +338,16 @@ def nullspace(a: Matrix) -> list:
 
 
 def span_intersection(vectors_a, vectors_b) -> list:
-    """Basis of span(vectors_a) intersected with span(vectors_b)."""
-    va = [vec(v) for v in vectors_a]
-    vb = [vec(v) for v in vectors_b]
-    a = from_columns(va)
-    stacked = from_columns(va + [vec_scale(-1, v) for v in vb])
-    combos = [mat_vec(a, rel[: len(va)]) for rel in nullspace(stacked)]
-    return row_space_basis([c for c in combos if not vec_is_zero(c)])
+    """Echelonized basis of span(vectors_a) intersected with
+    span(vectors_b): one Zassenhaus elimination (``_intersection_rows``),
+    run to the end so that the intersection rows come out reduced.
+
+    >>> span_intersection([vec([1, 0, 0]), vec([0, 1, 0])], [vec([1, 1, 1]), vec([0, 0, 1])])
+    [(TauScalar('1'), TauScalar('1'), TauScalar('0'))]
+    """
+    a_rows, b_rows = (cleared_rows([vec(v) for v in vs]) for vs in (vectors_a, vectors_b))
+    rows, d = _intersection_rows(a_rows, b_rows, True)
+    return [tuple(_over(x, d) for x in row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +397,48 @@ def cleared_int_product(cleared, coeffs) -> tuple:
     polys, den = cleared
     weights = [tuple((c,) if c else () for c in w) for w in zip(*coeffs)]
     return _combinations(polys, weights), den
+
+
+def cleared_rank(rows) -> int:
+    """Rank of rows of Z[tau] polynomials as they stand: one forward
+    elimination, no clearing and no TauScalar.
+
+    >>> cleared_rank([[(1,), (0, 1)], [(2,), (0, 2)], [(), (3,)]])
+    2
+    """
+    return len(_eliminate(list(rows), False)[1])
+
+
+def _intersection_rows(a_rows, b_rows, full: bool) -> tuple:
+    """Rows spanning span(a_rows) cap span(b_rows), all rows of Z[tau]
+    polynomials of one length, and the last pivot d.
+
+    Zassenhaus' elimination of [a | a ; b | 0]: a row of its row space
+    with zero left half is (sum c_i a_i + sum e_j b_j | sum c_i a_i) with
+    sum c_i a_i = -sum e_j b_j, so the right halves of those rows are the
+    intersection.  In echelon form they are the rows whose pivot lies in
+    the right half, independent because their pivots differ; run to the
+    end (full), they are the intersection's RREF times d.
+    """
+    if not a_rows or not b_rows:
+        return [], (1,)
+    w = len(a_rows[0])
+    zeros = [()] * w
+    stacked = [[*a, *a] for a in a_rows] + [[*b, *zeros] for b in b_rows]
+    work, pivots, d = _eliminate(stacked, full)
+    return [row[w:] for row, c in zip(work, pivots) if c >= w], d
+
+
+def cleared_intersection(a_rows, b_rows) -> list:
+    """Rows of Z[tau] polynomials, in echelon form, spanning the
+    intersection of the spans of two sets of such rows: one forward
+    Zassenhaus elimination (``_intersection_rows``) of the rows as they
+    stand.
+
+    >>> cleared_intersection([[(1,), ()], [(), (1,)]], [[(2,), (2,)]])
+    [[(-2,), (-2,)]]
+    """
+    return _intersection_rows(a_rows, b_rows, False)[0]
 
 
 def cleared_integer_solve(cleared, targets):

@@ -6,7 +6,9 @@ subspace W of the Euclidean factor, or the graph-like set
 to quotients by discrete central subgroups through the unique connected
 lift, and closedness of the image is decided by comparing the span of
 the lattice points inside H with the linear slice of H inside the span
-of the whole lattice.
+of the whole lattice.  Both spans are compared by rank, on the lattices'
+generator matrices held over Z[tau] (linalg.cleared_rank and
+linalg.cleared_intersection), with no TauScalar built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .jordan import (
     in_kernel,
 )
 from .linalg import (
+    cleared_intersection,
+    cleared_rank,
     from_columns,
     identity,
     in_span,
@@ -29,13 +33,12 @@ from .linalg import (
     mat_vec,
     nullspace,
     row_space_basis,
-    span_intersection,
     vec,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
-from .scalars import ONE, ZERO, integer_rows
+from .scalars import ONE, ZERO, cleared_rows, integer_rows
 
 
 @dataclass(frozen=True)
@@ -205,12 +208,17 @@ def is_quotient_subgroup_closed(
     subspaces of ker J + R: the left is the span of the logs of N cap H,
     the right intersects the linear parametrization of H with the span
     of the logs of N.
+
+    central_log is the identity on ker J x T, so the logs are the held
+    generator columns.  The right side comes from one forward Zassenhaus
+    elimination of H's directions, cleared once, against N's held rows
+    (linalg.cleared_intersection), and N cap H has independent
+    generators, so the two spans agree exactly when rank(left) =
+    dim(right) = rank(left + right).
     """
     inside, _ = split_lattice_through(aleph, spec, subgroup)
-    left = bbar(aleph, inside.generators)
-    h_directions = [vec(tuple(w) + (ZERO,)) for w in spec.basis]
+    h_directions = [(*w, ZERO) for w in spec.basis]
     if spec.case == 2:
-        h_directions.append(vec(tuple(spec.v0) + (ONE,)))
-    lattice_span = [_log_column(aleph, g) for g in subgroup.generators]
-    right = span_intersection(h_directions, lattice_span)
-    return list(left) == list(right)
+        h_directions.append((*spec.v0, ONE))
+    right = cleared_intersection(cleared_rows(h_directions), subgroup.cleared[0])
+    return inside.rank == len(right) == cleared_rank([*inside.cleared[0], *right])

@@ -54,6 +54,7 @@ from almostabelian.integers import is_unimodular, kernel_complement_split
 from almostabelian.jordan import (
     algebra_element,
     build_jordan,
+    derived_algebra_basis,
     group_element,
     group_identity,
     multiplicity_function,
@@ -76,6 +77,8 @@ from almostabelian.linalg import (
     mat,
     mat_mul,
     mat_vec,
+    rank,
+    row_space_basis,
     solve,
     solve_columns,
     transpose,
@@ -473,6 +476,19 @@ def test_e2_witness_exactly_when_not_exponential(aleph):
         assert vec_is_zero(apply_phi_tj(aleph, w.collision_time, w.collision_vector))
 
 
+def j_column_basis(aleph):
+    """Echelonized basis of im J from J's nonzero columns: the oracle for
+    the derived coordinates read off the layout."""
+    cols = [c for c in zip(*build_jordan(aleph)) if not vec_is_zero(c)]
+    return tuple(row_space_basis(cols))
+
+
+@given(multiplicity_functions())
+@settings(max_examples=60)
+def test_derived_coordinates_span_the_image_of_j(aleph):
+    assert derived_algebra_basis(aleph) == j_column_basis(aleph)
+
+
 @given(any_data, st.data())
 @settings(max_examples=60)
 def test_central_elements_commute(aleph, data):
@@ -695,3 +711,23 @@ def test_faithful_rep_kills_the_lattice(n):
     if n.generators:
         g = n.generators[0]
         assert not rep(group_element(aleph, [x / 2 for x in g.v], g.t / 2)).is_identity
+
+
+def test_representability_is_the_rank_criterion():
+    # the span of the generator columns meets im J x 0 only in 0 exactly
+    # when a basis of im J x 0, from J's columns, adds its whole dimension
+    # to their rank; random lattices on data with deep zero blocks give
+    # both answers
+    seen = set()
+
+    @given(central_lattices())
+    @settings(max_examples=60)
+    def check(n):
+        derived = tuple((*b, TauScalar(0)) for b in j_column_basis(n.aleph))
+        want = n.rank + len(derived) == rank(n.columns + derived)
+        got = has_faithful_quotient_rep(n.aleph, n).representable
+        assert got == want
+        seen.add(got)
+
+    check()
+    assert seen == {True, False}

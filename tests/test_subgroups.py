@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_laws import central_lattices, small
 
 from almostabelian.errors import ExactnessUnavailable, NotCentral
 from almostabelian.expmap import central_log, group_inverse, group_mul, torsion
 from almostabelian.integers import integer_kernel
-from almostabelian.jordan import group_element
+from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.lattices import (
     DiscreteCentralSubgroup,
     lattice_equal,
@@ -18,14 +21,16 @@ from almostabelian.lattices import (
 from almostabelian.linalg import (
     from_columns,
     in_span,
+    mat_vec,
+    nullspace,
     row_space_basis,
     solve,
-    span_intersection,
     vec,
     vec_is_zero,
+    vec_scale,
 )
 from almostabelian.numeric import membership_numeric
-from almostabelian.scalars import TAU, TauScalar, integer_rows
+from almostabelian.scalars import TAU, GaussRational, TauScalar, integer_rows
 from almostabelian.subgroups import (
     ConnectedSubgroupSpec,
     bbar,
@@ -311,6 +316,18 @@ class TestClosed:
         n = sub(e2, ((0, 0), TAU))
         assert not is_quotient_subgroup_closed(e2, spec, n)
 
+    def test_equal_dimensions_different_spans(self):
+        # on E(2) x R^3 both sides are lines: N cap H is <[tau e2, tau]>, so
+        # the left is spanned by e2 + e_t, while H's directions meet the
+        # span of N's logs in e3 + tau e4 only, since e0 is off it
+        aleph = multiplicity_function({(GaussRational(0, 1), 1): 1, (GaussRational(0), 1): 3})
+        n = sub(aleph, ((0, 0, TAU, 0, 0), TAU), ((0, 0, 0, 1, 0), 0), ((0, 0, 0, 0, 1), 0))
+        spec = ConnectedSubgroupSpec(aleph, [(0, 0, 0, 1, TAU)], v0=(1, 0, 1, 0, 0))
+        inside, _ = split_lattice_through(aleph, spec, n)
+        assert inside.columns == (vec((0, 0, TAU, 0, 0, TAU)),)
+        assert not is_quotient_subgroup_closed(aleph, spec, n)
+        assert not _oracle_closed(aleph, spec, n)
+
     def test_log_span_containment(self, e2_r2):
         fixtures = [
             (
@@ -387,13 +404,22 @@ def _combination(aleph, gens, coeffs):
     return point[:-1], point[-1]
 
 
+# The closedness construction before it compared spans by rank: the RREF
+# of the logs of N cap H (central_log is the identity on central points)
+# against the RREF of the slice of H in the span of N's logs, read off the
+# nullspace of [h | -n] and reduced again.  Kept here as the oracle.
+
+
 def _oracle_closed(aleph, spec, n):
-    left = bbar(aleph, _oracle_inside(aleph, spec, n).generators)
+    left = row_space_basis([(*g.v, g.t) for g in _oracle_inside(aleph, spec, n).generators])
     h_dirs = [vec(tuple(w) + (0,)) for w in spec.basis]
     if spec.case == 2:
         h_dirs.append(vec(tuple(spec.v0) + (1,)))
     logs = [vec(tuple(g.v) + (g.t,)) for g in n.generators]
-    return list(left) == list(span_intersection(h_dirs, logs))
+    stacked = from_columns(h_dirs + [vec_scale(-1, v) for v in logs])
+    combos = [mat_vec(from_columns(h_dirs), rel[: len(h_dirs)]) for rel in nullspace(stacked)]
+    right = row_space_basis([c for c in combos if not vec_is_zero(c)])
+    return list(left) == list(right)
 
 
 def _scalar(rng):
@@ -474,3 +500,31 @@ def test_split_agrees_with_residual_oracle(request, name, partner):
         hits += 0 < inside.rank < n.rank
     # the draws reach proper, nontrivial splits, not only the extremes
     assert hits >= 5
+
+
+def test_closedness_agrees_with_the_oracle_on_random_data():
+    # W from kernel vectors, which J kills, so W is invariant; they are
+    # often lattice vectors, and the slope often a generator over its
+    # time, so that lattice points lie in H and both answers occur
+    seen = set()
+
+    @given(central_lattices(), st.data())
+    @settings(max_examples=60)
+    def check(n, data):
+        aleph, kernel = n.aleph, n.aleph.kernel_coordinates
+        gens = [g.v for g in n.generators]
+        kernel_vectors = st.lists(small, min_size=len(kernel), max_size=len(kernel)).map(
+            lambda xs: [dict(zip(kernel, xs)).get(i, 0) for i in range(aleph.dim)]
+        )
+        pick = st.sampled_from(gens) if gens else kernel_vectors
+        basis = data.draw(st.lists(st.one_of(pick, kernel_vectors), max_size=2))
+        basis = [w for w in basis if not vec_is_zero(vec(w))]
+        slopes = [None, data.draw(st.lists(small, min_size=aleph.dim, max_size=aleph.dim))]
+        slopes += [[x / g.t for x in g.v] for g in n.generators if not g.t.is_zero]
+        spec = ConnectedSubgroupSpec(aleph, basis, data.draw(st.sampled_from(slopes)))
+        closed = is_quotient_subgroup_closed(aleph, spec, n)
+        assert closed == _oracle_closed(aleph, spec, n)
+        seen.add(closed)
+
+    check()
+    assert seen == {True, False}

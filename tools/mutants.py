@@ -129,6 +129,20 @@ MUTANTS = (
         ("tests/test_scalars.py::TestRationalLane::test_agrees_with_the_oracle",),
     ),
     Mutant(
+        "closedness compares only the dimensions of the two spans",
+        "subgroups.py",
+        "return inside.rank == len(right) == cleared_rank([*inside.cleared[0], *right])",
+        "return inside.rank == len(right)",
+        ("tests/test_subgroups.py::TestClosed::test_equal_dimensions_different_spans",),
+    ),
+    Mutant(
+        "representability reads the kernel coordinates for the abelian ones",
+        "lattices.py",
+        "free = aleph.abelian_coordinates",
+        "free = aleph.kernel_coordinates",
+        ("tests/test_laws.py::test_representability_is_the_rank_criterion",),
+    ),
+    Mutant(
         "the rational lane inverts its quotient",
         "scalars.py",
         "return _rational(pq[0] / pq[1])",
