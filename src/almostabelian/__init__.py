@@ -74,7 +74,6 @@ from .lattices import (
     subgroup_from_data,
     validate_subgroup,
 )
-from .linalg import span_intersection
 from .reps import (
     algebra_rep,
     decompose,

@@ -50,7 +50,7 @@ from .linalg import (
     vec_sub,
 )
 from .reps import quotient_faithful_rep
-from .scalars import ZERO, integer_rows
+from .scalars import ZERO, cleared_rows, integer_rows
 
 
 @dataclass(frozen=True)
@@ -419,7 +419,7 @@ def _admissible_rows(k, q, boundaries, v_cols, u_cols, constrained):
                 conditions.append(
                     [u_cols[i][r] * weight[j] if j in weight else ZERO for i, j in cells]
                 )
-    rows = integer_rows(conditions)
+    rows = integer_rows(cleared_rows(conditions))
     if 0 not in constrained:
         # a surviving time fixes the first row of A to (+-1, 0, ..)
         rows += [[int(cell == (0, j)) for cell in cells] for j in range(1, k)]
@@ -518,39 +518,39 @@ def has_faithful_quotient_rep(
     generator rows restricted to those coordinates are independent (one
     forward elimination, linalg.cleared_rank).
 
-    On success the normalizing chain (a shear [[Delta, 0], [0, 1]]
-    clearing the derived-subalgebra components, then the torsion splitting
-    [[id, gamma], [0, 1]]) lands the generators on the split Euclidean
-    factor and the time axis; phi, the splitting after the shear, is
-    [[Delta, gamma], [0, 1]].  The representation of the transformed
-    quotient is built.
+    On success a normalizing automorphism phi lands the generators on the
+    split Euclidean factor and the time axis.  With deep kernel
+    coordinates (zero blocks of size at least two) phi is a shear
+    [[Delta, 0], [0, 1]] clearing the derived-subalgebra components; they
+    exist only when T = 0, so every generator time is 0 and nothing is
+    left to split.  Otherwise phi is the torsion splitting
+    [[id, gamma], [0, 1]] of normalize_subgroup.  The representation of
+    the transformed quotient is built.
     """
     free = aleph.abelian_coordinates
     rows = [[p[i] for i in free] + [p[-1]] for p in subgroup.cleared[0]]
     if cleared_rank(rows) < subgroup.rank:
         return FaithfulQuotientDecision(representable=False)
-    shear = _kernel_shear(aleph, subgroup)
-    splitter, image = normalize_subgroup(aut_image(aleph, shear, subgroup))
-    phi = GenericAut(shear.delta, splitter.gamma, 1)
+    deep = [i for i in aleph.kernel_coordinates if i not in free]
+    if deep:
+        phi = _kernel_shear(aleph, subgroup, free, deep)
+        image = aut_image(aleph, phi, subgroup)
+    else:
+        phi, image = normalize_subgroup(subgroup)
     rep = quotient_faithful_rep(aleph, image)
     return FaithfulQuotientDecision(
         representable=True, phi=phi, image=image, rep=rep
     )
 
 
-def _kernel_shear(aleph, subgroup):
+def _kernel_shear(aleph, subgroup, abelian, deep):
     """Automorphism clearing the deep-kernel rows of the generators.
 
-    Kernel coordinates of zero blocks of size at least two lie in the
-    derived subalgebra, so the separation criterion makes the clearing
-    shear solvable (deep coordinates only exist when the torsion is
-    trivial, forcing every generator time to zero).  The shear fixes J,
-    hence is an automorphism with trivial dilation.
+    Kernel coordinates of zero blocks of size at least two (deep) lie in
+    the derived subalgebra, so the separation criterion makes the
+    clearing shear solvable.  The shear fixes J, hence is an automorphism
+    with trivial dilation.
     """
-    abelian = sorted(aleph.abelian_coordinates)
-    deep = [i for i in aleph.kernel_coordinates if i not in set(abelian)]
-    if not deep:
-        return identity_aut(aleph)
     gens = subgroup.generators
     # the unknown |deep| x |abelian| matrix L maps each generator's abelian
     # part onto its deep part, so row r of L combines the abelian

@@ -17,11 +17,10 @@ Each caller of the elimination builds a TauScalar, reduced by one Z[tau]
 gcd (``scalars.zpoly_ratio``), only for an entry it returns: ``rank``,
 ``pivot_columns`` and ``is_invertible`` eliminate forward only and build
 none, ``solve_columns`` builds the target columns of the pivot rows,
-``inverse`` the right half, ``nullspace`` the free columns,
-``row_space_basis`` the pivot rows and ``span_intersection`` the right
-halves of its Zassenhaus rows (``_intersection_rows``).  On rows already
-over Z[tau] ``cleared_rank``, ``cleared_intersection`` and
-``cleared_integer_solve`` build none.
+``inverse`` the right half, ``nullspace`` the free columns and
+``row_space_basis`` the pivot rows.  On rows already over Z[tau]
+``cleared_rank``, ``cleared_intersection`` and ``cleared_integer_solve``
+build none.
 
 The products ``mat_vec``, ``mat_mul`` and ``vec_scale`` work over Z[tau]
 too.  Each operand -- a vector, a row of the left factor, a column of the
@@ -34,8 +33,10 @@ product and partial sum.  Their operands may hold ints and Fractions.
 A matrix can also be held cleared, by its columns of Z[tau] polynomials
 over one denominator (``cleared_columns``); a lattice holds its generator
 matrix so, cleared once where it is built (``lattices``).  On that form
-``cleared_product`` multiplies by a matrix, cleared once, and
-``cleared_int_product`` by an integer matrix, keeping the denominator; and
+``cleared_product`` multiplies by a matrix, cleared once (the image of a
+lattice under an automorphism, and the membership conditions of
+``subgroups.split_lattice_through``), and ``cleared_int_product`` by an
+integer matrix, keeping the denominator; and
 ``cleared_integer_solve`` eliminates two held matrices as they stand and
 reads an integer solution as a constant quotient of the last pivot, with
 no TauScalar built.  ``vec_over`` reads a held column back as TauScalars.
@@ -337,19 +338,6 @@ def nullspace(a: Matrix) -> list:
     return basis
 
 
-def span_intersection(vectors_a, vectors_b) -> list:
-    """Echelonized basis of span(vectors_a) intersected with
-    span(vectors_b): one Zassenhaus elimination (``_intersection_rows``),
-    run to the end so that the intersection rows come out reduced.
-
-    >>> span_intersection([vec([1, 0, 0]), vec([0, 1, 0])], [vec([1, 1, 1]), vec([0, 0, 1])])
-    [(TauScalar('1'), TauScalar('1'), TauScalar('0'))]
-    """
-    a_rows, b_rows = (cleared_rows([vec(v) for v in vs]) for vs in (vectors_a, vectors_b))
-    rows, d = _intersection_rows(a_rows, b_rows, True)
-    return [tuple(_over(x, d) for x in row) for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # a matrix held by its columns over Z[tau]: (polys, den), column j of the
 # matrix being the polynomials polys[j] over the one denominator den
@@ -409,36 +397,27 @@ def cleared_rank(rows) -> int:
     return len(_eliminate(list(rows), False)[1])
 
 
-def _intersection_rows(a_rows, b_rows, full: bool) -> tuple:
-    """Rows spanning span(a_rows) cap span(b_rows), all rows of Z[tau]
-    polynomials of one length, and the last pivot d.
+def cleared_intersection(a_rows, b_rows) -> list:
+    """Rows of Z[tau] polynomials, in echelon form, spanning the
+    intersection of the spans of two sets of such rows of one length: one
+    forward elimination of the rows as they stand.
 
     Zassenhaus' elimination of [a | a ; b | 0]: a row of its row space
     with zero left half is (sum c_i a_i + sum e_j b_j | sum c_i a_i) with
     sum c_i a_i = -sum e_j b_j, so the right halves of those rows are the
     intersection.  In echelon form they are the rows whose pivot lies in
-    the right half, independent because their pivots differ; run to the
-    end (full), they are the intersection's RREF times d.
-    """
-    if not a_rows or not b_rows:
-        return [], (1,)
-    w = len(a_rows[0])
-    zeros = [()] * w
-    stacked = [[*a, *a] for a in a_rows] + [[*b, *zeros] for b in b_rows]
-    work, pivots, d = _eliminate(stacked, full)
-    return [row[w:] for row, c in zip(work, pivots) if c >= w], d
-
-
-def cleared_intersection(a_rows, b_rows) -> list:
-    """Rows of Z[tau] polynomials, in echelon form, spanning the
-    intersection of the spans of two sets of such rows: one forward
-    Zassenhaus elimination (``_intersection_rows``) of the rows as they
-    stand.
+    the right half, independent because their pivots differ.
 
     >>> cleared_intersection([[(1,), ()], [(), (1,)]], [[(2,), (2,)]])
     [[(-2,), (-2,)]]
     """
-    return _intersection_rows(a_rows, b_rows, False)[0]
+    if not a_rows or not b_rows:
+        return []
+    w = len(a_rows[0])
+    zeros = [()] * w
+    stacked = [[*a, *a] for a in a_rows] + [[*b, *zeros] for b in b_rows]
+    work, pivots, _ = _eliminate(stacked, False)
+    return [row[w:] for row, c in zip(work, pivots) if c >= w]
 
 
 def cleared_integer_solve(cleared, targets):

@@ -517,18 +517,18 @@ def as_tau(value) -> TauScalar:
 
 
 def integer_rows(rows) -> list:
-    """Expand linear rows over Q(tau) into equivalent integer rows.
+    """Expand rows of Z[tau] polynomials into equivalent integer rows.
 
-    tau is transcendental, so a linear condition with rational unknowns
-    splits into one rational condition per tau power once the row is
-    cleared into Z[tau] (``cleared_rows``).  Each nonzero power row is
+    tau is transcendental, so a linear condition over Z[tau] (a row over
+    Q(tau) cleared by ``cleared_rows``) with rational unknowns splits into
+    one rational condition per tau power.  Each nonzero power row is
     divided by its content, so every returned row is primitive.
 
-    >>> integer_rows([[TAU, 1 + TAU / 2]])
-    [[0, 1], [2, 1]]
+    >>> integer_rows([[(0, 2), (2, 1)], [(), (0, 3)]])
+    [[0, 1], [2, 1], [0, 1]]
     """
     out = []
-    for row in cleared_rows(rows):
+    for row in rows:
         for power in range(max(map(len, row), default=0)):
             ints = [p[power] if power < len(p) else 0 for p in row]
             content = math.gcd(*ints)

@@ -6,8 +6,11 @@ subspace W of the Euclidean factor, or the graph-like set
 to quotients by discrete central subgroups through the unique connected
 lift, and closedness of the image is decided by comparing the span of
 the lattice points inside H with the linear slice of H inside the span
-of the whole lattice.  Both spans are compared by rank, on the lattices'
-generator matrices held over Z[tau] (linalg.cleared_rank and
+of the whole lattice.  The lattice points inside H solve linear
+conditions posed as one product with the lattice's generator matrix held
+over Z[tau] (linalg.cleared_product): generator times lie in T, over
+which the slope integral is t P v0, P the projection onto ker J.  Both
+spans are compared by rank on held rows (linalg.cleared_rank and
 linalg.cleared_intersection), with no TauScalar built.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expmap import apply_exp_integral, central_log, torsion
+from .expmap import apply_exp_integral, central_log
 from .integers import kernel_complement_split
 from .jordan import (
     GroupElement,
@@ -25,17 +28,15 @@ from .jordan import (
 )
 from .linalg import (
     cleared_intersection,
+    cleared_product,
     cleared_rank,
-    from_columns,
     identity,
     in_span,
-    mat_mul,
     mat_vec,
     nullspace,
     row_space_basis,
+    unit_vec,
     vec,
-    vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 from .scalars import ONE, ZERO, cleared_rows, integer_rows
@@ -150,40 +151,32 @@ def bbar(aleph: MultiplicityFunction, elements) -> tuple:
 # lattice splitting through a connected subgroup
 
 
-def _kernel_projection(aleph, v):
-    kernel = set(aleph.kernel_coordinates)
-    return vec(x if i in kernel else ZERO for i, x in enumerate(v))
-
-
 def split_lattice_through(
     aleph: MultiplicityFunction, spec: ConnectedSubgroupSpec, subgroup
 ):
     """Direct decomposition N = (N cap H) x B of a central lattice.
 
-    Membership of integer combinations in H is linear over Q(tau): over
-    torsion times the rotation components of the slope integral cancel
-    over full periods, leaving only the kernel projection of the slope.
-    The solution set is a saturated sublattice (hence a direct factor by
-    purity), and the complement comes from the same unimodular kernel
-    split.
+    The combination sum c_i g_i lies in H when every normal n of W kills
+    its displacement from H, linear in (v; t): the condition rows are
+    [n | 0] and the time row in case 1, and [n | -n.P v0] in case 2, P the
+    projection onto ker J.  Each generator time t_i lies in T, over which
+    the rotation part of the slope integral vanishes, leaving t_i P v0
+    (and t_i = 0 when T = 0).  The rows times the held generator matrix
+    split by tau power into integer rows; their integer kernel is a
+    saturated sublattice (hence a direct factor by purity), and the
+    complement comes from the same unimodular kernel split.
     """
-    gens = subgroup.generators
-    tor = torsion(aleph)
-    multiples = subgroup.time_multiples
-    if spec.case == 2 and not tor.is_trivial:
-        slope = _kernel_projection(aleph, spec.v0)
-        targets = [vec_sub(g.v, vec_scale(m * tor.t0, slope)) for g, m in zip(gens, multiples)]
-    else:
-        targets = [g.v for g in gens]
-    # the combination lies in W exactly when every normal of W kills it;
+    d, kernel = aleph.dim, set(aleph.kernel_coordinates)
     # nullspace reads a basis with no rows as 0 x 0, so W = 0 passes its own
-    normals = nullspace(spec.basis) if spec.basis else identity(aleph.dim)
-    conditions = [
-        row for row in mat_mul(normals, from_columns(targets)) if not vec_is_zero(row)
-    ]
-    if spec.case == 1 and any(multiples):
-        conditions.append(vec(multiples))
-    k = len(gens)
+    normals = nullspace(spec.basis) if spec.basis else identity(d)
+    if spec.case == 2:
+        slope = [x if i in kernel else ZERO for i, x in enumerate(spec.v0)]
+        rows = [(*n, -s) for n, s in zip(normals, mat_vec(normals, slope))]
+    else:
+        rows = [(*n, ZERO) for n in normals] + [unit_vec(d + 1, d)]
+    # W = R^d in case 2 has no normals, and no rows give no conditions
+    conditions = zip(*cleared_product(rows, subgroup.cleared)[0]) if rows else ()
+    k = subgroup.rank
     complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), k)
     # the bases as k x j coefficient matrices, k rows even when j = 0
     inside, complement = (

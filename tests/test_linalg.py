@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from almostabelian import linalg, scalars
 from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.linalg import (
+    cleared_intersection,
     from_columns,
     identity,
     in_span,
@@ -27,16 +28,16 @@ from almostabelian.linalg import (
     row_space_basis,
     solve,
     solve_columns,
-    span_intersection,
     transpose,
     unit_vec,
     vec,
     vec_is_zero,
+    vec_over,
     vec_scale,
     zero_vec,
 )
 from almostabelian.numeric import membership_numeric
-from almostabelian.scalars import TAU, GaussRational, TauScalar
+from almostabelian.scalars import TAU, GaussRational, TauScalar, cleared_rows
 from almostabelian.subgroups import ConnectedSubgroupSpec, membership
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -141,10 +142,10 @@ def test_in_span_of_no_vectors():
 
 
 def test_span_intersection_with_an_empty_side():
-    line = [vec([1, TAU])]
-    assert span_intersection([], line) == []
-    assert span_intersection(line, []) == []
-    assert span_intersection([], []) == []
+    line = cleared_rows([vec([1, TAU])])
+    assert cleared_intersection([], line) == []
+    assert cleared_intersection(line, []) == []
+    assert cleared_intersection([], []) == []
 
 
 def test_membership_numeric_without_basis():
@@ -167,13 +168,16 @@ def test_membership_numeric_without_basis():
 
 
 def test_span_intersection():
-    left = [vec([1, 0]), vec([0, 1])]
-    right = [vec([1, 1])]
-    inter = span_intersection(left, right)
+    left = cleared_rows([vec([1, 0]), vec([0, 1])])
+    right = cleared_rows([vec([1, 1])])
+    inter = cleared_intersection(left, right)
     assert len(inter) == 1
-    assert in_span(inter, vec([1, 1]))
-    disjoint = span_intersection([vec([1, 0])], [vec([0, 1])])
+    assert in_span([vec_over(row, (1,)) for row in inter], vec([1, 1]))
+    disjoint = cleared_intersection(cleared_rows([vec([1, 0])]), cleared_rows([vec([0, 1])]))
     assert disjoint == []
+    plane = cleared_rows([vec([1, 0, 0]), vec([0, 1, 0])])
+    (line,) = cleared_intersection(plane, cleared_rows([vec([1, 1, 1]), vec([0, 0, 1])]))
+    assert rank([vec_over(line, (1,)), vec([1, 1, 0])]) == 1
 
 
 def test_row_space_basis_echelonized():

@@ -21,6 +21,7 @@ from almostabelian.scalars import (
     GaussRational,
     TauScalar,
     as_tau,
+    cleared_rows,
     integer_rows,
     parse_gauss,
     parse_rational,
@@ -292,21 +293,23 @@ class TestRealEmbedding:
         assert as_tau(0).leading_sign() == 0
 
     def test_integer_rows_split_by_tau_power(self):
-        rows = integer_rows([[TAU, 1 + TAU / 2], [1 / (TAU + 1), as_tau(0)]])
+        rows = integer_rows(cleared_rows([[TAU, 1 + TAU / 2], [1 / (TAU + 1), as_tau(0)]]))
         assert rows == [[0, 1], [2, 1], [1, 0]]
 
     def test_integer_rows_share_a_repeated_denominator(self):
         # the row is cleared by (tau + 1) once, not by its square
-        assert integer_rows([[1 / (TAU + 1), 1 / (TAU + 1)]]) == [[1, 1]]
+        assert integer_rows(cleared_rows([[1 / (TAU + 1), 1 / (TAU + 1)]])) == [[1, 1]]
 
     def test_integer_rows_are_primitive(self):
         rows = integer_rows(
-            [
-                [TAU, 1 + TAU / 2, as_tau(0)],
-                [1 / (TAU + 1), as_tau(0), TAU / 4],
-                [2 * TAU / 3, 4 / (TAU + 1), as_tau(6)],
-                [TAU**2 / (TAU - 1), 1 + TAU, 2 / (TAU**2 + 1)],
-            ]
+            cleared_rows(
+                [
+                    [TAU, 1 + TAU / 2, as_tau(0)],
+                    [1 / (TAU + 1), as_tau(0), TAU / 4],
+                    [2 * TAU / 3, 4 / (TAU + 1), as_tau(6)],
+                    [TAU**2 / (TAU - 1), 1 + TAU, 2 / (TAU**2 + 1)],
+                ]
+            )
         )
         assert rows and all(math.gcd(*row) == 1 for row in rows)
 

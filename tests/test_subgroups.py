@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_laws import central_lattices, small
+from test_laws import central_lattices, tau_linear
 
 from almostabelian.errors import ExactnessUnavailable, NotCentral
 from almostabelian.expmap import central_log, group_inverse, group_mul, torsion
@@ -30,7 +30,7 @@ from almostabelian.linalg import (
     vec_scale,
 )
 from almostabelian.numeric import membership_numeric
-from almostabelian.scalars import TAU, GaussRational, TauScalar, integer_rows
+from almostabelian.scalars import TAU, GaussRational, TauScalar, cleared_rows, integer_rows
 from almostabelian.subgroups import (
     ConnectedSubgroupSpec,
     bbar,
@@ -391,7 +391,7 @@ def _oracle_inside(aleph, spec, n):
     ]
     if spec.case == 1 and any(multiples):
         conditions.append([TauScalar(m) for m in multiples])
-    kernel_cols = integer_kernel(integer_rows(conditions), len(gens))
+    kernel_cols = integer_kernel(integer_rows(cleared_rows(conditions)), len(gens))
     return subgroup_from_data(aleph, [_combination(aleph, gens, c) for c in kernel_cols])
 
 
@@ -505,7 +505,9 @@ def test_split_agrees_with_residual_oracle(request, name, partner):
 def test_closedness_agrees_with_the_oracle_on_random_data():
     # W from kernel vectors, which J kills, so W is invariant; they are
     # often lattice vectors, and the slope often a generator over its
-    # time, so that lattice points lie in H and both answers occur
+    # time, so that lattice points lie in H and both answers occur.
+    # Kernel vectors and slopes may be tau-valued, and the split itself
+    # is checked against the oracle's
     seen = set()
 
     @given(central_lattices(), st.data())
@@ -513,15 +515,20 @@ def test_closedness_agrees_with_the_oracle_on_random_data():
     def check(n, data):
         aleph, kernel = n.aleph, n.aleph.kernel_coordinates
         gens = [g.v for g in n.generators]
-        kernel_vectors = st.lists(small, min_size=len(kernel), max_size=len(kernel)).map(
+        kernel_vectors = st.lists(tau_linear, min_size=len(kernel), max_size=len(kernel)).map(
             lambda xs: [dict(zip(kernel, xs)).get(i, 0) for i in range(aleph.dim)]
         )
         pick = st.sampled_from(gens) if gens else kernel_vectors
         basis = data.draw(st.lists(st.one_of(pick, kernel_vectors), max_size=2))
         basis = [w for w in basis if not vec_is_zero(vec(w))]
-        slopes = [None, data.draw(st.lists(small, min_size=aleph.dim, max_size=aleph.dim))]
+        slopes = [None, data.draw(st.lists(tau_linear, min_size=aleph.dim, max_size=aleph.dim))]
         slopes += [[x / g.t for x in g.v] for g in n.generators if not g.t.is_zero]
         spec = ConnectedSubgroupSpec(aleph, basis, data.draw(st.sampled_from(slopes)))
+        inside, comp = split_lattice_through(aleph, spec, n)
+        assert lattice_equal(inside, _oracle_inside(aleph, spec, n))
+        assert lattice_equal(
+            DiscreteCentralSubgroup(aleph, inside.generators + comp.generators), n
+        )
         closed = is_quotient_subgroup_closed(aleph, spec, n)
         assert closed == _oracle_closed(aleph, spec, n)
         seen.add(closed)

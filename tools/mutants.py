@@ -136,6 +136,13 @@ MUTANTS = (
         ("tests/test_subgroups.py::TestClosed::test_equal_dimensions_different_spans",),
     ),
     Mutant(
+        "the split drops the slope column",
+        "subgroups.py",
+        "rows = [(*n, -s) for n, s in zip(normals, mat_vec(normals, slope))]",
+        "rows = [(*n, ZERO) for n, s in zip(normals, mat_vec(normals, slope))]",
+        ("tests/test_subgroups.py::test_split_agrees_with_residual_oracle",),
+    ),
+    Mutant(
         "representability reads the kernel coordinates for the abelian ones",
         "lattices.py",
         "free = aleph.abelian_coordinates",
