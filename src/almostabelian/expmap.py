@@ -146,7 +146,6 @@ def is_central(aleph: MultiplicityFunction, g: GroupElement) -> bool:
 
 _COS_QUARTER = (ONE, ZERO, -ONE, ZERO)
 _SIN_QUARTER = (ZERO, ONE, ZERO, -ONE)
-_QUARTER_TURN = TAU / 4
 
 
 @dataclass(frozen=True)
@@ -194,15 +193,16 @@ class ExpAtom:
 def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
     """The pair (e^x cos(theta), e^x sin(theta)) for x = exp_arg, theta = angle.
 
-    The quarter-turn rule is decided once for the pair: at theta in
-    (tau/4)Z the trigonometric factors are 0 and +-1, so the pair is exact
-    when x = 0.  By Niven's theorem quarter turns are the only rational
+    The quarter-turn rule is decided once for the pair, on theta's
+    coefficient c = theta/tau (scalars.tau_coefficient): at 4c an integer
+    the trigonometric factors are 0 and +-1, so the pair is exact when
+    x = 0.  By Niven's theorem quarter turns are the only rational
     multiples of tau where cos and sin are both rational; elsewhere both
     stay atoms, with the angle's sign normalized (cos is even, sin odd).
     """
-    quarters = angle / _QUARTER_TURN
-    if quarters.is_integer:
-        q = quarters.as_integer() % 4
+    c = tau_coefficient(angle)
+    if c is not None and (4 * c).denominator == 1:
+        q = int(4 * c) % 4
         return make_entry(_COS_QUARTER[q], exp_arg), make_entry(_SIN_QUARTER[q], exp_arg)
     if angle.leading_sign() < 0:
         angle = -angle

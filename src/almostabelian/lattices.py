@@ -4,20 +4,20 @@ automorphism relatedness, and faithful representability of the quotient.
 A discrete central subgroup is free of finite rank, generated by elements
 [v_i, t_i] with v_i in ker J and t_i an integer multiple of the torsion
 generator; the constructors check this once (validate_subgroup).  A lattice
-holds its generator matrix over Z[tau] (``cleared``, linalg.cleared_columns,
-cleared where the lattice is built) and reads its generators from it once.
-Reduced generators, the parts of a split and an automorphic image are one
-product of that matrix with an integer matrix or with the central action
-matrix M_Z, and are not checked again.  Integer coordinates, so equality
-and preservation, eliminate two held matrices; representability is the
-rank of the held rows on the coordinates off im J, read off the Jordan
-layout; relatedness solves over Q(tau).
+holds only its generator matrix over Z[tau] (``cleared``, cleared once where
+the lattice is built), and reads its generators off it on demand.  Reduced
+generators, the parts of a split and an automorphic image are one product
+of that matrix with an integer matrix or with the central action matrix
+M_Z, and are not checked again.  Integer coordinates, so equality and
+preservation, eliminate two held matrices; representability is the rank
+of the held rows on the coordinates off im J, read off the Jordan layout;
+relatedness solves over Q(tau).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autos import GenericAut, central_action, identity_aut
 from .errors import InvalidSubgroup, NotCentral
@@ -53,66 +53,69 @@ from .reps import quotient_faithful_rep
 from .scalars import ZERO, cleared_rows, integer_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteCentralSubgroup:
-    """Free central subgroup given by a tuple of generators [v_i, t_i], held
-    as (v; t) columns and cleared over Z[tau].  The first violation of
+    """Free central subgroup generated by elements [v_i, t_i], held as its
+    (v; t) generator columns over one denominator in Z[tau]; equality and
+    hash are those of (aleph, generators).  The first violation of
     validate_subgroup raises NotCentral (off ker J x T) or InvalidSubgroup.
     """
 
     aleph: MultiplicityFunction
-    generators: tuple
-    columns: tuple = field(init=False, repr=False, compare=False)
-    cleared: tuple = field(init=False, repr=False, compare=False)
+    cleared: tuple
 
     def __init__(self, aleph, generators):
-        _hold(aleph, _valid_columns(aleph, [(g.v, g.t) for g in generators]), subgroup=self)
+        _hold(aleph, subgroup_from_data(aleph, [(g.v, g.t) for g in generators]).cleared, self)
+
+    @property
+    def generators(self) -> tuple:
+        """The generators [v_i, t_i], built from the held matrix when read."""
+        polys, den = self.cleared
+        return tuple(GroupElement(x[:-1], x[-1]) for x in (vec_over(p, den) for p in polys))
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return len(self.cleared[0])
 
     @property
     def time_multiples(self) -> tuple:
-        """Generator times as integer multiples of the torsion generator."""
-        return tuple(map(torsion(self.aleph).multiple, (g.t for g in self.generators)))
+        """Generator times, off the held time row, as multiples of t0."""
+        polys, den = self.cleared
+        return tuple(map(torsion(self.aleph).multiple, vec_over((p[-1] for p in polys), den)))
 
     def combine(self, coeffs) -> "DiscreteCentralSubgroup":
         """The subgroup generated by the combinations sum_i c_i g_i, one per
         column c of the k x j integer matrix coeffs: the product of the
         held (d+1) x k generator matrix with coeffs, over its denominator.
         coeffs keeps its k rows when j = 0."""
-        return _hold(self.aleph, cleared=cleared_int_product(self.cleared, coeffs))
+        return _hold(self.aleph, cleared_int_product(self.cleared, coeffs))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return same and (self.aleph, self.generators) == (other.aleph, other.generators)
+
+    def __hash__(self):
+        return hash((self.aleph, self.generators))
 
     def __str__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators)
         return f"<{inside}>" if inside else "<trivial>"
 
 
-def _hold(aleph, cols=None, cleared=None, subgroup=None):
-    """A subgroup filled in with no check from its (v; t) generator columns
-    of TauScalars or from its held generator matrix: the other is built
-    from the one given, once."""
-    cleared = cleared or cleared_columns(cols)
-    cols = cols or tuple(vec_over(p, cleared[1]) for p in cleared[0])
+def _hold(aleph, cleared, subgroup=None):
+    """A subgroup filled in with no check from its held generator matrix."""
     subgroup = subgroup or object.__new__(DiscreteCentralSubgroup)
     object.__setattr__(subgroup, "aleph", aleph)
-    object.__setattr__(subgroup, "generators", tuple(GroupElement(p[:-1], p[-1]) for p in cols))
-    object.__setattr__(subgroup, "columns", cols)
     object.__setattr__(subgroup, "cleared", cleared)
     return subgroup
 
 
 def subgroup_from_data(aleph, gens) -> DiscreteCentralSubgroup:
     """The subgroup of (vector, time) pairs, validated as the constructor does."""
-    return _hold(aleph, _valid_columns(aleph, gens))
-
-
-def _valid_columns(aleph, gens):
-    cols, errors = _checked(aleph, gens)
+    cleared, errors = _checked(aleph, gens)
     if errors:
         raise errors[0]
-    return cols
+    return _hold(aleph, cleared)
 
 
 def validate_subgroup(aleph: MultiplicityFunction, gens) -> tuple:
@@ -123,22 +126,22 @@ def validate_subgroup(aleph: MultiplicityFunction, gens) -> tuple:
 
 
 def _checked(aleph, gens):
-    """The coerced (v; t) columns of (vector, time) pairs, and each
-    violation as the exception the constructors raise for it."""
+    """The held (v; t) columns of (vector, time) pairs, and each violation
+    as the exception the constructors raise for it."""
     points = [group_element(aleph, v, t) for v, t in gens]
-    tor, cols = torsion(aleph), tuple((*g.v, g.t) for g in points)
+    tor, cleared = torsion(aleph), cleared_columns([(*g.v, g.t) for g in points])
     errors = []
     for g in points:
         if not in_kernel(aleph, g.v):
             errors.append(NotCentral(f"generator {g} has vector part outside ker J"))
         if not tor.contains(g.t):
             errors.append(NotCentral(f"generator {g} has time outside the torsion subgroup"))
-    if rank(cols) < len(cols):
+    if cleared_rank(cleared[0]) < len(points):
         errors.append(InvalidSubgroup("generators are linearly dependent"))
     bound = len(aleph.kernel_coordinates) + 1
-    if len(cols) > bound:
-        errors.append(InvalidSubgroup(f"rank {len(cols)} exceeds dim ker J + 1 = {bound}"))
-    return cols, errors
+    if len(points) > bound:
+        errors.append(InvalidSubgroup(f"rank {len(points)} exceeds dim ker J + 1 = {bound}"))
+    return cleared, errors
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def reduce_generators(subgroup: DiscreteCentralSubgroup):
 
 def is_economic(subgroup) -> bool:
     """True when only the first generator may carry a nonzero time."""
-    return all(g.t.is_zero for g in subgroup.generators[1:])
+    return not any(p[-1] for p in subgroup.cleared[0][1:])
 
 
 def _same_group(n, m):
@@ -200,11 +203,11 @@ def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
     """
     aleph = subgroup.aleph
     reduced, _ = reduce_generators(subgroup)
-    gens = reduced.generators
-    if not gens or gens[0].t.is_zero:
+    polys = reduced.cleared[0]
+    if not polys or not polys[0][-1]:
         return identity_aut(aleph), reduced
     # gamma = -v / t1, read off the first held column (p; p_t) as -p / p_t
-    first = reduced.cleared[0][0]
+    first = polys[0]
     gamma = tuple(-x for x in vec_over(first[:-1], first[-1]))
     phi = GenericAut(identity(aleph.dim), gamma, 1)
     return phi, aut_image(aleph, phi, reduced)
@@ -230,7 +233,7 @@ def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubg
     = P; if T = 0 every central time is 0; y = t = 0 kills the Heisenberg
     quadratic term; conjugation fixes the center.
     """
-    return _hold(aleph, cleared=cleared_product(central_action(aleph, phi), subgroup.cleared))
+    return _hold(aleph, cleared_product(central_action(aleph, phi), subgroup.cleared))
 
 
 def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
@@ -253,11 +256,6 @@ def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
 # relatedness by automorphisms
 
 
-def _kernel_grading(aleph: MultiplicityFunction) -> list:
-    """Kernel multiplicities grouped by block size, sizes descending."""
-    return [(size, mult) for eig, size, mult in aleph.entries if eig.is_zero]
-
-
 def _significant(subgroup) -> list:
     """Generator vectors restricted to the ker-J coordinates."""
     coords = subgroup.aleph.kernel_coordinates
@@ -265,7 +263,8 @@ def _significant(subgroup) -> list:
 
 
 def _block_boundaries(aleph) -> list:
-    ends = list(itertools.accumulate(mult for _, mult in _kernel_grading(aleph)))
+    """Kernel coordinate ranges [r0, r1), one per zero block size, descending."""
+    ends = list(itertools.accumulate(mult for eig, _, mult in aleph.entries if eig.is_zero))
     return list(zip([0] + ends, ends))
 
 
@@ -313,18 +312,17 @@ def related_by_aut_check(n, m, delta_tilde, a) -> bool:
     if not is_unimodular(a):
         return False
     a = tuple(tuple(int(x) for x in row) for row in a)
-    t1 = n.generators[0].t
-    s1 = m.generators[0].t
-    if t1 != s1 and t1 != -s1:
+    t1, s1 = n.time_multiples[0], m.time_multiples[0]
+    if abs(t1) != abs(s1):
         return False
-    if not t1.is_zero:
+    if t1:
         # the time row of the automorphism identity forces the first
         # generator to map with coefficient +-1 and nothing else
         if abs(a[0][0]) != 1 or any(a[0][j] != 0 for j in range(1, k)):
             return False
     v_cols = _significant(n)
     u = from_columns(_significant(m))
-    constrained = range(k) if t1.is_zero else range(1, k)
+    constrained = range(1, k) if t1 else range(k)
     return all(
         mat_vec(delta_tilde, v_cols[j]) == mat_vec(u, vec(row[j] for row in a))
         for j in constrained
@@ -379,11 +377,10 @@ def related_by_aut_search(n, m, bound: int = 1):
     k = n.rank
     if k == 0:
         return identity(q), ()
-    t1 = n.generators[0].t
-    s1 = m.generators[0].t
-    if t1 != s1 and t1 != -s1:
+    t1, s1 = n.time_multiples[0], m.time_multiples[0]
+    if abs(t1) != abs(s1):
         return None
-    fixed = not t1.is_zero
+    fixed = t1 != 0
     boundaries = _block_boundaries(aleph)
     v_cols = _significant(n)
     u_cols = _significant(m)

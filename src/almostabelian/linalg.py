@@ -49,8 +49,9 @@ No module outside this one calls the elimination.
 Matrices are row tuples, but ``solve_columns`` takes the columns of its
 system: the unknowns are the columns and the equations the entries of the
 targets, so a system with no unknowns or no equations is an ordinary
-input.  The one remaining 0 x 0 reading is ``nullspace``'s: a matrix with
-no rows has no width, so ``nullspace(())`` is empty rather than a basis of
+input, and ``cleared_product`` reads a left factor with no rows as 0 x n.
+The one remaining 0 x 0 reading is ``nullspace``'s: a matrix with no rows
+has no width, so ``nullspace(())`` is empty rather than a basis of
 Q(tau)^n, and ``subgroups.split_lattice_through`` passes ``identity(d)``
 for W = 0 itself.  Its row form stays because the benchmark calls it so.
 
@@ -359,7 +360,9 @@ def vec_over(polys, den) -> Vector:
 def _combinations(cols, weights) -> tuple:
     """The column sum_i w[i] * cols[i] over Z[tau] for each weight vector
     w; a zero weight or entry is skipped."""
-    h = len(cols[0]) if cols else 0
+    if not cols:  # a matrix with no rows: each combination has height 0
+        return tuple(() for _ in weights)
+    h = len(cols[0])
     out = []
     for w in weights:
         s = [()] * h

@@ -33,7 +33,6 @@ from .linalg import (
     solve,
     unit_vec,
     vec,
-    vec_is_zero,
     vec_sub,
 )
 from .scalars import ONE, TAU, ZERO, TauScalar, tau_floor
@@ -229,7 +228,7 @@ def quotient_chart(aleph: MultiplicityFunction, g: GroupElement, subgroup) -> Gr
     lattice coordinate.  Coordinates outside the lattice span pass through
     unchanged, and the chart is idempotent.
     """
-    cols = subgroup.columns
+    cols = tuple((*x.v, x.t) for x in subgroup.generators)
     if not cols:
         return g  # a combination of no columns has no height to subtract
     # pivot coordinates: the first coordinates on which the generators
@@ -254,13 +253,14 @@ def build_P(dec: Decomposition, subgroup):
     """
     d0 = dec.d0
     m = len(dec.abelian_coordinates) + 1
-    for g in subgroup.generators:
-        if not vec_is_zero(g.v[:d0]):
+    gens = subgroup.generators
+    for g, p in zip(gens, subgroup.cleared[0]):
+        if any(p[:d0]):
             raise UnsupportedLattice(
                 f"generator {g} is not supported on the split Euclidean "
                 "factor; normalize the subgroup first"
             )
-    cols = [col[d0:] for col in subgroup.columns]
+    cols = [(*g.v[d0:], g.t) for g in gens]
     k = len(cols)
     # the first standard basis vectors independent of the generators:
     # the pivot columns past k of [C | id]

@@ -174,8 +174,7 @@ def split_lattice_through(
         rows = [(*n, -s) for n, s in zip(normals, mat_vec(normals, slope))]
     else:
         rows = [(*n, ZERO) for n in normals] + [unit_vec(d + 1, d)]
-    # W = R^d in case 2 has no normals, and no rows give no conditions
-    conditions = zip(*cleared_product(rows, subgroup.cleared)[0]) if rows else ()
+    conditions = zip(*cleared_product(rows, subgroup.cleared)[0])
     k = subgroup.rank
     complement_cols, kernel_cols = kernel_complement_split(integer_rows(conditions), k)
     # the bases as k x j coefficient matrices, k rows even when j = 0

@@ -147,7 +147,7 @@ def test_criterion_5_lattice_pipeline(e2_r2):
 
 
 def _in_lattice(subgroup, g):
-    cols = subgroup.columns
+    cols = tuple((*x.v, x.t) for x in subgroup.generators)
     if not cols:
         return g.t.is_zero and all(c.is_zero for c in g.v)
     sol = solve(from_columns(cols), vec(tuple(g.v) + (g.t,)))

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from almostabelian import lattices
-from almostabelian.autos import InnerAut, apply_aut, identity_aut, validate_aut
+from almostabelian import lattices, linalg, scalars
+from almostabelian.autos import GenericAut, InnerAut, apply_aut, identity_aut, validate_aut
 from almostabelian.errors import InvalidSubgroup, NotCentral
 from almostabelian.expmap import torsion
 from almostabelian.integers import det_int
 from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.lattices import (
+    DiscreteCentralSubgroup,
     _block_boundaries,
     _significant,
+    aut_image,
     has_faithful_quotient_rep,
     is_economic,
     lattice_equal,
@@ -40,6 +42,7 @@ from almostabelian.linalg import (
 )
 from almostabelian.reps import quotient_faithful_rep
 from almostabelian.scalars import TAU, GaussRational, TauScalar
+from almostabelian.subgroups import ConnectedSubgroupSpec, split_lattice_through
 
 SEED = 0x5EED
 ZERO = TauScalar(0)
@@ -92,6 +95,49 @@ class TestValidate:
             ((0, 0, 1, 0), TAU),
         ]
         assert any("exceeds" in v for v in validate_subgroup(e2_r2, gens))
+
+
+class TestHeldMatrix:
+    """A lattice holds its generator matrix over Z[tau] and nothing else."""
+
+    GENS = (((0, 0, TAU / 2, 0), 0), ((0, 0, 1, 3), TAU))
+
+    def test_derived_lattices_build_no_tau_scalar(self, e2_r2, monkeypatch):
+        # combine, aut_image and the split work on the held matrix: the
+        # first TauScalar is built when a result's generators are read
+        n = sub(e2_r2, *self.GENS)
+        phi = GenericAut(identity(4), (0, 0, TAU, 1), 1)
+        spec = ConnectedSubgroupSpec(e2_r2, [(0, 0, 1, 0)])
+        ratio, built = scalars.zpoly_ratio, []
+
+        def spy(num, den):
+            built.append((num, den))
+            return ratio(num, den)
+
+        for module in (linalg, scalars):
+            monkeypatch.setattr(module, "zpoly_ratio", spy)
+        derived = [
+            n.combine([[1, 1], [0, 1]]),
+            aut_image(e2_r2, phi, n),
+            *split_lattice_through(e2_r2, spec, n),
+        ]
+        assert built == []
+        assert [len(m.generators) for m in derived] == [2, 2, 1, 1]
+        assert built
+
+    def test_a_lattice_is_cleared_once(self, e2_r2, monkeypatch):
+        points = [group_element(e2_r2, v, t) for v, t in self.GENS]
+        clear, calls = scalars.over_common_denominator, []
+
+        def spy(entries):
+            calls.append(entries)
+            return clear(entries)
+
+        for module in (linalg, scalars):
+            monkeypatch.setattr(module, "over_common_denominator", spy)
+        sub(e2_r2, *self.GENS)
+        DiscreteCentralSubgroup(e2_r2, points)
+        assert len(calls) == 2
 
 
 class TestBoundary:

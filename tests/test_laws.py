@@ -60,6 +60,7 @@ from almostabelian.jordan import (
     multiplicity_function,
 )
 from almostabelian.lattices import (
+    DiscreteCentralSubgroup,
     aut_image,
     has_faithful_quotient_rep,
     integer_coordinates,
@@ -546,6 +547,11 @@ def test_reduce_generators_is_idempotent(n):
     assert lattice_equal(reduce_generators(reduced)[0], reduced)
 
 
+def columns(n):
+    """The (v; t) generator columns of the lattice, as TauScalars."""
+    return tuple((*g.v, g.t) for g in n.generators)
+
+
 def integer_combination(aleph, gens, coeffs):
     """The central element sum_i c_i g_i, summed cell by cell on (v, t)
     (central generators commute): the oracle for the lattice products."""
@@ -561,7 +567,7 @@ def test_reduced_generators_are_the_a_combinations(n):
     reduced, a = reduce_generators(n)
     want = tuple(integer_combination(n.aleph, n.generators, col) for col in zip(*a))
     assert reduced.generators == want
-    assert reduced.columns == tuple((*g.v, g.t) for g in want)
+    assert columns(reduced) == tuple((*g.v, g.t) for g in want)
 
 
 @given(central_lattices(), st.data())
@@ -639,14 +645,48 @@ def test_aut_image_is_the_generator_images(case):
     image = aut_image(n.aleph, phi, n)
     want = generator_images(phi, n)
     assert image.generators == want
-    assert image.columns == tuple((*g.v, g.t) for g in want)
+    assert columns(image) == tuple((*g.v, g.t) for g in want)
+
+
+def test_aut_image_drops_gamma_off_the_kernel():
+    # on E(2) x R^2 the slope integral of gamma over a time in T vanishes
+    # off ker J, so the image of [e2, tau] keeps no rotation coordinate
+    aleph = GROUPS["e2_r2"][0]
+    n = subgroup_from_data(aleph, [((0, 0, 1, 0), TAU)])
+    phi = GenericAut(identity(4), (1, 0, 1, 0), 1)
+    assert validate_aut(aleph, phi) == ()
+    want = generator_images(phi, n)
+    assert want[0].v == (0, 0, 1 + TAU, 0)
+    assert aut_image(aleph, phi, n).generators == want
+
+
+def scaling(aleph, c):
+    """The automorphism c * id: its central action M_Z is c times the
+    identity, so its image of a lattice scales the held numerators by c."""
+    d = aleph.dim
+    return GenericAut([[c * x for x in row] for row in identity(d)], (0,) * d, c)
+
+
+@given(central_lattices())
+@settings(max_examples=60)
+def test_a_lattice_is_its_generators_whatever_its_held_form(n):
+    # the generators read off the held matrix are the ones it was built
+    # from; twice then half of n holds numerators and denominator both
+    # doubled, and is still equal to n, with n's hash
+    aleph, gens = n.aleph, n.generators
+    assert DiscreteCentralSubgroup(aleph, gens).generators == gens
+    back = aut_image(aleph, scaling(aleph, Fraction(1, 2)), aut_image(aleph, scaling(aleph, 2), n))
+    polys, den = n.cleared
+    doubled = tuple(tuple(tuple(2 * c for c in p) for p in col) for col in polys)
+    assert back.cleared == (doubled, tuple(2 * c for c in den)) != n.cleared
+    assert back == n and hash(back) == hash(n) and back.generators == gens
 
 
 def tau_path_coordinates(n, cols):
     """Integer coordinates of the columns in n's generators on the TauScalar
     path, solve_columns over n's columns and an is_integer check: the oracle
     for the elimination of two held generator matrices."""
-    sols = solve_columns(n.columns, cols)
+    sols = solve_columns(columns(n), cols)
     if sols is None or not all(c.is_integer for lam in sols for c in lam):
         return None
     return [tuple(c.as_integer() for c in lam) for lam in sols]
@@ -663,16 +703,16 @@ def test_cleared_operations_agree_with_the_tau_path(case, data):
     a = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
                            min_size=k, max_size=k))
     m = n.combine(a)
-    assert m.columns == transpose(mat_mul(transpose(n.columns), a))
+    assert columns(m) == transpose(mat_mul(transpose(columns(n)), a))
     for x, y in ((n, m), (m, n), (n, n)):
-        assert integer_coordinates(x, y) == tau_path_coordinates(x, y.columns)
+        assert integer_coordinates(x, y) == tau_path_coordinates(x, columns(y))
     assert lattice_equal(n, m) == (
-        tau_path_coordinates(n, m.columns) is not None
-        and tau_path_coordinates(m, n.columns) is not None
+        tau_path_coordinates(n, columns(m)) is not None
+        and tau_path_coordinates(m, columns(n)) is not None
     )
     image = aut_image(aleph, phi, n)
-    assert image.columns == mat_mul(n.columns, transpose(central_action(aleph, phi)))
-    coords = tau_path_coordinates(n, image.columns)
+    assert columns(image) == mat_mul(columns(n), transpose(central_action(aleph, phi)))
+    coords = tau_path_coordinates(n, columns(image))
     want = None if coords is None else tuple(zip(*coords))
     if want is not None and not is_unimodular(want):
         want = None
@@ -724,7 +764,7 @@ def test_representability_is_the_rank_criterion():
     @settings(max_examples=60)
     def check(n):
         derived = tuple((*b, TauScalar(0)) for b in j_column_basis(n.aleph))
-        want = n.rank + len(derived) == rank(n.columns + derived)
+        want = n.rank + len(derived) == rank(columns(n) + derived)
         got = has_faithful_quotient_rep(n.aleph, n).representable
         assert got == want
         seen.add(got)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from almostabelian import linalg, scalars
 from almostabelian.jordan import group_element, multiplicity_function
 from almostabelian.linalg import (
+    cleared_columns,
     cleared_intersection,
+    cleared_product,
     from_columns,
     identity,
     in_span,
@@ -139,6 +141,14 @@ def test_solve_columns_one_inconsistent_target():
 def test_in_span_of_no_vectors():
     assert in_span([], vec([0, 0]))
     assert not in_span([], vec([0, TAU]))
+
+
+def test_cleared_product_of_no_rows():
+    # a matrix with no rows has no width; times a held 3 x 1 matrix it is
+    # one column of height 0, over the held denominator
+    held = cleared_columns([vec([1, TAU / 2, 0])])
+    assert cleared_product((), held) == (((),), held[1])
+    assert cleared_product((), cleared_columns([])) == ((), (1,))
 
 
 def test_span_intersection_with_an_empty_side():

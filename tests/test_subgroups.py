@@ -49,8 +49,13 @@ def sub(aleph, *gens):
     return subgroup_from_data(aleph, gens)
 
 
+def columns(subgroup):
+    """The (v; t) generator columns of the subgroup, as TauScalars."""
+    return tuple((*g.v, g.t) for g in subgroup.generators)
+
+
 def in_lattice(subgroup, g):
-    cols = subgroup.columns
+    cols = columns(subgroup)
     target = vec(tuple(g.v) + (g.t,))
     if not cols:
         return vec_is_zero(target)
@@ -213,8 +218,8 @@ class TestSplit:
         n = sub(e2_r2, (((0, 0, 1, 0), 0)), ((0, 0, 0, 1), 0))
         spec = ConnectedSubgroupSpec(e2_r2, [(0, 0, 1, 0)])
         inside, comp = split_lattice_through(e2_r2, spec, n)
-        assert inside.columns == (vec((0, 0, 1, 0, 0)),)
-        assert comp.columns == (vec((0, 0, 0, 1, 0)),)
+        assert columns(inside) == (vec((0, 0, 1, 0, 0)),)
+        assert columns(comp) == (vec((0, 0, 0, 1, 0)),)
 
     def test_everything_inside(self, e2_r2):
         n = sub(e2_r2, ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0))
@@ -324,7 +329,7 @@ class TestClosed:
         n = sub(aleph, ((0, 0, TAU, 0, 0), TAU), ((0, 0, 0, 1, 0), 0), ((0, 0, 0, 0, 1), 0))
         spec = ConnectedSubgroupSpec(aleph, [(0, 0, 0, 1, TAU)], v0=(1, 0, 1, 0, 0))
         inside, _ = split_lattice_through(aleph, spec, n)
-        assert inside.columns == (vec((0, 0, TAU, 0, 0, TAU)),)
+        assert columns(inside) == (vec((0, 0, TAU, 0, 0, TAU)),)
         assert not is_quotient_subgroup_closed(aleph, spec, n)
         assert not _oracle_closed(aleph, spec, n)
 

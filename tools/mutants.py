@@ -49,7 +49,7 @@ MUTANTS = (
         "autos.py",
         "off = set(range(aleph.dim)) - set(aleph.kernel_coordinates)",
         "off = set()",
-        ("tests/test_laws.py::test_aut_image_is_the_generator_images",),
+        ("tests/test_laws.py::test_aut_image_drops_gamma_off_the_kernel",),
     ),
     Mutant(
         "aut_image multiplies by M_Z untransposed",
@@ -148,6 +148,13 @@ MUTANTS = (
         "free = aleph.abelian_coordinates",
         "free = aleph.kernel_coordinates",
         ("tests/test_laws.py::test_representability_is_the_rank_criterion",),
+    ),
+    Mutant(
+        "lattice equality compares the held matrices",
+        "lattices.py",
+        "(self.aleph, self.generators) == (other.aleph, other.generators)",
+        "(self.aleph, self.cleared) == (other.aleph, other.cleared)",
+        ("tests/test_laws.py::test_a_lattice_is_its_generators_whatever_its_held_form",),
     ),
     Mutant(
         "the rational lane inverts its quotient",
