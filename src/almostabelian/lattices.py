@@ -8,10 +8,11 @@ holds only its generator matrix over Z[tau] (``cleared``, cleared once where
 the lattice is built), and reads its generators off it on demand.  Reduced
 generators, the parts of a split and an automorphic image are one product
 of that matrix with an integer matrix or with the central action matrix
-M_Z, and are not checked again.  Integer coordinates, so equality and
-preservation, eliminate two held matrices; representability is the rank
-of the held rows on the coordinates off im J, read off the Jordan layout;
-relatedness solves over Q(tau).
+M_Z, and are not checked again; a normalizing image zeroes known rows of
+it instead, and an inner image is the lattice.  Integer coordinates, so
+equality and preservation, eliminate two held matrices; representability
+is the rank of the held rows on the coordinates off im J, read off the
+Jordan layout; relatedness solves over Q(tau).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .autos import GenericAut, central_action, identity_aut
+from .autos import GenericAut, InnerAut, central_action, identity_aut
 from .errors import InvalidSubgroup, NotCentral
 from .expmap import torsion
 from .integers import bezout_row_reduce, det_int, integer_kernel, is_unimodular
@@ -35,6 +36,7 @@ from .linalg import (
     cleared_integer_solve,
     cleared_product,
     cleared_rank,
+    cleared_solve,
     from_columns,
     identity,
     is_invertible,
@@ -199,18 +201,20 @@ def normalize_subgroup(subgroup: DiscreteCentralSubgroup):
     (when a nonzero time survives reduction) together with time-zero
     generators; every image generator has either v = 0 or t = 0.
     Reduction to economic form happens first, which also makes the
-    surviving time positive, so the dilation component is 1.
+    surviving time positive, so the dilation component is 1.  M_Z adds
+    t gamma = -t v1 / t1 to v, so the image zeroes the held v1 alone.
     """
     aleph = subgroup.aleph
     reduced, _ = reduce_generators(subgroup)
-    polys = reduced.cleared[0]
+    polys, den = reduced.cleared
     if not polys or not polys[0][-1]:
         return identity_aut(aleph), reduced
     # gamma = -v / t1, read off the first held column (p; p_t) as -p / p_t
     first = polys[0]
     gamma = tuple(-x for x in vec_over(first[:-1], first[-1]))
     phi = GenericAut(identity(aleph.dim), gamma, 1)
-    return phi, aut_image(aleph, phi, reduced)
+    split = (((),) * aleph.dim + (first[-1],),)
+    return phi, _hold(aleph, (split + polys[1:], den))
 
 
 def quotient_iso_certificate(n, m, phi) -> bool:
@@ -231,9 +235,13 @@ def aut_image(aleph: MultiplicityFunction, phi, subgroup) -> DiscreteCentralSubg
     M_Z is phi on the center ker J x T: if T != 0, J is semisimple and
     e^{alpha t J} = Delta e^{tJ} Delta^-1 = 1 for t in T, so phi(alpha t J)
     = P; if T = 0 every central time is 0; y = t = 0 kills the Heisenberg
-    quadratic term; conjugation fixes the center.
+    quadratic term; conjugation fixes the center, so an inner
+    automorphism's image is the subgroup itself.
     """
-    return _hold(aleph, cleared_product(central_action(aleph, phi), subgroup.cleared))
+    action = central_action(aleph, phi)
+    if isinstance(phi, InnerAut):
+        return subgroup
+    return _hold(aleph, cleared_product(action, subgroup.cleared))
 
 
 def preserves_lattice(aleph: MultiplicityFunction, phi, subgroup):
@@ -501,9 +509,7 @@ class FaithfulQuotientDecision:
     rep: object = None
 
 
-def has_faithful_quotient_rep(
-    aleph: MultiplicityFunction, subgroup
-) -> FaithfulQuotientDecision:
+def has_faithful_quotient_rep(aleph: MultiplicityFunction, subgroup) -> FaithfulQuotientDecision:
     """Decide whether the quotient admits a faithful matrix representation.
 
     The criterion is exact: the real span of the generator columns must
@@ -521,7 +527,8 @@ def has_faithful_quotient_rep(
     [[Delta, 0], [0, 1]] clearing the derived-subalgebra components; they
     exist only when T = 0, so every generator time is 0 and nothing is
     left to split.  Otherwise phi is the torsion splitting
-    [[id, gamma], [0, 1]] of normalize_subgroup.  The representation of
+    [[id, gamma], [0, 1]] of normalize_subgroup.  Either image is the
+    M_Z product with known rows read off as zero.  The representation of
     the transformed quotient is built.
     """
     free = aleph.abelian_coordinates
@@ -530,36 +537,33 @@ def has_faithful_quotient_rep(
         return FaithfulQuotientDecision(representable=False)
     deep = [i for i in aleph.kernel_coordinates if i not in free]
     if deep:
-        phi = _kernel_shear(aleph, subgroup, free, deep)
-        image = aut_image(aleph, phi, subgroup)
+        phi, image = _kernel_shear(aleph, subgroup, free, deep)
     else:
         phi, image = normalize_subgroup(subgroup)
     rep = quotient_faithful_rep(aleph, image)
-    return FaithfulQuotientDecision(
-        representable=True, phi=phi, image=image, rep=rep
-    )
+    return FaithfulQuotientDecision(representable=True, phi=phi, image=image, rep=rep)
 
 
 def _kernel_shear(aleph, subgroup, abelian, deep):
-    """Automorphism clearing the deep-kernel rows of the generators.
+    """(phi, image): the shear clearing the deep-kernel rows of the
+    generators, and the subgroup's image under it.
 
     Kernel coordinates of zero blocks of size at least two (deep) lie in
     the derived subalgebra, so the separation criterion makes the
     clearing shear solvable.  The shear fixes J, hence is an automorphism
-    with trivial dilation.
+    with trivial dilation.  L a = e, for each generator's abelian and
+    deep parts a and e, solves the held rows [a | e] as they stand; Delta
+    is id with -L in the deep rows, so the image zeroes the held e - L a.
     """
-    gens = subgroup.generators
-    # the unknown |deep| x |abelian| matrix L maps each generator's abelian
-    # part onto its deep part, so row r of L combines the abelian
-    # coordinate columns into deep coordinate r's column
-    ls = solve_columns(
-        [[g.v[i] for g in gens] for i in abelian], [[g.v[i] for g in gens] for i in deep]
-    )
-    if ls is None:
+    polys, den = subgroup.cleared
+    rows = [[p[i] for i in (*abelian, *deep)] for p in polys]
+    solved = cleared_solve(rows, len(abelian), len(deep))
+    if solved is None:
         raise ValueError("separation criterion violated during shear solve")
-    d = aleph.dim
-    delta = [list(row) for row in identity(d)]
+    ls, d = solved
+    delta = [list(row) for row in identity(aleph.dim)]
     for r, row in zip(deep, ls):
-        for c, value in zip(abelian, row):
-            delta[r][c] = -value
-    return GenericAut(tuple(tuple(row) for row in delta), (0,) * d, 1)
+        for c, x in zip(abelian, vec_over(row, d)):
+            delta[r][c] = -x
+    image = tuple(tuple(() if i in deep else x for i, x in enumerate(p)) for p in polys)
+    return GenericAut(delta, (0,) * aleph.dim, 1), _hold(aleph, (image, den))

@@ -16,11 +16,19 @@ Integer matrices, over Z rather than Q(tau), are reduced in ``integers``.
 Each caller of the elimination builds a TauScalar, reduced by one Z[tau]
 gcd (``scalars.zpoly_ratio``), only for an entry it returns: ``rank``,
 ``pivot_columns`` and ``is_invertible`` eliminate forward only and build
-none, ``solve_columns`` builds the target columns of the pivot rows,
-``inverse`` the right half, ``nullspace`` the free columns and
-``row_space_basis`` the pivot rows.  On rows already over Z[tau]
-``cleared_rank``, ``cleared_intersection`` and ``cleared_integer_solve``
-build none.
+none, ``solve_columns`` builds the solutions, ``inverse`` the right half,
+``nullspace`` the free columns and ``row_space_basis`` the pivot rows.  On
+rows already over Z[tau] ``cleared_rank``, ``cleared_intersection``,
+``cleared_solve`` and ``cleared_integer_solve`` build none.
+
+A solve and an inverse are one routine on held rows: ``cleared_solve``
+eliminates rows [A | B] of polynomials as they stand and returns the
+solutions of A x = b as numerators over the last pivot.  ``solve_columns``
+clears the rows [cols | bs] and calls it, ``inverse`` the rows [a | id];
+``cleared_integer_solve`` calls it on two held matrices over a shared
+denominator, ``lattices._kernel_shear`` on a lattice's held rows, and
+``reps.build_P`` on the rows [C | den id | den id], which complete the
+generator columns C and invert the completed matrix at once.
 
 The products ``mat_vec``, ``mat_mul`` and ``vec_scale`` work over Z[tau]
 too.  Each operand -- a vector, a row of the left factor, a column of the
@@ -37,7 +45,7 @@ matrix so, cleared once where it is built (``lattices``).  On that form
 lattice under an automorphism, and the membership conditions of
 ``subgroups.split_lattice_through``), and ``cleared_int_product`` by an
 integer matrix, keeping the denominator; and
-``cleared_integer_solve`` eliminates two held matrices as they stand and
+``cleared_integer_solve`` solves two held matrices as they stand and
 reads an integer solution as a constant quotient of the last pivot, with
 no TauScalar built.  ``vec_over`` reads a held column back as TauScalars.
 Rows of polynomials, such as a held matrix's columns, have a rank
@@ -291,31 +299,26 @@ def solve_columns(cols, bs):
     targets, so k columns of height 0 give k-wide zero solutions and no
     columns give empty ones, or None for a nonzero target.  Free unknowns
     are set to zero; None if some b lies outside the span of the columns.
+    The rows [cols | bs] are cleared and solved as held (``cleared_solve``).
 
     >>> solve_columns([vec([1, 1]), vec([0, 1])], [vec([2, 3])])
     [(TauScalar('2'), TauScalar('1'))]
     """
     cols, bs = [vec(c) for c in cols], [vec(b) for b in bs]
-    n = len(cols)
-    work, pivots, d = _bareiss(list(zip(*cols, *bs, strict=True)))
-    if any(c >= n for c in pivots):  # a pivot in a target's column
-        return None
-    rows = dict(zip(pivots, work))  # pivot column -> its row
-    return [
-        tuple(_over(rows[c][k], d) if c in rows else ZERO for c in range(n))
-        for k in range(n, n + len(bs))
-    ]
+    solved = cleared_solve(cleared_rows(list(zip(*cols, *bs, strict=True))), len(cols), len(bs))
+    return None if solved is None else [vec_over(x, solved[1]) for x in solved[0]]
 
 
 def inverse(a: Matrix) -> Matrix:
+    """The inverse of a, whose columns solve a x = e_j: the rows [a | id],
+    cleared and solved as held (``cleared_solve``)."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
-    aug = [tuple(a[i]) + unit_vec(n, i) for i in range(n)]
-    work, pivots, d = _bareiss(aug)
-    if pivots != list(range(n)):
+    solved = cleared_solve(cleared_rows([tuple(a[i]) + unit_vec(n, i) for i in range(n)]), n, n)
+    if solved is None:  # a pivot in id's half: a has rank below n
         raise ValueError("matrix is singular")
-    return tuple(tuple(_over(x, d) for x in row[n:]) for row in work)
+    return transpose([vec_over(x, solved[1]) for x in solved[0]])
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -423,16 +426,36 @@ def cleared_intersection(a_rows, b_rows) -> list:
     return [row[w:] for row, c in zip(work, pivots) if c >= w]
 
 
+def cleared_solve(rows, k, targets):
+    """Solutions of rows [A | B] of Z[tau] polynomials, A the first k
+    columns and B the next ``targets``: for each column b of B the x with
+    A x = b, free unknowns set to zero, as k numerators over one
+    denominator d.  Returns (xs, d), or None when some b lies outside the
+    span of A's columns.  One full elimination of the rows as they stand
+    (``_eliminate``): x_j for a pivot column j is its row's entry in b's
+    column, over the last pivot d.  No TauScalar is built.
+
+    >>> cleared_solve([[(1,), (2,)], [(1,), (0, 1)]], 1, 1) is None
+    True
+    >>> cleared_solve([[(2,), (0, 4)]], 1, 1)
+    ([((0, 4),)], (2,))
+    """
+    work, pivots, d = _eliminate(list(rows), True)
+    if any(c >= k for c in pivots):  # a pivot in a target's column
+        return None
+    at = dict(zip(pivots, work))  # pivot column -> its row
+    xs = [tuple(at[c][t] if c in at else () for c in range(k)) for t in range(k, k + targets)]
+    return xs, d
+
+
 def cleared_integer_solve(cleared, targets):
     """Integers x with sum_j x_j * column j = b for each column b of the
     held targets, free unknowns set to zero as in solve_columns: one tuple
     of ints per target, or None when some target has none.
 
     With the columns P / p and the targets Q / q, the system is q*P x = p*Q
-    over Z[tau], eliminated as it stands (``_eliminate``).  Unless a target
-    lies outside the span, x_j for a pivot column j is its row's entry over
-    the last pivot d: an integer exactly when d divides the entry with a
-    constant quotient.  No TauScalar is built.
+    over Z[tau], solved as it stands (``cleared_solve``).  Each x_j is an
+    integer exactly when d divides its numerator with a constant quotient.
 
     >>> two = cleared_columns([vec([2, 0])])
     >>> cleared_integer_solve(two, cleared_columns([vec([4, 0]), vec([-2, 0])]))
@@ -444,14 +467,13 @@ def cleared_integer_solve(cleared, targets):
     if p != q:
         cols = [[_zmul(q, x) for x in col] for col in cols]
         bs = [[_zmul(p, x) for x in b] for b in bs]
-    k = len(cols)
-    work, pivots, d = _eliminate(list(zip(*cols, *bs, strict=True)), True)
-    if any(c >= k for c in pivots):  # a pivot in a target's column
+    solved = cleared_solve(list(zip(*cols, *bs, strict=True)), len(cols), len(bs))
+    if solved is None:
         return None
-    rows = dict(zip(pivots, work))  # pivot column -> its row
+    xs, d = solved
     out = []
-    for t in range(k, k + len(bs)):
-        x = [_zdiv(rows[c][t], d) if c in rows else () for c in range(k)]
+    for x in xs:
+        x = [_zdiv(c, d) for c in x]
         if any(c is None or len(c) > 1 for c in x):
             return None
         out.append(tuple(c[0] if c else 0 for c in x))

@@ -25,14 +25,14 @@ from .expmap import (
 from .jordan import GroupElement, MultiplicityFunction, build_jordan, group_element
 from .linalg import (
     Matrix,
+    cleared_solve,
     from_columns,
-    inverse,
     mat_mul,
     mat_vec,
     pivot_columns,
     solve,
-    unit_vec,
     vec,
+    vec_over,
     vec_sub,
 )
 from .scalars import ONE, TAU, ZERO, TauScalar, tau_floor
@@ -249,28 +249,24 @@ def build_P(dec: Decomposition, subgroup):
     Euclidean factor together with t, form the first k columns; the first
     standard basis vectors independent of them supply the remaining m - k.
     Returns (P, P_par, P_perp): the full inverse, its first k rows, and the
-    rest.
+    rest.  For the held (w, t) rows C over den, the rows [C | den id | den
+    id] have pivot unknowns C and den U, U the completion, and reduce to
+    [id | (den M)^-1 den] = [id | M^-1] on them, M = [C/den | U]: P is the
+    nonzero rows of their solutions, which vanish on the free unknowns.
     """
     d0 = dec.d0
-    m = len(dec.abelian_coordinates) + 1
-    gens = subgroup.generators
-    for g, p in zip(gens, subgroup.cleared[0]):
+    polys, den = subgroup.cleared
+    for j, p in enumerate(polys):
         if any(p[:d0]):
             raise UnsupportedLattice(
-                f"generator {g} is not supported on the split Euclidean "
-                "factor; normalize the subgroup first"
+                f"generator {subgroup.generators[j]} is not supported on the split "
+                "Euclidean factor; normalize the subgroup first"
             )
-    cols = [(*g.v[d0:], g.t) for g in gens]
-    k = len(cols)
-    # the first standard basis vectors independent of the generators:
-    # the pivot columns past k of [C | id]
-    augmented = tuple(
-        tuple(c[i] for c in cols) + unit_vec(m, i) for i in range(m)
-    )
-    completion = [
-        unit_vec(m, p - k) for p in pivot_columns(augmented) if p >= k
-    ]
-    p = inverse(from_columns(cols + completion))
+    k, m = len(polys), len(dec.abelian_coordinates) + 1
+    scaled = [[den if j == i else () for j in range(m)] for i in range(m)]
+    rows = [[p[d0 + i] for p in polys] + s + s for i, s in enumerate(scaled)]
+    xs, d = cleared_solve(rows, k + m, m)
+    p = tuple(vec_over(row, d) for row in zip(*xs) if any(row))
     return p, p[:k], p[k:]
 
 

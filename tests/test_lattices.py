@@ -40,7 +40,7 @@ from almostabelian.linalg import (
     solve_columns,
     vec_add,
 )
-from almostabelian.reps import quotient_faithful_rep
+from almostabelian.reps import build_P, decompose, quotient_faithful_rep
 from almostabelian.scalars import TAU, GaussRational, TauScalar
 from almostabelian.subgroups import ConnectedSubgroupSpec, split_lattice_through
 
@@ -138,6 +138,27 @@ class TestHeldMatrix:
         sub(e2_r2, *self.GENS)
         DiscreteCentralSubgroup(e2_r2, points)
         assert len(calls) == 2
+
+    def test_normalizing_images_take_no_product(self, e2_r2, heis_r, monkeypatch):
+        # the torsion splitting and the shear read phi(N) off the held
+        # matrix, an inner automorphism fixes it, and build_P eliminates
+        # the held rows as they stand
+        n, m = sub(e2_r2, *self.GENS), sub(heis_r, ((1, 0, 1), 0))
+        inner = InnerAut(e2_r2, (1, 2, 3, 4), TAU)
+
+        def refuse(*args):
+            raise AssertionError("a product or a clearing")
+
+        monkeypatch.setattr(lattices, "cleared_product", refuse)
+        assert aut_image(e2_r2, inner, n) is n
+        monkeypatch.setattr(lattices, "aut_image", refuse)
+        _, split = normalize_subgroup(n)
+        shear = has_faithful_quotient_rep(heis_r, m)
+        assert not any(split.cleared[0][0][:-1]) and shear.representable
+        for module in (linalg, scalars):
+            monkeypatch.setattr(module, "over_common_denominator", refuse)
+        for aleph, image in ((e2_r2, split), (heis_r, shear.image)):
+            build_P(decompose(aleph), image)
 
 
 class TestBoundary:
@@ -626,6 +647,25 @@ class TestFaithfulQuotient:
         assert validate_aut(heis_r, decision.phi) == ()
         assert quotient_iso_certificate(n, decision.image, decision.phi)
         assert lattice_equal(decision.image, sub(heis_r, ((0, 0, 1), 0)))
+
+    def test_shear_clears_tau_valued_deep_rows(self):
+        # on heis x E(2) x R^3 the Heisenberg block's kernel coordinate 0 is
+        # deep and 4, 5, 6 are abelian; the oracle for Delta is L a = e
+        # solved over the generators' TauScalar coordinates
+        aleph = multiplicity_function({
+            (GaussRational(0), 2): 1, (GaussRational(0, 1), 1): 1, (GaussRational(0), 1): 3,
+        })
+        n = sub(aleph, ((TAU / 3, 0, 0, 0, 1, 0, 0), 0), ((1 + TAU, 0, 0, 0, 0, 2, TAU), 0))
+        decision = has_faithful_quotient_rep(aleph, n)
+        assert decision.representable
+        gens = n.generators
+        (ls,) = solve_columns([[g.v[i] for g in gens] for i in (4, 5, 6)], [[g.v[0] for g in gens]])
+        assert ls == (TAU / 3, (1 + TAU) / 2, 0)
+        want = [list(row) for row in identity(7)]
+        want[0][4:] = [-x for x in ls]
+        assert decision.phi.delta == tuple(map(tuple, want))
+        assert [g.v[0] for g in decision.image.generators] == [0, 0]
+        assert decision.image.generators == tuple(apply_aut(aleph, decision.phi, g) for g in gens)
 
     def test_rep_kernel_matches_lattice(self, heis_r):
         n = sub(heis_r, ((1, 0, 1), 0))

@@ -604,13 +604,45 @@ def generator_images(phi, n):
     return tuple(apply_aut(n.aleph, phi, g) for g in n.generators)
 
 
-@given(central_lattices())
+@st.composite
+def shear_lattices(draw):
+    """A lattice that the shear normalizes: on data with deep kernel
+    coordinates (a zero block of size 2 or 3), abelian ones and at times a
+    rotation block, generators with independent abelian parts (triangular,
+    with unit pivots) and deep parts that may be tau-valued."""
+    table = {(G(0), draw(st.integers(2, 3))): 1, (G(0), 1): draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        table[(G(0, 1), 1)] = 1
+    aleph = multiplicity_function(table)
+    abelian = aleph.abelian_coordinates
+    gens = []
+    for j in range(draw(st.integers(1, len(abelian)))):
+        v = [0] * aleph.dim
+        for i in aleph.kernel_coordinates:
+            v[i] = draw(tau_linear)
+        for i, c in enumerate(abelian):
+            v[c] = 1 if i == j else 0 if i < j else draw(small)
+        gens.append((v, 0))
+    return subgroup_from_data(aleph, gens)
+
+
+@given(st.one_of(central_lattices(), shear_lattices()))
 @settings(max_examples=60)
 def test_normalize_carries_the_lattice_onto_its_image(n):
-    phi, image = normalize_subgroup(n)
-    assert validate_aut(n.aleph, phi) == ()
-    moved = subgroup_from_data(n.aleph, [(g.v, g.t) for g in generator_images(phi, n)])
-    assert lattice_equal(moved, image)
+    # the images that normalize_subgroup and a representable
+    # has_faithful_quotient_rep read off the held matrix are phi of each
+    # generator, exactly: of the reduced generators for the torsion
+    # splitting, of n's own for the shear on data with deep coordinates
+    aleph = n.aleph
+    reduced, _ = reduce_generators(n)
+    cases = [(normalize_subgroup(n), reduced)]
+    decision = has_faithful_quotient_rep(aleph, n)
+    if decision.representable:
+        deep = set(aleph.kernel_coordinates) - set(aleph.abelian_coordinates)
+        cases.append(((decision.phi, decision.image), n if deep else reduced))
+    for (phi, image), source in cases:
+        assert validate_aut(aleph, phi) == ()
+        assert image.generators == generator_images(phi, source)
 
 
 @st.composite
@@ -619,8 +651,11 @@ def lattice_actions(draw):
     generic or inner on random data or on the catalog's rotation groups,
     whose torsion is nontrivial and whose generator times are nonzero
     multiples of t0, or ten-parameter on the catalog's Heisenberg
-    extensions."""
-    kind = draw(st.sampled_from(KINDS))
+    extensions.  A fixed share of the draws, one kind in four, is the case
+    where M_Z differs from the full differential (off_kernel_actions)."""
+    kind = draw(st.sampled_from([*KINDS, "gamma off ker J"]))
+    if kind == "gamma off ker J":
+        return draw(off_kernel_actions())
     if kind == "heis":
         groups = st.sampled_from([GROUPS[name][0] for name in HEIS])
     else:
@@ -634,6 +669,28 @@ def lattice_actions(draw):
         phi = draw(_heis_auts(aleph))
     else:
         phi = inner_aut(aleph, group_element(aleph, draw(vectors(aleph.dim)), draw(small)))
+    assert validate_aut(aleph, phi) == ()
+    return n, phi
+
+
+@st.composite
+def off_kernel_actions(draw):
+    """A lattice on a catalog rotation group with a first generator of
+    nonzero time, and a generic automorphism whose gamma is nonzero off
+    ker J: phi moves that generator by the slope integral of gamma, which
+    vanishes off ker J at a time in T, so M_Z drops gamma there."""
+    aleph = GROUPS[draw(st.sampled_from(ROTATION))][0]
+    kernel, t0 = aleph.kernel_coordinates, torsion(aleph).t0
+    first = [draw(small) if i in kernel else 0 for i in range(aleph.dim)]
+    second = [draw(small) if i in kernel else 0 for i in range(aleph.dim)]
+    gens = [(first, draw(st.sampled_from([1, -1, 2])) * t0)]
+    if any(second) and draw(st.booleans()):
+        gens.append((second, 0))
+    n = subgroup_from_data(aleph, gens)
+    phi = draw(_generic_auts(aleph))
+    gamma = list(phi.gamma)
+    gamma[draw(st.sampled_from([i for i in range(aleph.dim) if i not in kernel]))] = draw(nonzero)
+    phi = GenericAut(phi.delta, gamma, phi.alpha)
     assert validate_aut(aleph, phi) == ()
     return n, phi
 

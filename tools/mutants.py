@@ -49,7 +49,7 @@ MUTANTS = (
         "autos.py",
         "off = set(range(aleph.dim)) - set(aleph.kernel_coordinates)",
         "off = set()",
-        ("tests/test_laws.py::test_aut_image_drops_gamma_off_the_kernel",),
+        ("tests/test_laws.py::test_aut_image_is_the_generator_images",),
     ),
     Mutant(
         "aut_image multiplies by M_Z untransposed",
@@ -82,8 +82,8 @@ MUTANTS = (
     Mutant(
         "solve_columns reads the height from the columns",
         "linalg.py",
-        "work, pivots, d = _bareiss(list(zip(*cols, *bs, strict=True)))",
-        "work, pivots, d = _bareiss(list(zip(*cols, *bs, strict=True)) if cols else [])",
+        "cleared_rows(list(zip(*cols, *bs, strict=True)))",
+        "cleared_rows(list(zip(*cols, *bs, strict=True)) if cols else [])",
         ("tests/test_linalg.py::test_solve_columns_without_columns",),
     ),
     Mutant(
@@ -155,6 +155,20 @@ MUTANTS = (
         "(self.aleph, self.generators) == (other.aleph, other.generators)",
         "(self.aleph, self.cleared) == (other.aleph, other.cleared)",
         ("tests/test_laws.py::test_a_lattice_is_its_generators_whatever_its_held_form",),
+    ),
+    Mutant(
+        "the normalizing image keeps the first generator's vector part",
+        "lattices.py",
+        "split = (((),) * aleph.dim + (first[-1],),)",
+        "split = (first,)",
+        ("tests/test_laws.py::test_normalize_carries_the_lattice_onto_its_image",),
+    ),
+    Mutant(
+        "the shear image keeps a deep row",
+        "lattices.py",
+        "() if i in deep else x",
+        "() if i in deep[1:] else x",
+        ("tests/test_laws.py::test_normalize_carries_the_lattice_onto_its_image",),
     ),
     Mutant(
         "the rational lane inverts its quotient",
