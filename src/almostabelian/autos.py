@@ -60,10 +60,7 @@ class Automorphism:
     matrix: Matrix
 
     def __init__(self, matrix):
-        matrix = tuple(vec(row) for row in matrix)
-        if not matrix or any(len(row) != len(matrix) for row in matrix):
-            raise InvalidAutomorphism("the differential must be a square matrix")
-        object.__setattr__(self, "matrix", matrix)
+        _differential((vec(row) for row in matrix), self)
 
     @property
     def dim(self) -> int:
@@ -82,6 +79,17 @@ class Automorphism:
         return self.matrix[-1][-1]
 
 
+def _differential(rows, phi=None) -> Automorphism:
+    """The Automorphism (or phi, filled in) of rows whose entries are
+    TauScalars already: the shape is checked and no entry is coerced
+    again.  Automorphism(matrix) coerces public input once and calls this."""
+    matrix, phi = tuple(rows), phi or object.__new__(Automorphism)
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise InvalidAutomorphism("the differential must be a square matrix")
+    object.__setattr__(phi, "matrix", matrix)
+    return phi
+
+
 def GenericAut(delta, gamma, alpha) -> Automorphism:
     """The automorphism with differential [[Delta, gamma], [0, alpha]]:
     delta is a d x d matrix, gamma a d-vector, alpha a nonzero scalar.
@@ -95,7 +103,7 @@ def GenericAut(delta, gamma, alpha) -> Automorphism:
     if len(gamma) != len(delta):
         raise InvalidAutomorphism("gamma length must match delta size")
     rows = tuple(row + (g,) for row, g in zip(delta, gamma))
-    return Automorphism(rows + ((ZERO,) * len(delta) + (alpha,),))
+    return _differential(rows + ((ZERO,) * len(delta) + (alpha,),))
 
 
 def HeisAut(
@@ -117,7 +125,7 @@ def HeisAut(
     if {len(phi01), len(eta), len(rho), len(phi11)} != {len(phi01)}:
         raise InvalidAutomorphism("phi01, eta, rho, and phi11 must share one size")
     zeros = (ZERO,) * len(phi01)
-    return Automorphism((
+    return _differential((
         (alpha * delta22 - beta2 * gamma2, delta12, *phi01, gamma1),
         (ZERO, delta22, *zeros, gamma2),
         *((ZERO, e, *row, r) for e, row, r in zip(eta, phi11, rho)),
@@ -242,7 +250,7 @@ def validate_aut(aleph: MultiplicityFunction, phi) -> tuple:
 
 
 def identity_aut(aleph: MultiplicityFunction) -> Automorphism:
-    return Automorphism(identity(aleph.dim + 1))
+    return _differential(identity(aleph.dim + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,7 @@ def compose(phi1, phi2):
     m1, m2 = differential(aleph, phi1), differential(aleph, phi2)
     if len(m1) != len(m2):
         raise InvalidAutomorphism("dimension mismatch")
-    return Automorphism(mat_mul(m1, m2))
+    return _differential(mat_mul(m1, m2))
 
 
 def invert(phi):
@@ -369,4 +377,4 @@ def invert(phi):
     automorphism of the inverse element."""
     if isinstance(phi, InnerAut):
         return inner_aut(phi.aleph, group_inverse(phi.aleph, phi.element))
-    return Automorphism(inverse(phi.matrix))
+    return _differential(inverse(phi.matrix))

@@ -7,15 +7,19 @@ logarithm on the central cylinder, the torsion subgroup T of times t with
 e^{tJ} = id, exponentiality of the group, the dilation group of the datum,
 and the center.
 
-Every e^{tJ} here, exact, symbolic or in floats, comes from one per-block
-kernel: block_factors decides the block's factors c = e^{ta} cos(tb) and
-s = e^{ta} sin(tb) once, and write_exp_block lays out the cells
-t^j/j! * c, with [[c, -s], [s, c]] on realified blocks.  By Niven's theorem
-the factors are exact only for a = 0 at a quarter turn tb in (tau/4)Z
-(t = 0 included), so exact arithmetic is per block: a block contributes
-exactly when it is nilpotent (finite series), or at such a time, or when
-the vector being moved vanishes on the block.  Anything else raises
-ExactnessUnavailable naming the block; it never falls back to floats.
+Every e^{tJ} and phi(tJ) here, exact, symbolic or in floats, is built
+per block from one rule: block_factors decides the factors c = e^{ta}
+cos(tb) and s = e^{ta} sin(tb) of the eigenvalue a + ib, and term j is
+t^j/j! (t^j/(j+1)! for phi on a nilpotent block) times the cell c, or
+[[c, -s], [s, c]] on realified blocks.  write_exp_block lays the terms
+out as a matrix for reps and numeric; an exact vector is moved by one
+sweep per block over Z[tau] (_sweep), and block_exp and phi_matrix
+sweep the unit vectors.  By Niven's theorem the factors are exact only
+for a = 0 at a quarter turn tb in (tau/4)Z (t = 0 included), so exact
+arithmetic is per block: a block contributes exactly when it is
+nilpotent (finite series), or at such a time, or when the vector being
+moved vanishes on the block.  Anything else raises ExactnessUnavailable
+naming the block; it never falls back to floats.
 """
 
 from __future__ import annotations
@@ -27,32 +31,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExactnessUnavailable, NotCentral, NoWitness
-from .jordan import (
-    AlgebraElement,
-    Block,
-    GroupElement,
-    MultiplicityFunction,
-    block_matrix,
-    in_kernel,
-    kernel_basis,
-    numeric_mode,
-    write_blocks,
-)
-from .linalg import (
-    Matrix,
-    Vector,
-    identity,
-    inverse,
-    mat,
-    mat_mul,
-    mat_vec,
-    unit_vec,
-    vec,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-)
-from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, as_tau, rat_gcd, tau_coefficient
+from .jordan import AlgebraElement, Block, GroupElement, MultiplicityFunction, block_matrix
+from .jordan import in_kernel, kernel_basis, numeric_mode, write_blocks
+from .linalg import Matrix, Vector, cleared_series, identity, mat, transpose, unit_vec, vec
+from .linalg import vec_add, vec_is_zero, vec_scale
+from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, _zmul, as_tau, rat_gcd
+from .scalars import over_common_denominator, tau_coefficient, zpoly_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +128,17 @@ def is_central(aleph: MultiplicityFunction, g: GroupElement) -> bool:
 # ---------------------------------------------------------------------------
 # entries: exact scalars or transcendental atoms
 
-_COS_QUARTER = (ONE, ZERO, -ONE, ZERO)
-_SIN_QUARTER = (ZERO, ONE, ZERO, -ONE)
+_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # (cos, sin) at q quarter turns
+
+
+def _quarter(t: TauScalar, b=1):
+    """The q in 0..3 with t*b equal to q quarter turns modulo a turn (0 when
+    b = 0), or None when it is no multiple of tau/4: the one quarter-turn
+    rule, decided on t's rational tau coefficient with no TauScalar product."""
+    c = tau_coefficient(t) if b else 0
+    if c is None or (4 * c * b).denominator != 1:
+        return None
+    return int(4 * c * b) % 4
 
 
 @dataclass(frozen=True)
@@ -200,10 +193,9 @@ def exp_rotation(exp_arg: TauScalar, angle: TauScalar):
     multiples of tau where cos and sin are both rational; elsewhere both
     stay atoms, with the angle's sign normalized (cos is even, sin odd).
     """
-    c = tau_coefficient(angle)
-    if c is not None and (4 * c).denominator == 1:
-        q = int(4 * c) % 4
-        return make_entry(_COS_QUARTER[q], exp_arg), make_entry(_SIN_QUARTER[q], exp_arg)
+    q = _quarter(angle)
+    if q is not None:
+        return tuple(make_entry(x, exp_arg) for x in _QUARTERS[q])
     if angle.leading_sign() < 0:
         angle = -angle
         return ExpAtom(ONE, exp_arg, "cos", angle), ExpAtom(-ONE, exp_arg, "sin", angle)
@@ -231,30 +223,45 @@ def block_factors(block: Block, t: TauScalar):
     eigenvalue a + ib at time t, as entries (s = 0 on a real block).
 
     Both are exact scalars exactly when t*a = 0 and t*b is a quarter turn
-    (t = 0 included); otherwise at least one is an ExpAtom.
+    (t = 0 included); otherwise at least one is an ExpAtom, and only then
+    are the atoms' arguments t*a and t*b built.
     """
     a, b = block.eigenvalue.re, block.eigenvalue.im
-    exp_arg = t * a if a else ZERO
+    exp_arg = t * a if a and t else ZERO
     if not b:
         return make_entry(ONE, exp_arg), ZERO
-    return exp_rotation(exp_arg, t * b)
+    q = _quarter(t, b)
+    if q is None:
+        return exp_rotation(exp_arg, t * b)
+    return tuple(make_entry(x, exp_arg) for x in _QUARTERS[q])
+
+
+def _cell(c, s, realified):
+    """The factor cell: c on a real block, [[c, -s], [s, c]] on a realified one."""
+    return ((c, -s), (s, c)) if realified else ((c,),)
+
+
+def _taylor_weights(n: int, shift: int):
+    """The w_j = (n-1+shift)!/(j+shift)!, j < n, and their denominator
+    (n-1+shift)!: shift 0 weighs the series of e^{tN}, shift 1 phi(tN)'s."""
+    top = n - 1 + shift
+    return [math.perm(top, n - 1 - j) for j in range(n)], math.factorial(top)
 
 
 def write_exp_block(rows, o: int, block: Block, t, c, s) -> None:
-    """Write e^{t J_block} into rows at (o, o) from the block's factors.
+    """Write e^{t J_block} into rows at (o, o) from the block's factors:
+    cell (k, k + j) is t^j/j! (_taylor_weights) times the factor cell.
 
-    Cell (k, k + j) is t^j/j! times c on a real block and times
-    [[c, -s], [s, c]] on a realified one.  t, c and s are exact scalars
-    and atoms, or floats in numeric mode: this is the one place the
-    layout is written.
+    t, c and s are exact scalars and atoms, or floats in numeric mode;
+    _sweep applies the same weights and cells to a held vector.
     """
     n = block.size
-    base = ((c, -s), (s, c)) if block.realified else ((c,),)
-    m = len(base)
-    cell = base
+    base = _cell(c, s, block.realified)
+    weights, den = _taylor_weights(n, 0)
+    m, cell = len(base), base
     for j in range(n):
         if j:
-            w = t if j == 1 else w * t / j
+            w = t if j == 1 else t ** j * Fraction(weights[j], den)
             cell = tuple(tuple(x * w for x in row) for row in base)
         for k in range(n - j):
             col = o + m * (k + j)
@@ -262,78 +269,75 @@ def write_exp_block(rows, o: int, block: Block, t, c, s) -> None:
                 rows[o + m * k + i][col : col + m] = cell[i]
 
 
-def _unavailable(block: Block, t: TauScalar, what: str) -> ExactnessUnavailable:
-    return ExactnessUnavailable(
-        f"no exact closed form for {what} at t = {t} on block "
-        f"({block.eigenvalue}, {block.size}) at coordinate {block.offset}; "
-        "exact evaluation needs a nilpotent block, a quarter turn, "
-        "or a vector vanishing there"
-    )
+def _sweep(block: Block, t: TauScalar, part: Vector, phi: bool) -> Vector:
+    """The block's part of e^{tJ} v, or of phi(tJ) v, from v's part there.
 
-
-def _exact_factors(block: Block, t: TauScalar, what: str):
-    """The block's factors, or ExactnessUnavailable naming the block when
-    an atom survives."""
+    The part is cleared once to V over D, and cell k of e^{tJ} v is
+    sum_j t^j/j! R V_{k+j} / D, R the cell of block_factors: for
+    t = P/Q, sum_j P^j Q^(n-1-j) (n-1)!/j! R V_{k+j} over Q^(n-1) (n-1)! D
+    (linalg.cleared_series), one TauScalar per entry.  phi(tN) weighs
+    (j+1)! for j!.  On a rotating block, eigenvalue ib = i beta/gamma and
+    K the quarter turn, tJ = tbK (id + (bK)^-1 N), so (tJ)^-1 is the finite
+    sum -(1/t) sum_j b^-(j+1) K^(j+1) N^j, applied to (e^{tJ} - id) v,
+    whose first cell is R - id: no inverse is taken.
+    """
+    eig, n = block.eigenvalue, block.size
+    if t.is_zero:
+        return part
     c, s = block_factors(block, t)
     if isinstance(c, ExpAtom) or isinstance(s, ExpAtom):
-        raise _unavailable(block, t, what)
-    return c, s
+        raise ExactnessUnavailable(
+            f"no exact closed form for {'phi(tJ)' if phi else 'e^(tJ)'} at t = {t} on block "
+            f"({eig}, {n}) at coordinate {block.offset}; exact evaluation needs a "
+            "nilpotent block, a quarter turn, or a vector vanishing there"
+        )
+    c, s, rotating = c.as_integer(), s.as_integer(), phi and bool(eig.im)
+    if n == 1 and (c, s) == (1, 0) and not rotating:  # the block is left as it is
+        return part
+    xs, d = over_common_denominator(part)
+    weights, fact = _taylor_weights(n, 1 if phi and eig.is_zero else 0)
+    cells = [_cell(c, s, eig.im)] * n
+    if rotating:  # e^{tJ} - id
+        cells[0] = _cell(c - 1, s, True)
+    nums, den = cleared_series(xs, t, weights, cells)
+    den = _zmul(den, _zmul((fact,), d))
+    if rotating:  # (tJ)^-1 = -(1/t) sum_j b^-(j+1) K^(j+1) N^j
+        beta, gamma = eig.im.numerator, eig.im.denominator
+        inverse_weights = [gamma ** (j + 1) * beta ** (n - 1 - j) for j in range(n)]
+        turns = [_cell(*_QUARTERS[j % 4], True) for j in range(1, n + 1)]
+        (p,), qd = over_common_denominator((t,))
+        nums = [_zmul(qd, x) for x in cleared_series(nums, ONE, inverse_weights, turns)[0]]
+        den = _zmul((-(beta**n),), _zmul(p, den))
+    return tuple(zpoly_ratio(x, den) if x else ZERO for x in nums)
 
 
-def _exp_block(block: Block, t: TauScalar):
-    """Rows of e^{t J_block}."""
-    rows = [[ZERO] * block.width for _ in range(block.width)]
-    write_exp_block(rows, 0, block, t, *_exact_factors(block, t, "e^(tJ)"))
-    return rows
-
-
-def _phi_block(block: Block, t: TauScalar):
-    """Rows of phi(t J_block): the polynomial sum of (tN)^j/(j+1)! on a
-    nilpotent block, (e^{tJ} - id)(tJ)^{-1} on every other block."""
-    n, w = block.size, block.width
-    if t.is_zero:
-        return identity(w)
-    rows = [[ZERO] * w for _ in range(w)]
-    if block.eigenvalue.is_zero:
-        for k in range(n):
-            for j in range(n - k):
-                rows[k][k + j] = t ** j / math.factorial(j + 1)
-        return rows
-    c, s = _exact_factors(block, t, "phi(tJ)")
-    if n == 1 and c == ONE and s.is_zero:
-        return rows  # e^{tJ} = id on the block
-    write_exp_block(rows, 0, block, t, c, s)
-    for i in range(w):
-        rows[i][i] = rows[i][i] - ONE
-    tj = [[t * x for x in row] for row in block_matrix(block)]
-    return mat_mul(rows, inverse(tj))
-
-
-def _assemble(aleph: MultiplicityFunction, t: TauScalar, block_fn) -> Matrix:
-    d = aleph.dim
-    rows = [[ZERO] * d for _ in range(d)]
-    write_blocks(rows, aleph, lambda block: block_fn(block, t))
+def _assemble(aleph: MultiplicityFunction, t: TauScalar, phi: bool) -> Matrix:
+    """The whole matrix: each block's columns are the sweeps of its unit vectors."""
+    rows = [[ZERO] * aleph.dim for _ in range(aleph.dim)]
+    write_blocks(rows, aleph, lambda b: transpose(_sweep(b, t, e, phi) for e in identity(b.width)))
     return mat(rows)
 
 
-def _apply_blockwise(aleph: MultiplicityFunction, t: TauScalar, v: Vector, block_fn) -> Vector:
-    """Apply the blockwise matrix to v, skipping blocks where v vanishes."""
+def _apply_blockwise(aleph: MultiplicityFunction, t: TauScalar, v: Vector, phi: bool) -> Vector:
+    """Sweep each block of v, skipping blocks where v vanishes."""
+    if len(v) != aleph.dim:
+        raise ValueError(f"a vector of length {len(v)} in dimension {aleph.dim}")
     out = list(v)
     for block in aleph.blocks:
         cells = slice(block.offset, block.offset + block.width)
         if not vec_is_zero(v[cells]):
-            out[cells] = mat_vec(block_fn(block, t), v[cells])
+            out[cells] = _sweep(block, t, v[cells], phi)
     return tuple(out)
 
 
 def apply_exp_tj(aleph: MultiplicityFunction, t, v) -> Vector:
     """Exact e^{tJ} v, defined blockwise wherever v meets an exact block."""
-    return _apply_blockwise(aleph, as_tau(t), vec(v), _exp_block)
+    return _apply_blockwise(aleph, as_tau(t), vec(v), False)
 
 
 def apply_phi_tj(aleph: MultiplicityFunction, t, v) -> Vector:
     """Exact phi(tJ) v, defined blockwise wherever v meets an exact block."""
-    return _apply_blockwise(aleph, as_tau(t), vec(v), _phi_block)
+    return _apply_blockwise(aleph, as_tau(t), vec(v), True)
 
 
 def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
@@ -342,12 +346,7 @@ def apply_exp_integral(aleph: MultiplicityFunction, s, v) -> Vector:
     return vec_scale(s, apply_phi_tj(aleph, s, v))
 
 
-def group_mul(
-    aleph: MultiplicityFunction,
-    g: GroupElement,
-    h: GroupElement,
-    mode: str = "exact",
-):
+def group_mul(aleph: MultiplicityFunction, g: GroupElement, h: GroupElement, mode: str = "exact"):
     """Product [v_g, t_g][v_h, t_h] = [v_g + e^{t_g J} v_h, t_g + t_h].
 
     Exact mode requires e^{t_g J} v_h to have a closed form in Q(tau): per
@@ -395,7 +394,7 @@ def block_exp(t, aleph: MultiplicityFunction) -> Matrix:
     >>> [[str(x) for x in row] for row in block_exp(TAU / 4, e2)]
     [['0', '-1'], ['1', '0']]
     """
-    return _assemble(aleph, as_tau(t), _exp_block)
+    return _assemble(aleph, as_tau(t), False)
 
 
 def phi_matrix(t, aleph: MultiplicityFunction) -> Matrix:
@@ -406,7 +405,7 @@ def phi_matrix(t, aleph: MultiplicityFunction) -> Matrix:
     rotation blocks, identity on the kernel coordinates).  Its float form
     is numeric.phi_numeric.
     """
-    return _assemble(aleph, as_tau(t), _phi_block)
+    return _assemble(aleph, as_tau(t), True)
 
 
 def exp_map(aleph: MultiplicityFunction, x: AlgebraElement, mode: str = "exact"):

@@ -55,11 +55,11 @@ from .reps import quotient_faithful_rep
 from .scalars import ZERO, cleared_rows, integer_rows
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DiscreteCentralSubgroup:
     """Free central subgroup generated by elements [v_i, t_i], held as its
-    (v; t) generator columns over one denominator in Z[tau]; equality and
-    hash are those of (aleph, generators).  The first violation of
+    (v; t) generator columns over one denominator in Z[tau]; equality,
+    hash and repr are those of (aleph, generators).  The first violation of
     validate_subgroup raises NotCentral (off ker J x T) or InvalidSubgroup.
     """
 
@@ -98,6 +98,9 @@ class DiscreteCentralSubgroup:
 
     def __hash__(self):
         return hash((self.aleph, self.generators))
+
+    def __repr__(self) -> str:
+        return f"DiscreteCentralSubgroup(aleph={self.aleph!r}, generators={self.generators!r})"
 
     def __str__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators)

@@ -37,6 +37,10 @@ right one -- is put over one common denominator once
 from polynomial products and built once, as one TauScalar reduced by one
 gcd (``scalars.zpoly_ratio``), rather than by a TauScalar and a gcd per
 product and partial sum.  Their operands may hold ints and Fractions.
+``autos.apply_aut``, the representations, and the lattice and subgroup
+layers call them; the exponentials of ``expmap`` build no matrix to
+multiply, and sum their Taylor terms on a held vector instead
+(``cleared_series``).
 
 A matrix can also be held cleared, by its columns of Z[tau] polynomials
 over one denominator (``cleared_columns``); a lattice holds its generator
@@ -391,6 +395,38 @@ def cleared_int_product(cleared, coeffs) -> tuple:
     polys, den = cleared
     weights = [tuple((c,) if c else () for c in w) for w in zip(*coeffs)]
     return _combinations(polys, weights), den
+
+
+def cleared_series(xs, t, weights, cells) -> tuple:
+    """The held vector sum_j w_j t^j R_j N^j x as (numerators, den): x is
+    held as the polynomials xs in n cells of m entries, N is the shift
+    (N x)_k = x_{k+1}, and term j has the integer weight w_j and the m x m
+    integer cell R_j.  t = P/Q is cleared once, and cell k is
+    sum_j w_j P^j Q^(n-1-j) R_j x_{k+j} over den = Q^(n-1); no TauScalar
+    is built.  The block exponentials of expmap are such sums.
+
+    >>> from .scalars import TAU
+    >>> cleared_series([(1,), (0, 1)], TAU / 2, [1, 1], [((1,),)] * 2)
+    ([(2, 0, 1), (0, 2)], (2,))
+    """
+    (p,), q = over_common_denominator((t,))
+    n, m = len(cells), len(cells[0])
+    ps, qs = [(1,)], [(1,)]
+    for _ in range(n - 1):
+        ps.append(_zmul(ps[-1], p))
+        qs.append(_zmul(qs[-1], q))
+    ws = [_zmul((w,), _zmul(ps[j], qs[n - 1 - j])) for j, w in enumerate(weights)]
+    out = []
+    for k in range(n):
+        acc = [()] * m
+        for j in range(n - k):
+            for r, x in enumerate(xs[m * (k + j) : m * (k + j + 1)]):
+                y = _zmul(ws[j], x)
+                for i, row in enumerate(cells[j]):
+                    if row[r] and y:
+                        acc[i] = _zadd(acc[i], y if row[r] == 1 else _zmul((row[r],), y))
+        out.extend(acc)
+    return out, qs[-1]
 
 
 def cleared_rank(rows) -> int:

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from almostabelian import autos, linalg, scalars
 from almostabelian.autos import (
     Automorphism,
     GenericAut,
@@ -47,6 +49,42 @@ FLIP = GenericAut(((1, 0), (0, -1)), (0, 0), -1)
 
 def rand_fraction(rng, span=4, den=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+class TestCoercion:
+    """Each entry of a datum goes through as_tau once: GenericAut and
+    HeisAut coerce their parameters and build the differential from the
+    coerced entries, and Automorphism(matrix) coerces its public input."""
+
+    @staticmethod
+    def coerced(build) -> list:
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            return scalars.as_tau(x)
+
+        with mock.patch.object(linalg, "as_tau", spy), mock.patch.object(autos, "as_tau", spy):
+            build()
+        return seen
+
+    def test_generic(self):
+        delta = [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 2]]
+        seen = self.coerced(lambda: GenericAut(delta, [1, 0, TAU], 3))
+        assert len(seen) == 9 + 3 + 1
+
+    def test_heis(self):
+        seen = self.coerced(
+            lambda: HeisAut(
+                2, beta2=1, gamma1=3, gamma2=1, delta12=1, delta22=1,
+                phi01=(1, 0), eta=(0, 2), rho=(1, 1), phi11=((1, 0), (1, 1)),
+            )
+        )
+        assert len(seen) == 6 + 3 * 2 + 2 * 2
+
+    def test_public_matrix(self):
+        seen = self.coerced(lambda: Automorphism([[1, 0], [Fraction(1, 3), 2]]))
+        assert len(seen) == 4
 
 
 class TestCaseDetection:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from almostabelian.errors import ExactnessUnavailable, NotCentral, NoWitness
 from almostabelian.expmap import (
     DilationGroup,
+    apply_exp_tj,
+    apply_phi_tj,
     block_exp,
     center,
     central_log,
@@ -419,3 +421,10 @@ def test_fabc_probe(i, j):
     lhs = scipy.linalg.expm(a) @ b
     rhs = b @ scipy.linalg.expm(c)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+@pytest.mark.parametrize("v", [[1], [1, 2, 3]])
+def test_a_vector_of_another_dimension_is_refused(heis, v):
+    for apply in (apply_exp_tj, apply_phi_tj):
+        with pytest.raises(ValueError, match="a vector of length"):
+            apply(heis, 1, v)

@@ -302,6 +302,20 @@ class TestNormalize:
         assert m.rank == 0
         assert phi.alpha == 1
 
+    def test_repr_is_the_generators(self, e2_r2):
+        # the image keeps the held denominator 2 of v = 1/2, which the same
+        # lattice built from its generators does not have; repr, like
+        # equality and hash, reads the generators only
+        _, m = normalize_subgroup(sub(e2_r2, ((0, 0, Fraction(1, 2), 0), TAU), ((0, 0, 0, 1), 0)))
+        rebuilt = DiscreteCentralSubgroup(e2_r2, m.generators)
+        assert m.cleared[1] != rebuilt.cleared[1]
+        assert m == rebuilt and repr(m) == repr(rebuilt)
+        n = sub(e2_r2, ((0, 0, 1, 0), 0))
+        doubled = lattices._hold(e2_r2, ((((), (), (2,), (), ()),), (2,)))
+        assert doubled.cleared != n.cleared
+        assert doubled == n and repr(doubled) == repr(n)
+        assert "generators=" in repr(n) and "cleared" not in repr(n)
+
     def test_split_property(self, e2_r2):
         n = sub(e2_r2, ((0, 0, 1, 0), 2 * TAU), ((0, 0, 0, 1), 3 * TAU))
         _, m = normalize_subgroup(n)

@@ -36,6 +36,7 @@ from almostabelian.errors import ExactnessUnavailable, NoWitness
 from almostabelian.expmap import (
     DilationGroup,
     apply_exp_integral,
+    apply_exp_tj,
     apply_phi_tj,
     block_exp,
     dilation_conjugator,
@@ -285,6 +286,133 @@ def test_quarter_turn_conjugation(data):
     conjugate = group_mul(aleph, group_mul(aleph, g, h), group_inverse(aleph, g))
     jv = mat_vec(build_jordan(aleph), v)
     assert conjugate == group_element(aleph, [x / b for x in jv], 0)
+
+
+# ---------------------------------------------------------------------------
+# the exponential applied to a vector, against the finite series
+
+QUARTER_TURNS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # (cos, sin) at q quarter turns
+
+
+def _exact_quarters(aleph, r, c) -> dict:
+    """Block offset -> the quarter turns q of the block at t = r + c*tau,
+    for the blocks where e^{tJ} is exact: all at t = 0, nilpotent ones at
+    any t, rotating ones (eigenvalue ib) where 4*c*b is an integer."""
+    out = {}
+    for b in aleph.blocks:
+        a, im = b.eigenvalue.re, b.eigenvalue.im
+        if r == 0 and c == 0 or b.eigenvalue.is_zero:
+            out[b.offset] = 0
+        elif a == 0 and r == 0 and (4 * c * im).denominator == 1:
+            out[b.offset] = int(4 * c * im) % 4
+    return out
+
+
+def _exp_by_series(aleph, t, quarters):
+    """e^{tJ} = e^{tS} e^{tN} from build_jordan, J = S + N with N the ones
+    between a block's cells: e^{tN} is its finite series, and e^{tS} is
+    cos + sin * S/b on a rotating block at q quarter turns and the
+    identity on every other block (exact only where the vector vanishes)."""
+    d = aleph.dim
+    j = build_jordan(aleph)
+    n = [[TauScalar(0)] * d for _ in range(d)]
+    es = [list(row) for row in identity(d)]
+    for b in aleph.blocks:
+        m, o = (2 if b.realified else 1), b.offset
+        for r in range(o, o + b.width - m):
+            n[r][r + m] = j[r][r + m]
+        if b.realified and b.offset in quarters:
+            cos, sin = QUARTER_TURNS[quarters[b.offset]]
+            for r in range(o, o + b.width):
+                for k in range(o, o + b.width):
+                    es[r][k] = cos * (r == k) + sin * (j[r][k] - n[r][k]) / b.eigenvalue.im
+    series, power = identity(d), identity(d)
+    for k in range(1, d):
+        power = mat_mul(power, mat([[t * x / k for x in row] for row in n]))
+        series = mat([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(series, power)])
+    return mat_mul(mat(es), series)
+
+
+# data whose blocks are nilpotent or rotating, of sizes 1-3
+rotating_data = multiplicity_functions(
+    st.one_of(st.just(G(0)), eigen_parts.map(lambda b: G(0, abs(b))))
+)
+
+
+@st.composite
+def sweeps(draw):
+    """A group of random data, a time t = r + c*tau, and a vector: t is a
+    small rational, tau-linear, 0, or a quarter turn of a rotating block
+    (of any size); on half of the draws the vector vanishes on every block
+    where e^{tJ} has no closed form."""
+    aleph = draw(st.one_of(multiplicity_functions(), rotating_data))
+    turns = [b for b in aleph.blocks if b.eigenvalue.re == 0 and b.eigenvalue.im]
+    kind = draw(st.sampled_from(["rational", "tau", "zero"] + ["quarter"] * 3 * bool(turns)))
+    r, c = draw(small), draw(small)
+    if kind == "quarter":
+        b = draw(st.sampled_from(turns)).eigenvalue.im
+        r, c = 0, Fraction(draw(st.integers(-5, 5))) / (4 * b)
+    elif kind != "tau":
+        r, c = (0 if kind == "zero" else r), 0
+    quarters = _exact_quarters(aleph, r, c)
+    v = draw(st.lists(st.one_of(small, tau_linear), min_size=aleph.dim, max_size=aleph.dim))
+    if not draw(st.booleans()):
+        for b in aleph.blocks:
+            if b.offset not in quarters:
+                v[b.offset : b.offset + b.width] = [0] * b.width
+    return aleph, r + c * TAU, v, quarters
+
+
+def _check_sweep(aleph, t, v, quarters):
+    """e^{tJ} v and phi(tJ) v against the series, tJ phi(tJ) = e^{tJ} - id
+    and the integral; outside the exact domain, the error names the first
+    block (in block order) where v is nonzero and e^{tJ} is not exact."""
+    v = tuple(TauScalar(0) + x for x in v)
+    offending = [
+        b for b in aleph.blocks
+        if b.offset not in quarters and not vec_is_zero(v[b.offset : b.offset + b.width])
+    ]
+    if offending:
+        b = offending[0]
+        for apply, what in ((apply_exp_tj, "e^(tJ)"), (apply_phi_tj, "phi(tJ)")):
+            with pytest.raises(ExactnessUnavailable) as err:
+                apply(aleph, t, v)
+            assert str(err.value) == (
+                f"no exact closed form for {what} at t = {t} on block "
+                f"({b.eigenvalue}, {b.size}) at coordinate {b.offset}; "
+                "exact evaluation needs a nilpotent block, a quarter turn, "
+                "or a vector vanishing there"
+            )
+        return
+    moved, phi_v = apply_exp_tj(aleph, t, v), apply_phi_tj(aleph, t, v)
+    assert moved == mat_vec(_exp_by_series(aleph, t, quarters), v)
+    tj = mat([[t * x for x in row] for row in build_jordan(aleph)])
+    assert mat_vec(tj, phi_v) == tuple(x - y for x, y in zip(moved, v))
+    assert apply_exp_integral(aleph, t, v) == tuple(t * x for x in phi_v)
+    # on the nilpotent blocks, whose kernel the relation above leaves free,
+    # phi(tJ) is its own finite series sum (tJ)^k / (k+1)!
+    nil = {
+        i for b in aleph.blocks if b.eigenvalue.is_zero for i in range(b.offset, b.offset + b.width)
+    }
+    term = tuple(x if i in nil else TauScalar(0) for i, x in enumerate(v))
+    series = term
+    for k in range(1, aleph.dim + 1):
+        term = tuple(x / (k + 1) for x in mat_vec(tj, term))
+        series = tuple(x + y for x, y in zip(series, term))
+    assert all(phi_v[i] == series[i] for i in nil)
+
+
+@given(sweeps())
+@settings(max_examples=120)
+def test_exp_and_phi_of_a_vector_are_the_series(case):
+    _check_sweep(*case)
+
+
+def test_exp_and_phi_on_a_planted_rotating_block():
+    # (i, 2) at a quarter turn: phi takes the inverse-free series of tJ
+    aleph = multiplicity_function({(G(0, 1), 2): 1})
+    _check_sweep(aleph, TAU / 4, [1, Fraction(-1, 2), 2 + TAU, 3], {0: 1})
+    _check_sweep(aleph, -3 * TAU / 4, [1, 0, 0, Fraction(1, 3)], {0: 1})
 
 
 DILATIONS = (1, -1, Fraction(5, 7), 2 + TAU)

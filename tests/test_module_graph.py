@@ -101,3 +101,15 @@ def test_numeric_is_loaded_inside_functions_of_three_modules():
     # inside a function; removing a mode argument can only shrink this set
     users = {name for name, (_, inner) in IMPORTS.items() if "numeric" in inner}
     assert users == {"autos", "expmap", "reps"}
+
+
+def test_expmap_takes_no_inverse_and_no_matrix_product():
+    # e^{tJ} v and phi(tJ) v are swept on held vectors: the rotating phi
+    # sums a finite series for (tJ)^-1 instead of inverting tJ
+    names = {
+        alias.name
+        for node in ast.walk(TREES["expmap"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not names & {"inverse", "mat_mul"}

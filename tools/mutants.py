@@ -171,6 +171,13 @@ MUTANTS = (
         ("tests/test_laws.py::test_normalize_carries_the_lattice_onto_its_image",),
     ),
     Mutant(
+        "the sweep's phi weights use j! for (j+1)!",
+        "expmap.py",
+        "_taylor_weights(n, 1 if phi and eig.is_zero else 0)",
+        "_taylor_weights(n, 0)",
+        ("tests/test_laws.py::test_exp_and_phi_of_a_vector_are_the_series",),
+    ),
+    Mutant(
         "the rational lane inverts its quotient",
         "scalars.py",
         "return _rational(pq[0] / pq[1])",
