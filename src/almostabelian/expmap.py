@@ -11,15 +11,16 @@ Every e^{tJ} and phi(tJ) here, exact, symbolic or in floats, is built
 per block from one rule: block_factors decides the factors c = e^{ta}
 cos(tb) and s = e^{ta} sin(tb) of the eigenvalue a + ib, and term j is
 t^j/j! (t^j/(j+1)! for phi on a nilpotent block) times the cell c, or
-[[c, -s], [s, c]] on realified blocks.  write_exp_block lays the terms
-out as a matrix for reps and numeric; an exact vector is moved by one
-sweep per block over Z[tau] (_sweep), and block_exp and phi_matrix
-sweep the unit vectors.  By Niven's theorem the factors are exact only
-for a = 0 at a quarter turn tb in (tau/4)Z (t = 0 included), so exact
-arithmetic is per block: a block contributes exactly when it is
-nilpotent (finite series), or at such a time, or when the vector being
-moved vanishes on the block.  Anything else raises ExactnessUnavailable
-naming the block; it never falls back to floats.
+[[c, -s], [s, c]] on realified blocks.  write_exp_block hands the terms
+to jordan.write_series, the one block layout, as a matrix for reps and
+numeric; an exact vector is moved by one sweep per block over Z[tau]
+(_sweep), and block_exp and phi_matrix sweep the unit vectors.  By
+Niven's theorem the factors are exact only for a = 0 at a quarter turn
+tb in (tau/4)Z (t = 0 included), so exact arithmetic is per block: a
+block contributes exactly when it is nilpotent (finite series), or at
+such a time, or when the vector being moved vanishes on the block.
+Anything else raises ExactnessUnavailable naming the block; it never
+falls back to floats.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 from .errors import ExactnessUnavailable, NotCentral, NoWitness
 from .jordan import AlgebraElement, Block, GroupElement, MultiplicityFunction, block_matrix
-from .jordan import in_kernel, kernel_basis, numeric_mode, write_blocks
+from .jordan import factor_cell, in_kernel, kernel_basis, numeric_mode, write_blocks, write_series
 from .linalg import Matrix, Vector, cleared_series, identity, mat, transpose, unit_vec, vec
 from .linalg import vec_add, vec_is_zero, vec_scale
 from .scalars import ONE, TAU, ZERO, GaussRational, TauScalar, _zmul, as_tau, rat_gcd
@@ -236,11 +237,6 @@ def block_factors(block: Block, t: TauScalar):
     return tuple(make_entry(x, exp_arg) for x in _QUARTERS[q])
 
 
-def _cell(c, s, realified):
-    """The factor cell: c on a real block, [[c, -s], [s, c]] on a realified one."""
-    return ((c, -s), (s, c)) if realified else ((c,),)
-
-
 def _taylor_weights(n: int, shift: int):
     """The w_j = (n-1+shift)!/(j+shift)!, j < n, and their denominator
     (n-1+shift)!: shift 0 weighs the series of e^{tN}, shift 1 phi(tN)'s."""
@@ -248,25 +244,21 @@ def _taylor_weights(n: int, shift: int):
     return [math.perm(top, n - 1 - j) for j in range(n)], math.factorial(top)
 
 
-def write_exp_block(rows, o: int, block: Block, t, c, s) -> None:
-    """Write e^{t J_block} into rows at (o, o) from the block's factors:
-    cell (k, k + j) is t^j/j! (_taylor_weights) times the factor cell.
+def write_exp_block(rows, o: int, block: Block, t, c, s, shift: int = 0) -> None:
+    """Write e^{t J_block} into rows at (o, o) from the block's factors: the
+    series (jordan.write_series) with cells t^j/j! (_taylor_weights) times
+    the factor cell; shift 1 weighs t^j/(j+1)!, phi(tN) on a nilpotent block.
 
     t, c and s are exact scalars and atoms, or floats in numeric mode;
     _sweep applies the same weights and cells to a held vector.
     """
-    n = block.size
-    base = _cell(c, s, block.realified)
-    weights, den = _taylor_weights(n, 0)
-    m, cell = len(base), base
-    for j in range(n):
-        if j:
-            w = t if j == 1 else t ** j * Fraction(weights[j], den)
-            cell = tuple(tuple(x * w for x in row) for row in base)
-        for k in range(n - j):
-            col = o + m * (k + j)
-            for i in range(m):
-                rows[o + m * k + i][col : col + m] = cell[i]
+    n, base = block.size, factor_cell(c, s, block.realified)
+    weights, den = _taylor_weights(n, shift)
+    cells = [base]
+    for j in range(1, n):
+        w = t if j == 1 and not shift else t ** j * Fraction(weights[j], den)
+        cells.append(tuple(tuple(x * w for x in row) for row in base))
+    write_series(rows, o, n, cells)
 
 
 def _sweep(block: Block, t: TauScalar, part: Vector, phi: bool) -> Vector:
@@ -296,15 +288,15 @@ def _sweep(block: Block, t: TauScalar, part: Vector, phi: bool) -> Vector:
         return part
     xs, d = over_common_denominator(part)
     weights, fact = _taylor_weights(n, 1 if phi and eig.is_zero else 0)
-    cells = [_cell(c, s, eig.im)] * n
+    cells = [factor_cell(c, s, eig.im)] * n
     if rotating:  # e^{tJ} - id
-        cells[0] = _cell(c - 1, s, True)
+        cells[0] = factor_cell(c - 1, s, True)
     nums, den = cleared_series(xs, t, weights, cells)
     den = _zmul(den, _zmul((fact,), d))
     if rotating:  # (tJ)^-1 = -(1/t) sum_j b^-(j+1) K^(j+1) N^j
         beta, gamma = eig.im.numerator, eig.im.denominator
         inverse_weights = [gamma ** (j + 1) * beta ** (n - 1 - j) for j in range(n)]
-        turns = [_cell(*_QUARTERS[j % 4], True) for j in range(1, n + 1)]
+        turns = [factor_cell(*_QUARTERS[j % 4], True) for j in range(1, n + 1)]
         (p,), qd = over_common_denominator((t,))
         nums = [_zmul(qd, x) for x in cleared_series(nums, ONE, inverse_weights, turns)[0]]
         den = _zmul((-(beta**n),), _zmul(p, den))

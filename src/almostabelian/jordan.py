@@ -178,24 +178,31 @@ def multiplicity_function(data) -> MultiplicityFunction:
     return MultiplicityFunction(data)
 
 
+def factor_cell(c, s, realified):
+    """The cell of c + is: c on a real block, [[c, -s], [s, c]] on a realified one."""
+    return ((c, -s), (s, c)) if realified else ((c,),)
+
+
+def write_series(rows, o: int, n: int, cells) -> None:
+    """Write the n-block Toeplitz matrix with cell (k, k + j) = cells[j] (rows
+    kept past the last cell), of exact scalars, atoms or floats to match rows,
+    into rows at (o, o): the one layout of a block's J, e^{tJ}, phi and (tJ)^-1."""
+    m = len(cells[0])
+    for j, cell in enumerate(cells[:n]):
+        for k in range(n - j):
+            col = o + m * (k + j)
+            for i in range(m):
+                rows[o + m * k + i][col : col + m] = cell[i]
+
+
 @lru_cache(maxsize=None)
 def block_matrix(block: Block) -> Matrix:
-    """The block's own real Jordan matrix, width x width.
-
-    A real block is x*id + N (ones on the superdiagonal); a complex block
-    a+bi realifies to 2x2 cells [[a, -b], [b, a]] on the diagonal and 2x2
-    identity cells on the superdiagonal.
-    """
-    n, w = block.size, block.width
-    a, b = block.eigenvalue.re, block.eigenvalue.im
-    cell = ((a, -b), (b, a)) if block.realified else ((a,),)
-    m = len(cell)
+    """The block's own real Jordan matrix, width x width: the series with
+    cells [C, id], C = x on a real block x and [[a, -b], [b, a]] on a
+    complex one a+bi, so identity cells sit on the superdiagonal."""
+    eig, w, r = block.eigenvalue, block.width, block.realified
     rows = [[Fraction(0)] * w for _ in range(w)]
-    for k in range(n):
-        for i in range(m):
-            rows[m * k + i][m * k : m * k + m] = cell[i]
-            if k + 1 < n:
-                rows[m * k + i][m * (k + 1) + i] = Fraction(1)
+    write_series(rows, 0, block.size, [factor_cell(eig.re, eig.im, r), factor_cell(1, 0, r)])
     return mat(rows)
 
 

@@ -478,10 +478,10 @@ def _solve_delta(q, boundaries, v_cols, u_cols, a, constrained):
             delta[r][r0:] = vec_add(delta[r][r0:], x)
         diag = [tuple(row[r0:r1]) for row in delta[r0:r1]]
         if not is_invertible(tuple(diag)):
-            # complete as build_P does with pivot columns: the pivot columns
-            # of [diag rows | null directions cut to the block] keep the
-            # independent rows, and each dependent row takes a pivot null
-            # direction
+            # complete by pivot columns: those of [diag rows | null
+            # directions cut to the block] keep the independent rows, and
+            # each dependent row takes a pivot null direction, so the
+            # completed diagonal block has full rank
             m, null = r1 - r0, nullspace(transpose(cols))
             pivots = pivot_columns(from_columns(diag + [z[:m] for z in null]))
             spare = [null[p - m] for p in pivots if p >= m]

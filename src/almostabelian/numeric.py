@@ -5,8 +5,9 @@ float forms of group_inverse, membership and QuotientRep.matrix.
 Apart from the oracle this is the only module that imports numpy.  The
 exact modules import it inside their numeric branches, so exact work
 never loads the float stack.  The formulas are the per-block closed
-forms of the exact layer evaluated in floats, not a generic matrix
-exponential: the oracle's dense ``expm`` stays an independent check.
+forms of the exact layer, laid out by jordan.write_series and
+evaluated in floats, not a generic matrix exponential or a linear
+solve: the oracle's dense ``expm`` stays an independent check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .autos import InnerAut, heis_action, is_heisenberg_extension
 from .expmap import ExpAtom, write_exp_block
-from .jordan import Block, MultiplicityFunction, block_matrix, write_blocks
+from .jordan import Block, MultiplicityFunction, block_matrix, factor_cell, write_blocks
+from .jordan import write_series
 from .reps import write_group_rep, write_quotient_cells
 
 
@@ -56,20 +58,15 @@ def block_exp_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
 
 
 def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
-    w = block.width
+    n, w = block.size, block.width
     a, b = float(block.eigenvalue.re), float(block.eigenvalue.im)
-    if block.eigenvalue.is_zero:
-        # the finite sum (tN)^j/(j+1)!, a perf path: float exp_map on heis x R
-        # takes ~25 us here and ~65 us through the series (x86-64, 2 vCPUs)
-        out = np.zeros((w, w))
-        for k in range(block.size):
-            for j in range(block.size - k):
-                out[k, k + j] = t ** j / math.factorial(j + 1)
+    out = np.zeros((w, w))
+    if block.eigenvalue.is_zero:  # the finite series t^j/(j+1)!, as _sweep weighs it
+        write_exp_block(out, 0, block, t, 1.0, 0.0, shift=1)
         return out
-    jb = _matrix(block_matrix(block), w)
-    scale = abs(t) * math.hypot(a, b)
-    if scale < 0.5:
-        # series sum (tJ)^k/(k+1)!, geometric-dominated tail
+    if abs(t) * math.hypot(a, b) < 0.5:
+        # series sum (tJ)^k/(k+1)!, geometric-dominated tail: (e^z - 1)/z cancels here
+        jb = _matrix(block_matrix(block), w)
         acc = np.eye(w)
         term = np.eye(w)
         k = 1
@@ -79,15 +76,18 @@ def _phi_block_numeric(block: Block, t: float) -> np.ndarray:
             if np.max(np.abs(term)) < 1e-18:
                 return acc
             k += 1
-    # block invertible away from zero eigenvalue: phi = (e^{tJ} - I) (tJ)^{-1}
+    # (e^{tJ} - id)(tJ)^-1, (tJ)^-1 = (1/t) sum_j (-1)^j C^-(j+1) N^j, C the cell of a + ib
+    inverse = [(-1) ** j / (t * complex(a, b) ** (j + 1)) for j in range(n)]
+    write_series(out, 0, n, [factor_cell(z.real, z.imag, block.realified) for z in inverse])
     eb = np.zeros((w, w))
     write_exp_block(eb, 0, block, t, *_float_factors(block, t))
-    return np.linalg.solve((t * jb).T, (eb - np.eye(w)).T).T
+    return (eb - np.eye(w)) @ out
 
 
 def phi_numeric(aleph: MultiplicityFunction, t: float) -> np.ndarray:
-    """phi(tJ) in floats, per block: exact polynomial on nilpotent blocks,
-    series for small arguments, otherwise (e^{tJ_b} - id)(tJ_b)^{-1}."""
+    """phi(tJ) in floats, per block: the finite series on nilpotent blocks,
+    the convergent one for |t lambda| < 1/2, else (e^{tJ_b} - id)(tJ_b)^-1
+    with the inverse a finite series too, so no linear system is solved."""
     d = aleph.dim
     out = np.zeros((d, d))
     write_blocks(out, aleph, lambda block: _phi_block_numeric(block, t))

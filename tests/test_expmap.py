@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostabelian.autos import GenericAut, apply_aut
 from almostabelian.errors import ExactnessUnavailable, NotCentral, NoWitness
 from almostabelian.expmap import (
     DilationGroup,
@@ -233,6 +234,26 @@ class TestExpMap:
             p1 = phi_numeric(aleph, t1) @ v1
             p2 = phi_numeric(aleph, t2) @ v2
             assert abs(t1 - t2) > 1e-9 or np.max(np.abs(p1 - p2)) > 1e-9
+
+    @pytest.mark.parametrize(
+        "data",
+        [{(GaussRational(1, 2), 2): 1, (GaussRational(-1), 3): 1}, {(GaussRational(0, 1), 3): 1}],
+    )
+    def test_float_mode_solves_no_linear_system(self, data, monkeypatch):
+        # at |t lambda| >= 1/2 the float phi takes (tJ)^-1 as a finite series
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK solve or inverse in float mode")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        aleph = multiplicity_function(data)
+        ones = [1] * aleph.dim
+        g = group_element(aleph, ones, Fraction(3, 2))
+        aut = GenericAut(identity(aleph.dim), ones, 1)
+        v, t = exp_map(aleph, algebra_element(aleph, ones, Fraction(3, 2)), mode="numeric")
+        assert np.all(np.isfinite(v)) and t == 1.5
+        assert np.all(np.isfinite(group_mul(aleph, g, g, mode="numeric")[0]))
+        assert np.all(np.isfinite(apply_aut(aleph, aut, g, mode="numeric")[0]))
 
 
 class TestCentralLog:

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,8 @@ from almostabelian.linalg import (
     transpose,
     vec_is_zero,
 )
+from almostabelian.numeric import phi_numeric
+from almostabelian.oracle import dense_expm
 from almostabelian.reps import group_rep_G, group_rep_GI, group_rep_GII
 from almostabelian.scalars import TAU, TauScalar, parse_tau
 from almostabelian.scalars import GaussRational as G
@@ -413,6 +416,32 @@ def test_exp_and_phi_on_a_planted_rotating_block():
     aleph = multiplicity_function({(G(0, 1), 2): 1})
     _check_sweep(aleph, TAU / 4, [1, Fraction(-1, 2), 2 + TAU, 3], {0: 1})
     _check_sweep(aleph, -3 * TAU / 4, [1, 0, 0, Fraction(1, 3)], {0: 1})
+
+
+# one planted block of size 1-3: real lambda != 0, a + ib with a != 0, or ib
+planted_blocks = st.builds(
+    lambda eig, size: multiplicity_function({(eig, size): 1}),
+    eigenvalues.filter(lambda eig: not eig.is_zero),
+    st.integers(1, 3),
+)
+
+
+@given(st.one_of(multiplicity_functions(), planted_blocks), st.data())
+@settings(max_examples=150)
+def test_float_phi_is_the_corner_of_an_augmented_exponential(aleph, data):
+    # phi(tJ) is the top-right d x d block of exp([[tJ, id], [0, 0]]); |t lambda|
+    # for one block's lambda is drawn below, at and above 1/2, where the float
+    # phi leaves its convergent series for (e^{tJ_b} - id)(tJ_b)^-1
+    lam = data.draw(st.sampled_from(aleph.blocks)).eigenvalue
+    scale = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0, 2.5]))
+    t = data.draw(st.sampled_from([1, -1])) * scale / (math.hypot(lam.re, lam.im) or 1)
+    d = aleph.dim
+    augmented = np.zeros((2 * d, 2 * d))
+    augmented[:d, :d] = [[t * float(x) for x in row] for row in build_jordan(aleph)]
+    augmented[:d, d:] = np.eye(d)
+    expected = dense_expm(augmented)[:d, d:]
+    got = phi_numeric(aleph, t)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 DILATIONS = (1, -1, Fraction(5, 7), 2 + TAU)

@@ -178,6 +178,13 @@ MUTANTS = (
         ("tests/test_laws.py::test_exp_and_phi_of_a_vector_are_the_series",),
     ),
     Mutant(
+        "the float (tJ)^-1 series drops its alternating sign",
+        "numeric.py",
+        "(-1) ** j / (t * complex(a, b) ** (j + 1))",
+        "1 / (t * complex(a, b) ** (j + 1))",
+        ("tests/test_laws.py::test_float_phi_is_the_corner_of_an_augmented_exponential",),
+    ),
+    Mutant(
         "the rational lane inverts its quotient",
         "scalars.py",
         "return _rational(pq[0] / pq[1])",
